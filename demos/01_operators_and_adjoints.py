@@ -25,14 +25,20 @@ for name, op in [("blur", blur), ("inpainting", inpaint),
     rhs = np.sum(u * op.adjoint(v))
     print(f"{name:12s} <Au, v> = {lhs:+.12f}   <u, A'v> = {rhs:+.12f}")
 
-## Operator norms by power iteration
-for name, op in [("blur", blur), ("radon", radon)]:
+## Operator norms: Lanczos on A^T A (blur, CT), closed form (downsampling)
+for name, op in [("blur", blur), ("radon", radon), ("sr x2", sr2)]:
     print(f"{name:12s} ||A|| = {op.norm():.6f}")
 
 ## Coarse-grid operators: A composed with a sinc upsampler
 coarse = ops.make_coarse(blur, 1)
-print("coarse domain", coarse.domain_shape, "range", coarse.range_shape,
-      "path", coarse.path)
+print("coarse domain", coarse.domain_shape, "range", coarse.range_shape)
+
+## Handles built from the same definition share a content key, so a
+## redrawn blur reuses the cached norm and coarse operators
+redrawn = ops.make_blur(ops.make_gaussian_kernel(1.5, 9), shape)
+print("same key:", redrawn.key == blur.key,
+      "same coarse operator:", ops.make_coarse(redrawn, 1) is coarse)
+print("cache stats:", ops.cache_stats())
 
 ## The measurement of a simple scene
 x = np.zeros(shape)

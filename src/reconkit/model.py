@@ -12,6 +12,7 @@ R(a y, A, a sigma, a gamma) == a R(y, A, sigma, gamma) for a > 0.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,7 @@ class RamModel:
     def __init__(self, config: RamConfig = RamConfig()):
         self.config = config
         self.eval_count = 0
+        self._count_lock = threading.Lock()
         self._params: dict[str, T.Parameter] = {}
         rng = np.random.default_rng(config.seed)
         w0 = config.base_width
@@ -191,7 +193,8 @@ class RamModel:
 
     def forward(self, y, op: OperatorHandle, noise: NoiseParams) -> T.Tensor:
         """Reconstruct from measurement ``y`` (array or graph tensor)."""
-        self.eval_count += 1
+        with self._count_lock:  # bootstrap replicates may run in threads
+            self.eval_count += 1
         cfg = self.config
         c, h, w = op.domain_shape
         self.select_head(c)

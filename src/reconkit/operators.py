@@ -2,12 +2,45 @@
 
 Every operator is an :class:`OperatorHandle` bundling a forward map, its
 exact adjoint (the transpose of the same discretization, never an
-independent one), domain/range shapes and a cached spectral-norm
-estimate.  Images are numpy arrays of shape (C, H, W); complex images use
-2 channels (real, imaginary).
+independent one), domain/range shapes and its spectral norm.  Images are
+numpy arrays of shape (C, H, W); complex images use 2 channels (real,
+imaginary).
+
+Operator identity.  A handle built by one of the factories in
+:data:`KINDS` carries a content ``key``: its kind, domain and range
+shapes, its scalar spec fields and a digest of its defining arrays, so two
+handles built from equal definitions share a key.  Handles derived from
+others (``compose``, ``scale_operator``/``normalize``, crops, coarse
+operators) have ``key = None``: they are not what their base defines.
+
+Norms.  ``OperatorHandle.norm`` returns the spectral norm in closed form
+where one exists: 1 for the identity and demosaicing; the largest mask
+value for inpainting and single-coil MRI, and 1 for compressed sensing
+that keeps any coefficient (0 for empty selections); ``||M_h|| * ||M_w||``
+for a separable map ``X -> M_h X M_w^T`` per channel (downsampling, the
+upsampler, crops and compositions of these, such as downsampling after
+upsampling); the largest of W small Hermitian eigenproblems for
+multi-coil MRI with a row mask.  Any other operator runs Lanczos on
+``A^T A`` (full reorthogonalisation, done twice; a seeded start vector;
+stopped when the top Ritz pair's residual falls below a relative
+tolerance).
+
+Caches.  Norms of keyed handles live in a bounded process-wide LRU cache
+keyed by ``key``, and ``make_coarse`` keeps coarse operators in another,
+keyed by ``(key, scale, fine_shape)``; both are guarded by one lock, so
+redrawing the same blur kernel, identity or downsampler costs no normal
+applies.  Derived handles cache nothing across objects.
+:func:`cache_stats` reports hits, misses and sizes of both caches and the
+normal applies Lanczos has made.
 """
 
 from __future__ import annotations
+
+import functools
+import hashlib
+import threading
+from collections import OrderedDict
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -17,11 +50,14 @@ __all__ = [
     "OperatorHandle",
     "BlurKernel",
     "CoarseOperator",
+    "OperatorKind",
+    "KINDS",
     "identity_operator",
     "compose",
     "scale_operator",
     "operator_norm",
     "normalize",
+    "cache_stats",
     "dft2",
     "idft2",
     "make_blur",
@@ -44,10 +80,16 @@ __all__ = [
 
 
 class OperatorHandle:
-    """A linear map with paired forward/adjoint application."""
+    """A linear map with paired forward/adjoint application.
+
+    ``exact_norm``, when the builder knows the spectral norm in closed
+    form, is a zero-argument function computing it; ``factors`` holds
+    ``(M_h, M_w)`` when the map is separable, ``X -> M_h X M_w^T`` on each
+    channel.  ``key`` is set only by the factories in :data:`KINDS`.
+    """
 
     def __init__(self, domain_shape, range_shape, apply_fn, adjoint_fn,
-                 kind="generic", spec=None, arrays=None):
+                 kind="generic", spec=None, arrays=None, exact_norm=None, factors=None):
         self.domain_shape = tuple(domain_shape)
         self.range_shape = tuple(range_shape)
         self._apply = apply_fn
@@ -55,8 +97,10 @@ class OperatorHandle:
         self.kind = kind
         self.spec = dict(spec) if spec else {"kind": kind}
         self.arrays = dict(arrays) if arrays else {}
+        self.exact_norm = exact_norm
+        self.factors = factors
+        self.key = None
         self.norm_estimate = None
-        self._coarse_cache = {}
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -74,9 +118,17 @@ class OperatorHandle:
         """A^T A x."""
         return self.adjoint(self.apply(x))
 
-    def norm(self, iters: int = 100, tol: float = 1e-6, seed: int = 0) -> float:
+    def norm(self) -> float:
+        """Spectral norm, computed once per handle and, for a keyed handle,
+        once per definition."""
+        if self.norm_estimate is None and self.key is not None:
+            self.norm_estimate = _NORMS.get(self.key)
         if self.norm_estimate is None:
-            self.norm_estimate = operator_norm(self, iters=iters, tol=tol, seed=seed)
+            # computed outside the lock: threads that miss together compute
+            # the same deterministic value
+            self.norm_estimate = operator_norm(self, iters=_NORM_STEPS, tol=_NORM_TOL)
+            if self.key is not None:
+                _NORMS.put(self.key, self.norm_estimate)
         return self.norm_estimate
 
     def __repr__(self):
@@ -105,14 +157,104 @@ class BlurKernel:
 
 
 class CoarseOperator(OperatorHandle):
-    """Forward operator preceded by sinc upsampling (or its coarse-grid
-    fast-path surrogate), normalized to unit norm."""
+    """Forward operator preceded by sinc upsampling, normalized to unit
+    norm."""
 
-    def __init__(self, base, scale, path, **kw):
+    def __init__(self, base, scale, **kw):
         super().__init__(**kw)
         self.base = base
         self.scale = scale
-        self.path = path  # "generic" | "kernel-downscaled" | "mask-downscaled"
+
+
+# ---------------------------------------------------------------------------
+# operator registry and content keys
+# ---------------------------------------------------------------------------
+
+
+class OperatorKind(NamedTuple):
+    """How one factory-built kind is defined: its scalar spec fields and
+    defining arrays (serialized, and read by the content key), and a
+    builder ``(domain_shape, spec, arrays) -> OperatorHandle``."""
+
+    spec_fields: tuple
+    array_names: tuple
+    build: Callable
+
+
+def _owned(a) -> np.ndarray:
+    """A read-only float64 copy: the arrays behind a content key must not
+    change after the key is taken."""
+    out = np.array(a, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+def _keyed(op: OperatorHandle) -> OperatorHandle:
+    """Give a factory-built handle its content key."""
+    kind = KINDS[op.kind]
+    digest = hashlib.blake2b(digest_size=16)
+    for name in kind.array_names:
+        arr = op.arrays[name]  # contiguous float64, from _owned
+        digest.update(f"{name}{arr.shape}".encode())
+        digest.update(arr.data)
+    op.key = (op.kind, op.domain_shape, op.range_shape,
+              tuple(op.spec[f] for f in kind.spec_fields), digest.hexdigest())
+    return op
+
+
+# ---------------------------------------------------------------------------
+# process-wide caches
+# ---------------------------------------------------------------------------
+
+
+_LOCK = threading.Lock()
+
+
+class _LRUCache:
+    """Bounded least-recently-used map; every access holds ``_LOCK``."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._data = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        with _LOCK:
+            value = self._data.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._data.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        """Store ``value`` unless another thread stored one first; return
+        the stored value, so every caller shares one object."""
+        with _LOCK:
+            value = self._data.setdefault(key, value)
+            self._data.move_to_end(key)
+            while len(self._data) > self.size:
+                self._data.popitem(last=False)
+            return value
+
+    def stats(self) -> dict:
+        return {"hits": self.hits, "misses": self.misses, "size": len(self._data)}
+
+
+# a norm entry is a float; a coarse entry holds its base operator's arrays
+_NORMS = _LRUCache(1024)
+_COARSE = _LRUCache(128)
+_lanczos_applies = 0
+
+
+def cache_stats() -> dict:
+    """Hits, misses and entries of the norm and coarse-operator caches,
+    and the normal applies made by Lanczos, since the process started."""
+    with _LOCK:
+        return {"norm": _NORMS.stats(), "coarse": _COARSE.stats(),
+                "lanczos_applies": _lanczos_applies}
 
 
 # ---------------------------------------------------------------------------
@@ -120,58 +262,103 @@ class CoarseOperator(OperatorHandle):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _eye(n: int) -> np.ndarray:
+    out = np.eye(n)
+    out.setflags(write=False)
+    return out
+
+
 def identity_operator(shape) -> OperatorHandle:
-    return OperatorHandle(shape, shape, lambda x: x, lambda y: y, kind="identity")
+    _, h, w = shape
+    return _keyed(OperatorHandle(shape, shape, lambda x: x, lambda y: y, kind="identity",
+                                 exact_norm=lambda: 1.0, factors=(_eye(h), _eye(w))))
 
 
 def compose(a: OperatorHandle, b: OperatorHandle, kind=None) -> OperatorHandle:
     """a after b (x -> a(b(x)))."""
     if b.range_shape != a.domain_shape:
         raise ValueError(f"compose shape mismatch: {b.range_shape} vs {a.domain_shape}")
+    factors = None
+    if a.factors is not None and b.factors is not None:
+        factors = (a.factors[0] @ b.factors[0], a.factors[1] @ b.factors[1])
     return OperatorHandle(
         b.domain_shape, a.range_shape,
         lambda x: a.apply(b.apply(x)),
         lambda y: b.adjoint(a.adjoint(y)),
-        kind=kind or f"{a.kind}*{b.kind}",
+        kind=kind or f"{a.kind}*{b.kind}", factors=factors,
     )
 
 
 def scale_operator(op: OperatorHandle, c: float) -> OperatorHandle:
-    out = OperatorHandle(
+    """c * op.  The result keeps ``op``'s kind but not its definition: it
+    has no key, spec or arrays, so it is neither cached nor serialized as
+    ``op``."""
+    return OperatorHandle(
         op.domain_shape, op.range_shape,
         lambda x: c * op.apply(x),
         lambda y: c * op.adjoint(y),
-        kind=op.kind, spec=op.spec, arrays=op.arrays,
+        kind=op.kind,
     )
-    return out
+
+
+# Lanczos settings behind ``OperatorHandle.norm``: a relative residual of
+# 1e-10 bounds the eigenvalue error by residual^2 / gap, far below the
+# 1e-12 unit-norm target unless the top two eigenvalues of A^T A nearly
+# coincide; the step cap ends such clusters.
+_NORM_STEPS = 300
+_NORM_TOL = 1e-10
 
 
 def operator_norm(op: OperatorHandle, iters: int = 100, tol: float = 1e-6, seed: int = 0) -> float:
-    """Spectral norm via power iteration on A^T A."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.domain_shape)
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        return 0.0
-    x /= nx
-    prev = 0.0
-    for _ in range(iters):
-        z = op.normal(x)
-        nz = np.linalg.norm(z)
-        if nz == 0:
-            return 0.0
-        est = np.sqrt(nz)
-        x = z / nz
-        if prev > 0 and abs(est - prev) <= tol * prev:
-            prev = est
-            break
-        prev = est
-    return float(prev)
+    """Spectral norm: the closed form when the handle has one, otherwise
+    Lanczos on A^T A from a start vector drawn with ``seed``, stopped once
+    the top Ritz pair's residual is at most ``tol`` times its Ritz value,
+    or after ``iters`` steps.  Computed afresh on every call."""
+    if op.exact_norm is not None:
+        return float(op.exact_norm())
+    if op.factors is not None:
+        return float(np.linalg.norm(op.factors[0], 2) * np.linalg.norm(op.factors[1], 2))
+    return _lanczos_norm(op, iters, tol, seed)
 
 
-def normalize(op: OperatorHandle, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> OperatorHandle:
+def _lanczos_norm(op: OperatorHandle, iters: int, tol: float, seed: int) -> float:
+    global _lanczos_applies
+    q = np.random.default_rng(seed).standard_normal(op.domain_shape).ravel()
+    q /= np.linalg.norm(q)
+    steps = max(1, min(iters, q.size))
+    basis = np.empty((steps, q.size))
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    theta = 0.0
+    for k in range(steps):
+        basis[k] = q
+        w = op.normal(q.reshape(op.domain_shape)).ravel()
+        alpha[k] = q @ w
+        # full reorthogonalisation against the whole basis, twice: one
+        # pass leaves rounding-level components that let clustered top
+        # eigenvalues reappear as spurious copies
+        v = basis[:k + 1]
+        for _ in range(2):
+            w -= v.T @ (v @ w)
+        beta[k] = np.linalg.norm(w)
+        # the tridiagonal eigenproblem costs O(k^3): solve it every step
+        # while the basis is small, then about every k/16 steps
+        if k < 32 or k % (k // 16) == 0 or k == steps - 1 or beta[k] == 0:
+            t = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            evals, evecs = np.linalg.eigh(t)
+            theta = evals[-1]
+            if beta[k] * abs(evecs[-1, -1]) <= tol * theta:
+                break
+        q = w / beta[k]
+    with _LOCK:
+        _lanczos_applies += k + 1
+    return float(np.sqrt(max(theta, 0.0)))
+
+
+def normalize(op: OperatorHandle) -> OperatorHandle:
     """Rescale an operator to unit spectral norm."""
-    c = op.norm(iters=iters, tol=tol, seed=seed)
+    c = op.norm()
     if c == 0:
         raise ValueError("cannot normalize the zero operator")
     out = scale_operator(op, 1.0 / c)
@@ -255,7 +442,7 @@ def make_motion_kernel(length_scale: float, amplitude: float, size: int = 31,
 def make_blur(kernel: BlurKernel, image_shape) -> OperatorHandle:
     """Per-channel valid cross-correlation with the kernel (no padding)."""
     c, h, w = image_shape
-    k = kernel.array
+    k = _owned(kernel.array)
     ks = k.shape[0]
     if ks >= h or ks >= w:
         raise ValueError("kernel must be smaller than the image")
@@ -272,11 +459,10 @@ def make_blur(kernel: BlurKernel, image_shape) -> OperatorHandle:
                 out[:, i:i + hout, j:j + wout] += k[i, j] * y
         return out
 
-    return OperatorHandle(
+    return _keyed(OperatorHandle(
         image_shape, (c, hout, wout), apply_fn, adjoint_fn,
-        kind="blur", spec={"kind": "blur", "kernel_size": ks},
-        arrays={"kernel": k},
-    )
+        kind="blur", arrays={"kernel": k},
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +482,15 @@ def make_bernoulli_mask(shape, p: float, seed: int = 0, per_channel: bool = Fals
 
 
 def make_inpainting(mask: np.ndarray) -> OperatorHandle:
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = _owned(mask)
     if not np.all((mask == 0) | (mask == 1)):
         raise ValueError("inpainting mask must be binary")
     shape = mask.shape
-    return OperatorHandle(
+    return _keyed(OperatorHandle(
         shape, shape,
         lambda x: mask * x, lambda y: mask * y,
-        kind="inpainting", spec={"kind": "inpainting"}, arrays={"mask": mask},
-    )
+        kind="inpainting", arrays={"mask": mask}, exact_norm=lambda: float(mask.any()),
+    ))
 
 
 def make_demosaic(image_shape) -> OperatorHandle:
@@ -319,6 +505,7 @@ def make_demosaic(image_shape) -> OperatorHandle:
     sel[1, 0::2, 1::2] = 1  # G
     sel[1, 1::2, 0::2] = 1  # G
     sel[2, 1::2, 1::2] = 1  # B
+    sel.setflags(write=False)
 
     def apply_fn(x):
         return (sel * x).sum(axis=0, keepdims=True)
@@ -326,10 +513,11 @@ def make_demosaic(image_shape) -> OperatorHandle:
     def adjoint_fn(y):
         return sel * y
 
-    return OperatorHandle(
+    # each pixel keeps exactly one channel, so A A^T = I
+    return _keyed(OperatorHandle(
         image_shape, (1, h, w), apply_fn, adjoint_fn,
-        kind="demosaic", spec={"kind": "demosaic"}, arrays={"selector": sel},
-    )
+        kind="demosaic", arrays={"selector": sel}, exact_norm=lambda: 1.0,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +552,7 @@ def make_mri(mask: np.ndarray, image_shape) -> OperatorHandle:
     c, h, w = image_shape
     if c != 2:
         raise ValueError("MRI expects a 2-channel (real, imag) image")
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = _owned(mask)
     if mask.shape != (h, w):
         raise ValueError("mask shape must match spatial extents")
 
@@ -374,10 +562,10 @@ def make_mri(mask: np.ndarray, image_shape) -> OperatorHandle:
     def adjoint_fn(y):
         return _from_complex(np.fft.ifft2(mask * _to_complex(y), norm="ortho"))
 
-    return OperatorHandle(
+    return _keyed(OperatorHandle(
         image_shape, image_shape, apply_fn, adjoint_fn,
-        kind="mri", spec={"kind": "mri"}, arrays={"mask": mask},
-    )
+        kind="mri", arrays={"mask": mask}, exact_norm=lambda: float(np.abs(mask).max()),
+    ))
 
 
 def make_sensitivity_maps(num_coils: int, image_shape, seed: int = 0) -> np.ndarray:
@@ -404,13 +592,15 @@ def make_multicoil_mri(mask: np.ndarray, smaps: np.ndarray, image_shape) -> Oper
     c, h, w = image_shape
     if c != 2:
         raise ValueError("multi-coil MRI expects a 2-channel image")
-    smaps = np.asarray(smaps, dtype=np.float64)
+    smaps = _owned(smaps)
     num_coils = smaps.shape[0]
     smaps_c = np.stack([_to_complex(s) for s in smaps])
     ssq = (np.abs(smaps_c) ** 2).sum(axis=0)
     if np.max(np.abs(ssq - 1)) > 1e-6:
         raise ValueError("sensitivity maps must satisfy sum |s_l|^2 == 1")
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = _owned(mask)
+    if mask.shape != (h, w):
+        raise ValueError("mask shape must match spatial extents")
 
     def apply_fn(x):
         z = _to_complex(x)
@@ -427,11 +617,29 @@ def make_multicoil_mri(mask: np.ndarray, smaps: np.ndarray, image_shape) -> Oper
             acc += np.conj(smaps_c[ell]) * np.fft.ifft2(mask * z, norm="ortho")
         return _from_complex(acc)
 
-    return OperatorHandle(
+    line_mask = bool(np.all(mask == mask[:, :1]))
+    return _keyed(OperatorHandle(
         image_shape, (2 * num_coils, h, w), apply_fn, adjoint_fn,
-        kind="multicoil_mri", spec={"kind": "multicoil_mri", "num_coils": num_coils},
-        arrays={"mask": mask, "smaps": smaps},
-    )
+        kind="multicoil_mri", arrays={"mask": mask, "smaps": smaps},
+        exact_norm=(lambda: _line_mask_multicoil_norm(mask[:, 0], smaps_c)) if line_mask else None,
+    ))
+
+
+def _line_mask_multicoil_norm(lines: np.ndarray, smaps_c: np.ndarray) -> float:
+    """Norm of multi-coil MRI whose mask keeps whole k-space rows.
+
+    With ``P = F_h^* diag(lines^2) F_h`` along H, A^T A maps each image
+    column j on its own: ``B_j = sum_l diag(conj s_lj) P diag(s_lj)``, so
+    the norm is the largest top eigenvalue over W small Hermitian blocks.
+    Lanczos needs hundreds of steps here: the columns' top eigenvalues
+    cluster within 1e-7 of each other."""
+    f = np.fft.fft(np.eye(lines.size), norm="ortho")
+    p = f.conj().T @ ((lines ** 2)[:, None] * f)
+    top = 0.0
+    for j in range(smaps_c.shape[2]):
+        s = smaps_c[:, :, j]
+        top = max(top, np.linalg.eigvalsh(np.einsum("lh,hk,lk->hk", s.conj(), p, s))[-1])
+    return float(np.sqrt(max(top, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +696,10 @@ def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
             out[ch] = (mat_t @ y[ch].ravel()).reshape(h, w)
         return out
 
-    return OperatorHandle(
+    return _keyed(OperatorHandle(
         image_shape, (c, num_angles, det), apply_fn, adjoint_fn,
         kind="ct", spec={"kind": "ct", "num_angles": num_angles},
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +721,11 @@ def _bilinear_kernel(t: np.ndarray) -> np.ndarray:
     return np.clip(1 - np.abs(t), 0, None)
 
 
+@functools.lru_cache(maxsize=64)
 def _decimation_matrix(n: int, factor: int, filt: str) -> np.ndarray:
     """Rows are antialias filters centered on output samples; rows are
-    normalized to sum to one (partition of unity on constants)."""
+    normalized to sum to one (partition of unity on constants).  Memoised,
+    so the result is read-only."""
     kern, support = ((_bicubic_kernel, 2) if filt == "bicubic" else (_bilinear_kernel, 1))
     nout = n // factor
     mat = np.zeros((nout, n))
@@ -527,6 +737,7 @@ def _decimation_matrix(n: int, factor: int, filt: str) -> np.ndarray:
         wts = kern((js - center) / factor)
         mat[i, js] = wts
     mat /= mat.sum(axis=1, keepdims=True)
+    mat.setflags(write=False)
     return mat
 
 
@@ -547,10 +758,11 @@ def make_downsampling(factor: int, filt: str, image_shape) -> OperatorHandle:
     def adjoint_fn(y):
         return np.einsum("ih,cij,jw->chw", dh, y, dw, optimize=True)
 
-    return OperatorHandle(
+    return _keyed(OperatorHandle(
         image_shape, (c, h // factor, w // factor), apply_fn, adjoint_fn,
         kind="downsampling", spec={"kind": "downsampling", "factor": factor, "filter": filt},
-    )
+        factors=(dh, dw),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +775,10 @@ def make_compressed_sensing(sign_mask: np.ndarray, keep_indices: np.ndarray,
     """A = S diag(m): orthonormal DST-II of the sign-flipped image, with
     the flattened coefficients subsampled at ``keep_indices``."""
     c, h, w = image_shape
-    sign_mask = np.asarray(sign_mask, dtype=np.float64)
+    sign_mask = _owned(sign_mask)
     if sign_mask.shape != (h, w) or not np.all(np.abs(sign_mask) == 1):
         raise ValueError("sign mask must be (H, W) with values in {-1, +1}")
-    keep = np.asarray(keep_indices, dtype=np.int64)
+    keep = np.array(keep_indices, dtype=np.int64)
     if len(np.unique(keep)) != len(keep):
         raise ValueError("keep indices must be distinct")
     m = len(keep)
@@ -586,11 +798,13 @@ def make_compressed_sensing(sign_mask: np.ndarray, keep_indices: np.ndarray,
             out[ch] = sign_mask * scipy.fft.idstn(coeffs.reshape(h, w), type=2, norm="ortho")
         return out
 
-    return OperatorHandle(
+    # S has orthonormal rows and diag(m) is orthogonal
+    return _keyed(OperatorHandle(
         image_shape, (c, m), apply_fn, adjoint_fn,
-        kind="compressed_sensing", spec={"kind": "compressed_sensing"},
-        arrays={"sign_mask": sign_mask, "keep_indices": keep.astype(np.float64)},
-    )
+        kind="compressed_sensing",
+        arrays={"sign_mask": sign_mask, "keep_indices": _owned(keep)},
+        exact_norm=lambda: float(m > 0),
+    ))
 
 
 def make_cs_pattern(image_shape, subsample: int = 4, seed: int = 0):
@@ -607,10 +821,11 @@ def make_cs_pattern(image_shape, subsample: int = 4, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _upsample_matrix(n_coarse: int, factor: int, beta: float = 8.0, taps: int = 8) -> np.ndarray:
     """1-D sinc interpolation matrix (fine = factor * coarse) with a Kaiser
     window of ``taps`` coarse samples total support; rows normalized to
-    preserve constants exactly."""
+    preserve constants exactly.  Memoised, so the result is read-only."""
     half = taps / 2.0
     nf = n_coarse * factor
     mat = np.zeros((nf, n_coarse))
@@ -623,6 +838,7 @@ def _upsample_matrix(n_coarse: int, factor: int, beta: float = 8.0, taps: int = 
         wts = np.sinc(t) * window
         mat[i, js] = wts
     mat /= mat.sum(axis=1, keepdims=True)
+    mat.setflags(write=False)
     return mat
 
 
@@ -643,85 +859,43 @@ def make_upsampler(scale: int, coarse_shape, beta: float = 8.0, taps: int = 8) -
 
     return OperatorHandle(
         coarse_shape, (c, h * f, w * f), apply_fn, adjoint_fn,
-        kind="upsampler", spec={"kind": "upsampler", "scale": scale},
+        kind="upsampler", spec={"kind": "upsampler", "scale": scale}, factors=(uh, uw),
     )
 
 
-def _downscale_kernel(k: np.ndarray, factor: int) -> np.ndarray:
-    """Block-average a blur kernel onto a grid coarsened by ``factor``,
-    keeping an odd side length."""
-    ks = k.shape[0]
-    out_size = max(3, (ks // factor) | 1)
-    c_in = (ks - 1) / 2.0
-    c_out = (out_size - 1) / 2.0
-    out = np.zeros((out_size, out_size))
-    for i in range(ks):
-        for j in range(ks):
-            oi = int(round((i - c_in) / factor + c_out))
-            oj = int(round((j - c_in) / factor + c_out))
-            if 0 <= oi < out_size and 0 <= oj < out_size:
-                out[oi, oj] += k[i, j]
-    s = out.sum()
-    if s <= 0:
-        out[out_size // 2, out_size // 2] = 1.0
-        s = 1.0
-    return out / s
-
-
-def make_coarse(op: OperatorHandle, scale: int, fine_shape=None,
-                prefer_fast: bool = False, norm_iters: int = 100) -> CoarseOperator:
-    """Coarse-grid variant of ``op`` at dyadic scale ``scale``.
-
-    The generic path composes op with a Kaiser-sinc upsampler (cropping if
-    the working fine grid is padded beyond the operator's domain) and
-    normalizes to unit norm.  Fast paths downscale the blur kernel or the
-    inpainting mask and act wholly on the coarse grid.
-    """
+def make_coarse(op: OperatorHandle, scale: int, fine_shape=None) -> CoarseOperator:
+    """Coarse-grid variant of ``op`` at dyadic scale ``scale``: op composed
+    with a Kaiser-sinc upsampler (cropping if the working fine grid is
+    padded beyond the operator's domain), normalized to unit norm.  For a
+    keyed ``op`` the result is shared by every handle of its definition."""
     c = op.domain_shape[0]
     if fine_shape is None:
         fine_shape = op.domain_shape
+    fine_shape = tuple(fine_shape)
     fc, fh, fw = fine_shape
     if fc != c:
         raise ValueError("channel mismatch between fine shape and operator domain")
     f = 2 ** scale
     if fh % f or fw % f:
         raise ValueError("fine extents must be divisible by 2^scale")
-    key = (scale, fine_shape, prefer_fast)
-    cached = op._coarse_cache.get(key)
-    if cached is not None:
-        return cached
-    coarse_shape = (c, fh // f, fw // f)
+    key = None if op.key is None else (op.key, scale, fine_shape)
+    if key is not None:
+        cached = _COARSE.get(key)
+        if cached is not None:
+            return cached
 
-    if scale == 0:
-        inner = op if fine_shape == op.domain_shape else compose(op, _crop_op(fine_shape, op.domain_shape))
-        path = "generic"
-    elif prefer_fast and op.kind == "blur" and fine_shape == op.domain_shape:
-        kc = _downscale_kernel(op.arrays["kernel"], f)
-        inner = make_blur(BlurKernel(kc), coarse_shape)
-        path = "kernel-downscaled"
-    elif prefer_fast and op.kind == "inpainting" and fine_shape == op.domain_shape:
-        mc = op.arrays["mask"][:, ::f, ::f].copy()
-        inner = make_inpainting(mc)
-        path = "mask-downscaled"
-    else:
-        up = make_upsampler(scale, coarse_shape)
-        if fine_shape == op.domain_shape:
-            inner = compose(op, up)
-        else:
-            inner = compose(op, compose(_crop_op(fine_shape, op.domain_shape), up))
-        path = "generic"
-
-    scaled = normalize(inner, iters=norm_iters)
+    inner = op if fine_shape == op.domain_shape else compose(op, _crop_op(fine_shape, op.domain_shape))
+    if scale > 0:
+        inner = compose(inner, make_upsampler(scale, (c, fh // f, fw // f)))
+    scaled = normalize(inner)
     out = CoarseOperator(
-        base=op, scale=scale, path=path,
-        domain_shape=(coarse_shape if scale > 0 else fine_shape),
-        range_shape=scaled.range_shape,
+        base=op, scale=scale,
+        domain_shape=scaled.domain_shape, range_shape=scaled.range_shape,
         apply_fn=scaled.apply, adjoint_fn=scaled.adjoint,
         kind=f"coarse[{op.kind}]",
     )
     out.norm_estimate = 1.0
-    op._coarse_cache[key] = out
-    return out
+    return out if key is None else _COARSE.put(key, out)
 
 
 def _crop_op(fine_shape, target_shape) -> OperatorHandle:
@@ -742,7 +916,39 @@ def _crop_op(fine_shape, target_shape) -> OperatorHandle:
         out[:, t0:t0 + th, l0:l0 + tw] = y
         return out
 
-    return OperatorHandle(fine_shape, target_shape, apply_fn, adjoint_fn, kind="crop")
+    return OperatorHandle(fine_shape, target_shape, apply_fn, adjoint_fn, kind="crop",
+                          factors=(_eye(fh)[t0:t0 + th], _eye(fw)[l0:l0 + tw]))
+
+
+# ---------------------------------------------------------------------------
+# registry of factory-built kinds
+# ---------------------------------------------------------------------------
+
+
+KINDS = {
+    "identity": OperatorKind((), (), lambda shape, spec, arrays: identity_operator(shape)),
+    "blur": OperatorKind(
+        (), ("kernel",),
+        lambda shape, spec, arrays: make_blur(BlurKernel(arrays["kernel"]), shape)),
+    "inpainting": OperatorKind(
+        (), ("mask",), lambda shape, spec, arrays: make_inpainting(arrays["mask"])),
+    "mri": OperatorKind(
+        (), ("mask",), lambda shape, spec, arrays: make_mri(arrays["mask"], shape)),
+    "multicoil_mri": OperatorKind(
+        (), ("mask", "smaps"),
+        lambda shape, spec, arrays: make_multicoil_mri(arrays["mask"], arrays["smaps"], shape)),
+    "ct": OperatorKind(
+        ("num_angles",), (),
+        lambda shape, spec, arrays: make_ct_radon(int(spec["num_angles"]), shape)),
+    "downsampling": OperatorKind(
+        ("factor", "filter"), (),
+        lambda shape, spec, arrays: make_downsampling(int(spec["factor"]), spec["filter"], shape)),
+    "compressed_sensing": OperatorKind(
+        (), ("sign_mask", "keep_indices"),
+        lambda shape, spec, arrays: make_compressed_sensing(
+            arrays["sign_mask"], np.asarray(arrays["keep_indices"], dtype=np.int64), shape)),
+    "demosaic": OperatorKind((), (), lambda shape, spec, arrays: make_demosaic(shape)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -29,60 +29,25 @@ class ProblemInstance:
 
 def operator_to_spec(op: ops.OperatorHandle) -> tuple[dict, dict]:
     """Split an operator into a JSON-serializable spec and its defining
-    arrays (stored separately in a TNSR container)."""
-    kind = op.kind
-    spec = {"kind": kind, "domain_shape": list(op.domain_shape)}
-    arrays = {}
-    if kind == "identity":
-        pass
-    elif kind == "blur":
-        arrays["op.kernel"] = op.arrays["kernel"]
-    elif kind == "inpainting":
-        arrays["op.mask"] = op.arrays["mask"]
-    elif kind == "mri":
-        arrays["op.mask"] = op.arrays["mask"]
-    elif kind == "multicoil_mri":
-        arrays["op.mask"] = op.arrays["mask"]
-        arrays["op.smaps"] = op.arrays["smaps"]
-    elif kind == "ct":
-        spec["num_angles"] = op.spec["num_angles"]
-    elif kind == "downsampling":
-        spec["factor"] = op.spec["factor"]
-        spec["filter"] = op.spec["filter"]
-    elif kind == "compressed_sensing":
-        arrays["op.sign_mask"] = op.arrays["sign_mask"]
-        arrays["op.keep_indices"] = op.arrays["keep_indices"]
-    elif kind == "demosaic":
-        pass
-    else:
-        raise ValueError(f"operator kind {kind!r} is not serializable")
+    arrays (stored separately in a TNSR container).  Only factory-built
+    handles, those with a content key, define themselves this way."""
+    if op.key is None:
+        raise ValueError(f"operator kind {op.kind!r} is not serializable: only "
+                         "factory-built operators, not derived ones, have a definition")
+    kind = ops.KINDS[op.kind]
+    spec = {"kind": op.kind, "domain_shape": list(op.domain_shape)}
+    spec.update((f, op.spec[f]) for f in kind.spec_fields)
+    arrays = {f"op.{name}": op.arrays[name] for name in kind.array_names}
     return spec, arrays
 
 
 def operator_from_spec(spec: dict, arrays: dict | None = None) -> ops.OperatorHandle:
     arrays = arrays or {}
-    kind = spec["kind"]
-    shape = tuple(spec["domain_shape"])
-    if kind == "identity":
-        return ops.identity_operator(shape)
-    if kind == "blur":
-        return ops.make_blur(ops.BlurKernel(arrays["op.kernel"]), shape)
-    if kind == "inpainting":
-        return ops.make_inpainting(arrays["op.mask"])
-    if kind == "mri":
-        return ops.make_mri(arrays["op.mask"], shape)
-    if kind == "multicoil_mri":
-        return ops.make_multicoil_mri(arrays["op.mask"], arrays["op.smaps"], shape)
-    if kind == "ct":
-        return ops.make_ct_radon(int(spec["num_angles"]), shape)
-    if kind == "downsampling":
-        return ops.make_downsampling(int(spec["factor"]), spec["filter"], shape)
-    if kind == "compressed_sensing":
-        keep = np.asarray(arrays["op.keep_indices"], dtype=np.int64)
-        return ops.make_compressed_sensing(arrays["op.sign_mask"], keep, shape)
-    if kind == "demosaic":
-        return ops.make_demosaic(shape)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    kind = ops.KINDS.get(spec["kind"])
+    if kind is None:
+        raise ValueError(f"unknown operator kind {spec['kind']!r}")
+    return kind.build(tuple(spec["domain_shape"]), spec,
+                      {name: arrays[f"op.{name}"] for name in kind.array_names})
 
 
 def save_instance(path, inst: ProblemInstance) -> None:

@@ -234,6 +234,22 @@ class TestOperatorSpecs:
         with pytest.raises(ValueError):
             operator_from_spec({"kind": "warp", "domain_shape": [1, 8, 8]})
 
+    def test_round_trip_keeps_key(self):
+        sign, keep = ops.make_cs_pattern(self.SHAPE, 4, seed=12)
+        for op in (ops.identity_operator(self.SHAPE), ops.make_ct_radon(10, self.SHAPE),
+                   ops.make_downsampling(2, "bilinear", self.SHAPE),
+                   ops.make_compressed_sensing(sign, keep, self.SHAPE)):
+            assert self.roundtrip(op).key == op.key
+
+    def test_derived_operators_refused(self):
+        # a scaled handle must not serialize as its unscaled base
+        blur = ops.make_blur(ops.make_gaussian_kernel(1.2, size=7), self.SHAPE)
+        for op in (ops.normalize(blur), ops.scale_operator(blur, 2.0), ops.make_coarse(blur, 0),
+                   ops.compose(blur, ops.identity_operator(self.SHAPE))):
+            assert op.key is None
+            with pytest.raises(ValueError):
+                operator_to_spec(op)
+
 
 class TestInstanceFiles:
     def make_inst(self, with_gt=True):

@@ -1,6 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reconkit import operators as ops
 
@@ -117,6 +122,20 @@ class TestOperatorNorm:
         normed = ops.normalize(op)
         est = ops.operator_norm(normed, iters=1000, tol=1e-9, seed=5)
         assert abs(est - 1.0) < 1e-3
+
+    def test_scaled_handle_has_its_own_norm(self):
+        # the base's cached norm must not be handed to a scaled copy
+        op = ops.make_blur(ops.make_gaussian_kernel(1.0, 5), (1, 12, 12))
+        scaled = ops.scale_operator(op, 2.0)
+        assert abs(scaled.norm() - 2.0 * op.norm()) < 1e-12
+
+    def test_zero_operator(self):
+        zero = ops.make_inpainting(np.zeros((1, 4, 4)))
+        assert zero.norm() == 0.0
+        with pytest.raises(ValueError):
+            ops.normalize(zero)
+        generic = ops.OperatorHandle((1, 2, 2), (1, 2, 2), np.zeros_like, np.zeros_like)
+        assert ops.operator_norm(generic) == 0.0
 
 
 class TestBlurFactory:
@@ -245,6 +264,11 @@ class TestMulticoil:
         bad = np.ones((2, 2, 4, 4))
         with pytest.raises(ValueError):
             ops.make_multicoil_mri(np.ones((4, 4)), bad, (2, 4, 4))
+
+    def test_mask_shape_rejected(self):
+        smaps = ops.make_sensitivity_maps(2, (2, 4, 4), seed=10)
+        with pytest.raises(ValueError):
+            ops.make_multicoil_mri(np.ones(4), smaps, (2, 4, 4))
 
 
 class TestRadon:
@@ -398,37 +422,6 @@ class TestCoarse:
         x = np.random.default_rng(19).standard_normal((1, 8, 8))
         assert np.allclose(c0.apply(x), base.apply(x) / base.norm(), atol=1e-8)
 
-    def test_fast_blur_delta_kernel(self):
-        delta = np.zeros((5, 5))
-        delta[2, 2] = 1.0
-        base = ops.make_blur(ops.BlurKernel(delta), (1, 16, 16))
-        c = ops.make_coarse(base, 1, prefer_fast=True)
-        assert c.path == "kernel-downscaled"
-        x = np.random.default_rng(20).standard_normal((1, 8, 8))
-        # downscaled delta stays a delta: coarse operator is a center crop
-        y = c.apply(x)
-        assert y.shape[1] < 8 and np.allclose(np.abs(y).max(), np.abs(x[:, 1:7, 1:7]).max())
-
-    def test_fast_mask_block_constant_agrees_with_generic(self):
-        rng = np.random.default_rng(21)
-        coarse_mask = (rng.random((8, 8)) < 0.5).astype(float)
-        fine_mask = np.kron(coarse_mask, np.ones((2, 2)))[None]
-        base = ops.make_inpainting(fine_mask)
-        fast = ops.make_coarse(base, 1, prefer_fast=True)
-        generic = ops.make_coarse(base, 1, prefer_fast=False)
-        assert fast.path == "mask-downscaled"
-        x = rng.standard_normal((1, 8, 8))
-        a = fast.normal(x)
-        b = generic.normal(x)
-        # the fast path is an exact coarse-grid projection; the generic
-        # path is the sinc-upsampled surrogate, which leaks some mass
-        # across block boundaries, so only directional agreement holds
-        cos = np.vdot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert cos > 0.85
-        kept = coarse_mask[None] > 0
-        assert np.allclose(a[~kept], 0)
-        assert np.allclose(fast.normal(a), a)
-
     def test_coarse_adjoint_and_unit_norm(self):
         base = ops.make_blur(ops.make_gaussian_kernel(1.0, 5), (1, 16, 16))
         c = ops.make_coarse(base, 1)
@@ -438,3 +431,203 @@ class TestCoarse:
     def test_cache(self):
         base = ops.make_inpainting(np.ones((1, 8, 8)))
         assert ops.make_coarse(base, 1) is ops.make_coarse(base, 1)
+
+
+def dense_norm(op):
+    """Largest singular value from a dense SVD of A, or of A^T A when
+    that is the smaller matrix."""
+    if np.prod(op.range_shape) == 0:
+        return 0.0
+    if np.prod(op.range_shape) <= np.prod(op.domain_shape):
+        return np.linalg.svd(ops.dense_matrix(op), compute_uv=False)[0]
+    gram = ops.OperatorHandle(op.domain_shape, op.domain_shape, op.normal, op.normal)
+    return np.sqrt(np.linalg.svd(ops.dense_matrix(gram), compute_uv=False)[0])
+
+
+def model_kinds(n):
+    """One handle of every kind a 1-, 2- or 3-channel model head takes."""
+    shape, cplx = (1, n, n), (2, n, n)
+    sign, keep = ops.make_cs_pattern(shape, 4, seed=3)
+    return {
+        "identity": ops.identity_operator(shape),
+        "blur": ops.make_blur(ops.make_gaussian_kernel(1.0, 7), shape),
+        "inpainting": ops.make_inpainting(ops.make_bernoulli_mask(shape, 0.5, seed=1)),
+        "mri": ops.make_mri(ops.make_mri_mask(cplx, 4, seed=2), cplx),
+        "multicoil_mri": ops.make_multicoil_mri(
+            ops.make_mri_mask(cplx, 4, seed=2), ops.make_sensitivity_maps(2, cplx, seed=2), cplx),
+        "ct": ops.make_ct_radon(n // 4, shape),
+        "downsampling": ops.make_downsampling(2, "bicubic", shape),
+        "compressed_sensing": ops.make_compressed_sensing(sign, keep, shape),
+        "demosaic": ops.make_demosaic((3, n, n)),
+    }
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("kind", sorted(model_kinds(16)))
+def test_unit_norm_against_dense_svd(kind, n):
+    op = model_kinds(n)[kind]
+    for unit in (ops.normalize(op), ops.make_coarse(op, 0), ops.make_coarse(op, 1)):
+        gap = abs(dense_norm(unit) - 1.0)
+        assert gap < 1e-12, f"{kind} {n}: {unit.kind} {unit.domain_shape} gap {gap:.1e}"
+
+
+def build(kind, n, seed):
+    """A keyed handle of ``kind`` at n x n, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    shape = (1, n, n)
+    if kind == "blur":
+        return ops.make_blur(ops.make_motion_kernel(0.5, 0.5, 5, seed=seed), shape)
+    if kind == "inpainting":
+        return ops.make_inpainting(ops.make_bernoulli_mask(shape, rng.uniform(0.2, 0.8), seed=seed))
+    if kind == "mri":
+        return ops.make_mri(ops.make_mri_mask((2, n, n), 2, seed=seed), (2, n, n))
+    if kind == "compressed_sensing":
+        sign, keep = ops.make_cs_pattern(shape, 2, seed=seed)
+        return ops.make_compressed_sensing(sign, keep, shape)
+    if kind == "ct":
+        return ops.make_ct_radon(int(rng.integers(1, 5)), shape)
+    return ops.make_downsampling(2, ["bicubic", "bilinear"][seed % 2], shape)
+
+
+KEYED = ["blur", "inpainting", "mri", "compressed_sensing", "ct", "downsampling"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(KEYED), n=st.sampled_from([8, 12]),
+       seed=st.integers(0, 2 ** 20), scale=st.integers(0, 1))
+def test_equal_definitions_share_key_and_coarse(kind, n, seed, scale):
+    a, b = build(kind, n, seed), build(kind, n, seed)
+    assert a is not b and a.key == b.key and hash(a.key) == hash(b.key)
+    assert ops.make_coarse(a, scale) is ops.make_coarse(b, scale)
+    assert a.norm() == b.norm()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([6, 8]), seed=st.integers(0, 2 ** 20), data=st.data())
+def test_one_flipped_pixel_changes_key(n, seed, data):
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    mask = ops.make_bernoulli_mask((1, n, n), 0.5, seed=seed)
+    flipped = mask.copy()
+    flipped[0, i, j] = 1.0 - flipped[0, i, j]
+    assert ops.make_inpainting(mask).key != ops.make_inpainting(flipped).key
+    assert ops.make_mri(mask[0], (2, n, n)).key != ops.make_mri(flipped[0], (2, n, n)).key
+
+
+@settings(max_examples=30, deadline=None)
+@given(s1=st.floats(0.3, 3.0), s2=st.floats(0.3, 3.0), size=st.sampled_from([3, 5]))
+def test_different_kernel_changes_key(s1, s2, size):
+    k1, k2 = ops.make_gaussian_kernel(s1, size), ops.make_gaussian_kernel(s2, size)
+    assume(not np.array_equal(k1.array, k2.array))
+    assert ops.make_blur(k1, (1, 8, 8)).key != ops.make_blur(k2, (1, 8, 8)).key
+
+
+@st.composite
+def closed_form_operators(draw):
+    n = draw(st.sampled_from([4, 8, 12]))
+    shape = (draw(st.integers(1, 2)), n, n)
+    seed = draw(st.integers(0, 2 ** 20))
+    keep_prob = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    choice = draw(st.sampled_from(["identity", "inpainting", "mri", "compressed_sensing",
+                                   "demosaic", "multicoil_mri", "downsampling", "upsampler",
+                                   "identity*upsampler", "downsampling*upsampler", "crop"]))
+    mask = ops.make_bernoulli_mask((1, n, n), keep_prob, seed=seed)
+    if choice == "identity":
+        return ops.identity_operator(shape)
+    if choice == "inpainting":
+        return ops.make_inpainting(ops.make_bernoulli_mask(shape, keep_prob, seed=seed,
+                                                           per_channel=True))
+    if choice == "mri":
+        return ops.make_mri(mask[0], (2, n, n))
+    if choice == "compressed_sensing":
+        sign, _ = ops.make_cs_pattern(shape, 1, seed=seed)
+        return ops.make_compressed_sensing(sign, np.flatnonzero(mask), shape)
+    if choice == "demosaic":
+        return ops.make_demosaic((3, n, n))
+    if choice == "multicoil_mri":
+        coils = draw(st.integers(1, 3))
+        smaps = ops.make_sensitivity_maps(coils, (2, n, n), seed=seed)
+        lines = ops.make_mri_mask((2, n, n), draw(st.sampled_from([1, 2, 4])), seed=seed)
+        return ops.make_multicoil_mri(lines, smaps, (2, n, n))
+    filt = draw(st.sampled_from(["bicubic", "bilinear"]))
+    factor = draw(st.sampled_from([2, 4] if n % 4 == 0 else [2]))
+    up = ops.make_upsampler(1, (shape[0], n // 2, n // 2))
+    if choice == "downsampling":
+        return ops.make_downsampling(factor, filt, shape)
+    if choice == "upsampler":
+        return up
+    if choice == "identity*upsampler":
+        return ops.compose(ops.identity_operator(shape), up)
+    if choice == "downsampling*upsampler":
+        return ops.compose(ops.make_downsampling(factor, filt, shape), up)
+    big = (shape[0], n + 2, n + 4)
+    return ops.compose(ops.make_downsampling(2, filt, shape), ops._crop_op(big, shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=closed_form_operators())
+def test_closed_form_norms_match_dense_svd(op):
+    assert op.exact_norm is not None or op.factors is not None
+    assert abs(ops.operator_norm(op) - dense_norm(op)) <= 1e-12 * max(1.0, dense_norm(op))
+
+
+class TestCaches:
+    def test_stats_count_hits_misses_and_lanczos(self):
+        kernel = ops.make_motion_kernel(0.7, 0.4, 5, seed=424242)
+        before = ops.cache_stats()
+        first = ops.make_blur(kernel, (1, 16, 16))
+        first.norm()
+        ops.make_coarse(first, 1)
+        mid = ops.cache_stats()
+        again = ops.make_blur(kernel, (1, 16, 16))
+        again.norm()
+        ops.make_coarse(again, 1)
+        after = ops.cache_stats()
+        assert mid["norm"]["misses"] - before["norm"]["misses"] == 1
+        assert mid["coarse"]["misses"] - before["coarse"]["misses"] == 1
+        assert mid["lanczos_applies"] > before["lanczos_applies"]
+        assert after["norm"]["hits"] - mid["norm"]["hits"] == 1
+        assert after["coarse"]["hits"] - mid["coarse"]["hits"] == 1
+        assert after["lanczos_applies"] == mid["lanczos_applies"]
+
+    def test_defining_arrays_are_private(self):
+        # a caller editing its mask afterwards must not change the
+        # operator its key names
+        mask = np.ones((1, 4, 4))
+        op = ops.make_inpainting(mask)
+        mask[0, 0, 0] = 0.0
+        assert op.apply(np.ones((1, 4, 4)))[0, 0, 0] == 1.0
+        with pytest.raises(ValueError):
+            op.arrays["mask"][0, 0, 0] = 0.0
+
+    def test_cache_is_bounded(self):
+        size = ops.cache_stats()["coarse"]["size"]
+        for seed in range(ops._COARSE.size + 5):
+            ops.make_coarse(build("inpainting", 4, 10 ** 6 + seed), 0)
+        assert ops.cache_stats()["coarse"]["size"] == ops._COARSE.size >= size
+
+    def test_threads_share_one_coarse_object(self):
+        # more threads than cores and a short switch interval, so misses
+        # race; every thread must still get the one stored object
+        kernel = ops.make_motion_kernel(0.3, 0.6, 5, seed=515151)
+        results, calls = [], 8 * 4
+        before = ops.cache_stats()["coarse"]
+
+        def work():
+            for _ in range(4):
+                results.append(ops.make_coarse(ops.make_blur(kernel, (1, 16, 16)), 1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == calls and all(r is results[0] for r in results)
+        after = ops.cache_stats()["coarse"]
+        assert (after["hits"] + after["misses"]) - (before["hits"] + before["misses"]) == calls

@@ -3,6 +3,7 @@ import pytest
 
 from reconkit import operators as ops
 from reconkit import uq
+from reconkit.model import RamConfig, RamModel
 from reconkit.noise import NoiseParams
 from reconkit.problem import ProblemInstance
 from reconkit.selfsup import TransformGroup
@@ -69,6 +70,31 @@ class TestBootstrap:
         serial = uq.equivariant_bootstrap(ShrinkageModel(0.7), inst, group, n=8, seed=10)
         monkeypatch.setenv("RECONKIT_THREADS", "4")
         threaded = uq.equivariant_bootstrap(ShrinkageModel(0.7), inst, group, n=8, seed=10)
+        assert np.array_equal(serial.replicates, threaded.replicates)
+
+    def test_ram_model_threads_match_serial(self, monkeypatch):
+        # a kernel no other test draws: the threaded run starts from a
+        # handle whose norm and coarse operators are not yet cached
+        kernel = ops.make_motion_kernel(0.4, 0.3, 5, seed=8080)
+        shape = (1, 16, 16)
+        rng = np.random.default_rng(13)
+        x = rng.random(shape)
+        group = TransformGroup("composite")
+        model = RamModel(RamConfig(num_scales=2, base_width=4, blocks=1, krylov_depth=1,
+                                   head_channels=(1,), seed=14))
+
+        def instance():
+            op = ops.make_blur(kernel, shape)
+            y = op.apply(x) + 0.05 * np.random.default_rng(15).standard_normal(op.range_shape)
+            return ProblemInstance(op=op, y=y, noise=NoiseParams(sigma=0.05), x=x)
+
+        monkeypatch.setenv("RECONKIT_THREADS", "2")
+        threaded = uq.equivariant_bootstrap(model, instance(), group, n=6, seed=16)
+        assert model.eval_count == 7
+        monkeypatch.setenv("RECONKIT_THREADS", "1")
+        serial = uq.equivariant_bootstrap(model, instance(), group, n=6, seed=16)
+        assert model.eval_count == 14
+        assert np.array_equal(serial.base, threaded.base)
         assert np.array_equal(serial.replicates, threaded.replicates)
 
     def test_invalid_n(self):
