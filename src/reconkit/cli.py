@@ -256,15 +256,16 @@ def cmd_selftest(args) -> int:
     check("cg-spd-solve",
           np.allclose(spd_apply(sol), b, atol=1e-6))
 
-    # finite-difference gradient through the model on a tiny config
+    # finite-difference gradient through the model on a tiny config; blur
+    # makes the prox depend on lambda, so eta probes the prox backward
     from . import tensor as T
 
     model = RamModel(RamConfig(num_scales=1, base_width=4, blocks=1,
                                krylov_depth=1, head_channels=(1,), seed=2))
     for p in model.parameters():
         p.data = rng.standard_normal(p.data.shape) * 0.05
-    inst_op = ops.identity_operator((1, 8, 8))
-    yv = rng.random((1, 8, 8))
+    inst_op = ops.make_blur(ops.make_gaussian_kernel(1.0, 3), (1, 8, 8))
+    yv = rng.random(inst_op.range_shape)
     noise = NoiseParams(sigma=0.1)
     target = rng.random((1, 8, 8))
 
@@ -272,18 +273,23 @@ def cmd_selftest(args) -> int:
         out = model.forward(yv, inst_op, noise)
         return T.sum_all(T.square(out - T.constant(target[None])))
 
-    w = model.param("head1.conv_in")
     model.zero_grad()
     loss_value().backward()
-    g = w.grad[0, 0, 1, 1]
     eps = 1e-6
-    w.data[0, 0, 1, 1] += eps
-    up = loss_value().item()
-    w.data[0, 0, 1, 1] -= 2 * eps
-    dn = loss_value().item()
-    w.data[0, 0, 1, 1] += eps
-    fd = (up - dn) / (2 * eps)
-    check("gradient-check", abs(g - fd) / max(abs(fd), 1e-8) < 1e-4)
+    worst = 0.0
+    for name in ("head1.conv_in", "eta"):
+        p = model.param(name)
+        # the largest entry: a weight feeding a dead ReLU has gradient 0
+        idx = np.unravel_index(np.argmax(np.abs(p.grad)), p.grad.shape)
+        g = p.grad[idx]
+        p.data[idx] += eps
+        up = loss_value().item()
+        p.data[idx] -= 2 * eps
+        dn = loss_value().item()
+        p.data[idx] += eps
+        fd = (up - dn) / (2 * eps)
+        worst = max(worst, abs(g - fd) / max(abs(fd), 1e-8))
+    check("gradient-check", worst < 1e-4)
 
     # scale equivariance of the full reconstruction
     base = model.reconstruct(yv, inst_op, noise)

@@ -21,7 +21,7 @@ from . import tensor as T
 from . import tnsr
 from .noise import NoiseParams
 from .operators import OperatorHandle, make_coarse, normalize
-from .solvers import prox_estimate_graph
+from .solvers import lambda_schedule, prox_estimate_graph
 
 __all__ = ["RamConfig", "RamModel"]
 
@@ -211,16 +211,14 @@ class RamModel:
         gamma = noise.gamma / nrm
 
         # proximal input estimate with a learnable SNR weight
-        l1 = float(np.abs(yt.data).sum())
-        lam = (self._params["eta"] * T.constant(sigma / l1)) if (l1 > 0 and sigma > 0) \
-            else T.constant(0.0)
+        lam = self._params["eta"] * T.constant(lambda_schedule(sigma, 1.0, yt.data))
         aty = T.apply_linear(yt, lambda a: opn.adjoint(a)[None], lambda g: opn.apply(g[0]))
         x0 = prox_estimate_graph(opn, aty, lam, cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol)
 
         pads, (hp, wp) = self._padding(h, w)
         xin = T.pad_reflect(x0, pads) if (hp, wp) != (h, w) else x0
-        smap = T.constant(np.full((1, 1, hp, wp), sigma)) if sigma else T.constant(np.zeros((1, 1, hp, wp)))
-        gmap = T.constant(np.full((1, 1, hp, wp), gamma)) if gamma else T.constant(np.zeros((1, 1, hp, wp)))
+        smap = T.constant(np.full((1, 1, hp, wp), sigma))
+        gmap = T.constant(np.full((1, 1, hp, wp), gamma))
 
         coarse = []
         aty_s = []

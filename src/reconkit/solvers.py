@@ -1,9 +1,11 @@
 """Classical linear solvers: conjugate gradient, the proximal input
 estimate, and a ridge-regularized pseudo-inverse.
 
-``conjugate_gradient`` works on plain numpy arrays;
-``conjugate_gradient_graph`` runs the same recursion on autodiff tensors so
-gradients flow through the unrolled iterations.
+There is one solver, ``conjugate_gradient`` on plain numpy arrays.
+``prox_estimate_graph`` puts the prox solve on the autodiff tape as a
+single node whose backward differentiates the linear system implicitly:
+one more CG solve with the same symmetric matrix gives the gradients with
+respect to A^T y and lambda, so no CG iteration is unrolled onto the tape.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .operators import OperatorHandle
 __all__ = [
     "CGReport",
     "conjugate_gradient",
-    "conjugate_gradient_graph",
     "prox_estimate",
     "prox_estimate_graph",
     "lambda_schedule",
@@ -71,38 +72,6 @@ def conjugate_gradient(spd_apply, rhs: np.ndarray, max_iters: int = 100, tol: fl
     return x, report
 
 
-def conjugate_gradient_graph(spd_apply, rhs: "T.Tensor", max_iters: int = 10, tol: float = 1e-6):
-    """CG unrolled on the autodiff tape.
-
-    ``spd_apply`` maps Tensor -> Tensor and may itself carry trainable
-    scalars (e.g. the prox regularization weight); gradients propagate
-    through every iteration.
-    """
-    b_norm = float(np.linalg.norm(rhs.data))
-    if b_norm == 0:
-        return T.constant(np.zeros_like(rhs.data))
-    x = T.constant(np.zeros_like(rhs.data))
-    r = rhs
-    p = r
-    rs = T.dot(r, r)
-    for _ in range(max_iters):
-        if float(np.sqrt(rs.item())) <= tol * b_norm:
-            break
-        mp = spd_apply(p)
-        denom = T.dot(p, mp)
-        if denom.item() <= 0:
-            break
-        alpha = rs / denom
-        x = x + alpha * p
-        r = r - alpha * mp
-        rs_new = T.dot(r, r)
-        if rs_new.item() <= 0:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
-
-
 def lambda_schedule(sigma: float, eta, y) -> float:
     """lambda = sigma * eta / ||y||_1 (zero when the measurement is empty)."""
     y = np.asarray(y, dtype=np.float64)
@@ -111,6 +80,15 @@ def lambda_schedule(sigma: float, eta, y) -> float:
         return 0.0
     eta_val = eta.item() if hasattr(eta, "item") else float(eta)
     return sigma * eta_val / l1
+
+
+def _prox_system(op: OperatorHandle, lam: float):
+    """M u = lam A^T A u + u, the symmetric positive definite prox matrix."""
+
+    def system(u):
+        return lam * op.normal(u) + u
+
+    return system
 
 
 def prox_estimate(op: OperatorHandle, y: np.ndarray, lam: float,
@@ -124,11 +102,8 @@ def prox_estimate(op: OperatorHandle, y: np.ndarray, lam: float,
     aty = op.adjoint(y)
     if lam == 0:
         return aty
-
-    def system(u):
-        return lam * op.normal(u) + u
-
-    u, _ = conjugate_gradient(system, (1.0 + lam) * aty, max_iters=cg_iters, tol=cg_tol)
+    u, _ = conjugate_gradient(_prox_system(op, lam), (1.0 + lam) * aty,
+                              max_iters=cg_iters, tol=cg_tol)
     return u
 
 
@@ -136,20 +111,27 @@ def prox_estimate_graph(op: OperatorHandle, aty: "T.Tensor", lam: "T.Tensor",
                         cg_iters: int = 10, cg_tol: float = 1e-6) -> "T.Tensor":
     """Differentiable prox estimate on 4-D (1, C, H, W) tensors.
 
-    ``aty`` is A^T y already in the graph; ``lam`` is a scalar tensor so
-    gradients reach the learnable SNR weight through the unrolled solver.
+    ``aty`` is A^T y already in the graph; ``lam`` is a scalar tensor.  The
+    result is one tape node: with M = lam A^T A + I symmetric and
+    u = (1 + lam) M^-1 A^T y, the backward solves w = M^-1 g once and
+    returns (1 + lam) w for A^T y and <w, A^T y - A^T A u> for lam.  Both
+    are exact to the CG tolerance.
     """
-    if lam.item() == 0:
+    lam_val = lam.item()
+    if lam_val == 0:
         return aty
+    b = aty.data[0]
+    system = _prox_system(op, lam_val)
+    u, _ = conjugate_gradient(system, (1.0 + lam_val) * b, max_iters=cg_iters, tol=cg_tol)
 
-    def normal4(arr):
-        return op.normal(arr[0])[None]
+    def bw(g):
+        w, _ = conjugate_gradient(system, g[0], max_iters=cg_iters, tol=cg_tol)
+        # one normal apply, not (u - A^T y) / lam: that would divide the CG
+        # residual by the model's ~1e-4 lam
+        g_lam = np.vdot(w, b - op.normal(u))
+        return ((1.0 + lam_val) * w)[None], np.full(lam.shape, g_lam)
 
-    def system(u):
-        return lam * T.apply_linear(u, normal4, normal4) + u
-
-    rhs = (lam + T.constant(1.0)) * aty
-    return conjugate_gradient_graph(system, rhs, max_iters=cg_iters, tol=cg_tol)
+    return T.Tensor(u[None], (aty, lam), bw)
 
 
 def pseudo_inverse_apply(op: OperatorHandle, y: np.ndarray, ridge: float = 1e-6,

@@ -322,9 +322,12 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _reflect_index_map(h, w, p):
+def _reflect_index_map(h, w, pads):
+    """Flat source index of every pixel of an (h, w) image reflect-padded
+    by ``pads`` = (top, bottom, left, right)."""
+    pt, pb, pl, pr = pads
     idx = np.arange(h * w).reshape(h, w)
-    return np.pad(idx, ((p, p), (p, p)), mode="reflect").ravel()
+    return np.pad(idx, ((pt, pb), (pl, pr)), mode="reflect").ravel()
 
 
 def _scatter_adjoint(g: np.ndarray, idx_flat: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -347,8 +350,7 @@ def pad_reflect(x: Tensor, pad) -> Tensor:
     else:
         pt, pb, pl, pr = pad
     n, c, h, w = x.shape
-    idx = np.arange(h * w).reshape(h, w)
-    idx_flat = np.pad(idx, ((pt, pb), (pl, pr)), mode="reflect").ravel()
+    idx_flat = _reflect_index_map(h, w, (pt, pb, pl, pr))
     hp, wp = h + pt + pb, w + pl + pr
     out = x.data.reshape(n, c, -1)[:, :, idx_flat].reshape(n, c, hp, wp)
 
@@ -407,6 +409,21 @@ def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int):
     return out, win
 
 
+def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.ndarray:
+    """Adjoint of ``_conv_forward`` in its input: scatter every pixel of
+    ``x`` through the (in, out, kh, kw) taps of ``w`` onto an ``out_hw``
+    canvas."""
+    n, _, h, w_ = x.shape
+    kh, kw = w.shape[2], w.shape[3]
+    out = np.zeros((n, w.shape[1]) + tuple(out_hw))
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:i + stride * h:stride, j:j + stride * w_:stride] += np.einsum(
+                "nchw,co->nohw", x, w[:, :, i, j], optimize=True
+            )
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: str = "valid", pad: int = 0) -> Tensor:
     """Bias-free 2-D cross-correlation, differentiable in input and weight.
 
@@ -425,22 +442,16 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: str = "valid", p
     if kh > xp.shape[2] or kw > xp.shape[3]:
         raise ValueError("kernel larger than (padded) input")
     out, win = _conv_forward(xp, weight.data, stride)
-    hout, wout = out.shape[2], out.shape[3]
 
     def bw(g):
         gw = np.einsum("nchwij,nohw->ocij", win, g, optimize=True)
-        gxp = np.zeros_like(xp)
-        wdat = weight.data
-        for i in range(kh):
-            for j in range(kw):
-                contrib = np.einsum("nohw,oc->nchw", g, wdat[:, :, i, j], optimize=True)
-                gxp[:, :, i:i + stride * hout:stride, j:j + stride * wout:stride] += contrib
+        gxp = _conv_transpose(g, weight.data, stride, xp.shape[2:])
         if padding == "valid" or pad == 0:
             gx = gxp
         elif padding == "zero":
             gx = gxp[:, :, pad:pad + h, pad:pad + w_]
         else:  # reflect
-            idx_flat = _reflect_index_map(h, w_, pad)
+            idx_flat = _reflect_index_map(h, w_, (pad,) * 4)
             gx = _scatter_adjoint(gxp, idx_flat, h, w_)
         return gx, gw
 
@@ -455,24 +466,15 @@ def conv_transpose2d(x: Tensor, weight: Tensor, stride: int = 2) -> Tensor:
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ValueError("conv_transpose2d expects NCHW input and IOKK weight")
-    n, c, h, w_ = x.shape
-    ic, oc, kh, kw = weight.shape
+    c, h, w_ = x.shape[1:]
+    ic, _, kh, kw = weight.shape
     if ic != c:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {ic}")
-    hout = stride * (h - 1) + kh
-    wout = stride * (w_ - 1) + kw
-    out = np.zeros((n, oc, hout, wout))
     wdat = weight.data
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i:i + stride * h:stride, j:j + stride * w_:stride] += np.einsum(
-                "nchw,co->nohw", x.data, wdat[:, :, i, j], optimize=True
-            )
+    out = _conv_transpose(x.data, wdat, stride, (stride * (h - 1) + kh, stride * (w_ - 1) + kw))
 
     def bw(g):
-        win = np.lib.stride_tricks.sliding_window_view(g, (kh, kw), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]
-        gx = np.einsum("nohwij,coij->nchw", win, wdat, optimize=True)
+        gx, win = _conv_forward(g, wdat, stride)
         gw = np.einsum("nohwij,nchw->coij", win, x.data, optimize=True)
         return gx, gw
 

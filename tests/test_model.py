@@ -254,6 +254,53 @@ class TestGradients:
         assert np.any(yt.grad != 0)
 
 
+def _prox_kinds(n):
+    """One operator per model-reachable kind at n x n, as the training and
+    reconstruction tasks draw them."""
+    shape = (1, n, n)
+    sign, keep = ops.make_cs_pattern(shape, 4, seed=2)
+    return {
+        "inpainting": ops.make_inpainting(ops.make_bernoulli_mask(shape, 0.5, seed=1)),
+        "blur": ops.make_blur(ops.make_gaussian_kernel(1.0, 7), shape),
+        "downsampling": ops.make_downsampling(2, "bicubic", shape),
+        "compressed_sensing": ops.make_compressed_sensing(sign, keep, shape),
+        "ct": ops.make_ct_radon(n // 4, shape),
+        "mri": ops.make_mri(ops.make_mri_mask((2, n, n), 4, seed=3), (2, n, n)),
+    }
+
+
+class TestProxConvergence:
+    # the prox backward is the exact gradient only when its CG solves
+    # converge; pin that for the default cg_iters/cg_tol on every kind
+    KINDS = _prox_kinds(32)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
+    def test_default_cg_converges(self, kind, sigma, monkeypatch):
+        reports = []
+        cg = solvers.conjugate_gradient
+
+        def recording_cg(*args, **kwargs):
+            x, rep = cg(*args, **kwargs)
+            reports.append(rep)
+            return x, rep
+
+        monkeypatch.setattr(solvers, "conjugate_gradient", recording_cg)
+        cfg = RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=1,
+                        head_channels=(1, 2), seed=1)
+        model = randomize(RamModel(cfg), seed=24)
+        op = self.KINDS[kind]
+        rng = np.random.default_rng(25)
+        y = op.apply(rng.random(op.domain_shape)) + sigma * rng.standard_normal(op.range_shape)
+        out = model.forward(y, op, NoiseParams(sigma=sigma))
+        T.sum_all(T.square(out)).backward()
+        # sigma = 0 gives lam = 0 and no solve; otherwise one forward and
+        # one backward solve
+        assert len(reports) == (0 if sigma == 0 else 2)
+        for rep in reports:
+            assert rep.converged and rep.iterations <= cfg.cg_iters
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = randomize(RamModel(SMALL), seed=23)

@@ -136,12 +136,57 @@ class TestGraphSolvers:
         ref = solvers.prox_estimate(op, y, lam, cg_iters=40, cg_tol=1e-12)
         aty = T.constant(op.adjoint(y)[None])
         u = solvers.prox_estimate_graph(op, aty, T.constant(lam), cg_iters=40, cg_tol=1e-12)
-        assert np.max(np.abs(u.data[0] - ref)) < 1e-10
+        assert np.array_equal(u.data[0], ref)
+
+    def test_single_node_on_inputs(self):
+        op = ops.make_blur(ops.make_gaussian_kernel(1.0, 3), (1, 8, 8))
+        aty = T.constant(op.adjoint(np.ones(op.range_shape))[None])
+        lam = T.constant(0.4)
+        u = solvers.prox_estimate_graph(op, aty, lam)
+        assert len(u._parents) == 2
+        assert u._parents[0] is aty and u._parents[1] is lam
+
+    @staticmethod
+    def _dense_vjp(lam_val, seed):
+        """A 3x3 blur on 8x8, a random A^T y and cotangent g, and the
+        closed forms: with M = lam A^T A + I and u = (1 + lam) M^-1 A^T y,
+        the gradients are (1 + lam) M^-1 g for A^T y and
+        g^T M^-1 (A^T y - A^T A u) for lam."""
+        op = ops.make_blur(ops.make_gaussian_kernel(1.0, 3), (1, 8, 8))
+        a = ops.dense_matrix(op)
+        rng = np.random.default_rng(seed)
+        b = op.adjoint(rng.standard_normal(op.range_shape)).ravel()
+        g = rng.standard_normal(64)
+        m = lam_val * a.T @ a + np.eye(64)
+        u_ref = np.linalg.solve(m, (1 + lam_val) * b)
+        g_aty_ref = (1 + lam_val) * np.linalg.solve(m, g)
+        g_lam_ref = g @ np.linalg.solve(m, b - a.T @ a @ u_ref)
+        return op, b.reshape(1, 1, 8, 8), g.reshape(1, 1, 8, 8), u_ref, g_aty_ref, g_lam_ref
+
+    def test_implicit_vjp_matches_dense_closed_form(self):
+        op, b, g, u_ref, g_aty_ref, g_lam_ref = self._dense_vjp(0.4, seed=16)
+        aty = T.Parameter("aty", b)
+        lam = T.Parameter("lam", np.array(0.4))
+        u = solvers.prox_estimate_graph(op, aty, lam, cg_iters=200, cg_tol=1e-14)
+        T.sum_all(T.mul(u, T.constant(g))).backward()
+        assert np.max(np.abs(u.data.ravel() - u_ref)) < 1e-10
+        assert np.max(np.abs(aty.grad.ravel() - g_aty_ref)) < 1e-10
+        assert abs(lam.grad.item() - g_lam_ref) < 1e-10
+
+    def test_lambda_gradient_at_model_scale(self):
+        # the model's lambda is ~1e-4 and its CG stops at a 1e-6 relative
+        # residual; the backward must not divide that residual by lambda
+        # (as the shortcut (u - A^T y) / lambda for A^T y - A^T A u would)
+        op, b, g, _, _, g_lam_ref = self._dense_vjp(1e-4, seed=17)
+        lam = T.Parameter("lam", np.array(1e-4))
+        u = solvers.prox_estimate_graph(op, T.constant(b), lam)
+        T.sum_all(T.mul(u, T.constant(g))).backward()
+        assert abs(lam.grad.item() - g_lam_ref) / abs(g_lam_ref) < 1e-8
 
     def test_gradient_through_lambda(self):
-        # finite-difference check of d loss / d lam through the unrolled
-        # CG; blur makes the solution genuinely depend on lam (inpainting
-        # would not: its prox is lam-independent on kept pixels)
+        # finite-difference check of d loss / d lam through the implicit
+        # backward; blur makes the solution genuinely depend on lam
+        # (inpainting would not: its prox is lam-independent on kept pixels)
         op = ops.make_blur(ops.make_gaussian_kernel(1.0, 3), (1, 6, 6))
         y = np.random.default_rng(12).standard_normal(op.range_shape)
         aty_np = op.adjoint(y)[None]
