@@ -439,6 +439,18 @@ def make_motion_kernel(length_scale: float, amplitude: float, size: int = 31,
     return BlurKernel(k)
 
 
+def _correlate_valid(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per-channel valid cross-correlation of (C, H, W) with a square
+    kernel: one window view along the rows, one matmul per kernel row."""
+    ks = k.shape[0]
+    hout = x.shape[1] - ks + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, ks, axis=2)  # (C, H, WO, KS)
+    out = win[:, :hout] @ k[0]
+    for i in range(1, ks):
+        out += win[:, i:i + hout] @ k[i]
+    return out
+
+
 def make_blur(kernel: BlurKernel, image_shape) -> OperatorHandle:
     """Per-channel valid cross-correlation with the kernel (no padding)."""
     c, h, w = image_shape
@@ -447,17 +459,15 @@ def make_blur(kernel: BlurKernel, image_shape) -> OperatorHandle:
     if ks >= h or ks >= w:
         raise ValueError("kernel must be smaller than the image")
     hout, wout = h - ks + 1, w - ks + 1
+    kflip = k[::-1, ::-1]
 
     def apply_fn(x):
-        win = np.lib.stride_tricks.sliding_window_view(x, (ks, ks), axis=(1, 2))
-        return np.einsum("chwij,ij->chw", win, k, optimize=True)
+        return _correlate_valid(x, k)
 
     def adjoint_fn(y):
-        out = np.zeros((c, h, w))
-        for i in range(ks):
-            for j in range(ks):
-                out[:, i:i + hout, j:j + wout] += k[i, j] * y
-        return out
+        # full correlation with the flipped kernel
+        pad = ks - 1
+        return _correlate_valid(np.pad(y, ((0, 0), (pad, pad), (pad, pad))), kflip)
 
     return _keyed(OperatorHandle(
         image_shape, (c, hout, wout), apply_fn, adjoint_fn,
@@ -753,10 +763,10 @@ def make_downsampling(factor: int, filt: str, image_shape) -> OperatorHandle:
     dw = _decimation_matrix(w, factor, filt)
 
     def apply_fn(x):
-        return np.einsum("ih,chw,jw->cij", dh, x, dw, optimize=True)
+        return dh @ x @ dw.T
 
     def adjoint_fn(y):
-        return np.einsum("ih,cij,jw->chw", dh, y, dw, optimize=True)
+        return dh.T @ y @ dw
 
     return _keyed(OperatorHandle(
         image_shape, (c, h // factor, w // factor), apply_fn, adjoint_fn,
@@ -852,10 +862,10 @@ def make_upsampler(scale: int, coarse_shape, beta: float = 8.0, taps: int = 8) -
     uw = _upsample_matrix(w, f, beta, taps)
 
     def apply_fn(x):
-        return np.einsum("ih,chw,jw->cij", uh, x, uw, optimize=True)
+        return uh @ x @ uw.T
 
     def adjoint_fn(y):
-        return np.einsum("ih,cij,jw->chw", uh, y, uw, optimize=True)
+        return uh.T @ y @ uw
 
     return OperatorHandle(
         coarse_shape, (c, h * f, w * f), apply_fn, adjoint_fn,

@@ -29,6 +29,10 @@ __all__ = [
 
 @dataclass
 class CGReport:
+    """Outcome of one ``conjugate_gradient`` call.  ``residual_norm`` is the
+    recursive residual ||r_k|| the iteration carries, not a recomputed
+    ||rhs - M x||, so reporting it costs no extra M apply."""
+
     iterations: int = 0
     residual_norm: float = 0.0
     converged: bool = False
@@ -51,6 +55,7 @@ def conjugate_gradient(spd_apply, rhs: np.ndarray, max_iters: int = 100, tol: fl
     p = r.copy()
     rs = np.vdot(r, r)
     best = np.sqrt(rs)
+    report.residual_norm = float(best)
     for it in range(max_iters):
         mp = spd_apply(p)
         denom = np.vdot(p, mp)
@@ -60,7 +65,8 @@ def conjugate_gradient(spd_apply, rhs: np.ndarray, max_iters: int = 100, tol: fl
         x = x + alpha * p
         r = r - alpha * mp
         rs_new = np.vdot(r, r)
-        best = min(best, np.sqrt(rs_new))
+        report.residual_norm = float(np.sqrt(rs_new))
+        best = min(best, report.residual_norm)
         report.iterations = it + 1
         report.residual_history.append(float(best))
         if np.sqrt(rs_new) <= tol * b_norm:
@@ -68,7 +74,6 @@ def conjugate_gradient(spd_apply, rhs: np.ndarray, max_iters: int = 100, tol: fl
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    report.residual_norm = float(np.linalg.norm(rhs - spd_apply(x)))
     return x, report
 
 

@@ -8,7 +8,9 @@ topological order and accumulates gradients into leaves.  Gradients of
 zeroed, so repeated backward passes accumulate additively.
 
 All convolutions are bias-free by construction: there is no bias term
-anywhere in this module.
+anywhere in this module.  Each convolution is an im2col patch matrix and
+one BLAS ``matmul`` with a layout fixed in code; the transposed
+convolution is one ``matmul`` for all taps followed by a slice scatter.
 """
 
 from __future__ import annotations
@@ -333,9 +335,8 @@ def _reflect_index_map(h, w, pads):
 def _scatter_adjoint(g: np.ndarray, idx_flat: np.ndarray, h: int, w: int) -> np.ndarray:
     """Adjoint of an index-gather pad: accumulate padded grads onto sources."""
     n, c = g.shape[0], g.shape[1]
-    flat = g.reshape(n * c, -1)
-    out = np.zeros((n * c, h * w))
-    np.add.at(out, (np.arange(n * c)[:, None], idx_flat[None, :]), flat)
+    bins = (np.arange(n * c)[:, None] * (h * w) + idx_flat[None, :]).ravel()
+    out = np.bincount(bins, weights=g.ravel(), minlength=n * c * h * w)
     return out.reshape(n, c, h, w)
 
 
@@ -400,27 +401,46 @@ def _pad_numpy(x: np.ndarray, padding: str, pad: int) -> np.ndarray:
     raise ValueError(f"unknown padding mode {padding!r}")
 
 
-def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int):
-    """Valid cross-correlation of a padded NCHW input with OIKK weights."""
-    kh, kw = w.shape[2], w.shape[3]
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(N, C*KH*KW, HO*WO) patch matrix of a padded NCHW input; the only
+    copy a convolution makes of its input."""
+    n, c = xp.shape[0], xp.shape[1]
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
-    out = np.einsum("nchwij,ocij->nohw", win, w, optimize=True)
-    return out, win
+    ho, wo = win.shape[2], win.shape[3]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
+
+
+def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+    """Valid cross-correlation of a padded NCHW input with OIKK weights."""
+    o, _, kh, kw = w.shape
+    n = xp.shape[0]
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    return (w.reshape(o, -1) @ _im2col(xp, kh, kw, stride)).reshape(n, o, ho, wo)
+
+
+def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Gradient of ``_conv_forward(xp, w, stride)`` in ``w`` for output
+    gradient ``g``, shaped (O, C, KH, KW)."""
+    n, o = g.shape[0], g.shape[1]
+    cols = _im2col(xp, kh, kw, stride)
+    gw = np.matmul(g.reshape(n, o, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+    return gw.reshape(o, xp.shape[1], kh, kw)
 
 
 def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.ndarray:
     """Adjoint of ``_conv_forward`` in its input: scatter every pixel of
     ``x`` through the (in, out, kh, kw) taps of ``w`` onto an ``out_hw``
     canvas."""
-    n, _, h, w_ = x.shape
-    kh, kw = w.shape[2], w.shape[3]
-    out = np.zeros((n, w.shape[1]) + tuple(out_hw))
+    n, c, h, w_ = x.shape
+    _, o, kh, kw = w.shape
+    # every tap's contribution in one product: (O*KH*KW, C) @ (N, C, H*W)
+    taps = (w.reshape(c, -1).T @ x.reshape(n, c, -1)).reshape(n, o, kh, kw, h, w_)
+    out = np.zeros((n, o) + tuple(out_hw))
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i:i + stride * h:stride, j:j + stride * w_:stride] += np.einsum(
-                "nchw,co->nohw", x, w[:, :, i, j], optimize=True
-            )
+            out[:, :, i:i + stride * h:stride, j:j + stride * w_:stride] += taps[:, :, i, j]
     return out
 
 
@@ -441,10 +461,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: str = "valid", p
     xp = _pad_numpy(x.data, padding, pad)
     if kh > xp.shape[2] or kw > xp.shape[3]:
         raise ValueError("kernel larger than (padded) input")
-    out, win = _conv_forward(xp, weight.data, stride)
+    out = _conv_forward(xp, weight.data, stride)
 
     def bw(g):
-        gw = np.einsum("nchwij,nohw->ocij", win, g, optimize=True)
+        gw = _conv_weight_grad(xp, g, kh, kw, stride)
         gxp = _conv_transpose(g, weight.data, stride, xp.shape[2:])
         if padding == "valid" or pad == 0:
             gx = gxp
@@ -474,9 +494,7 @@ def conv_transpose2d(x: Tensor, weight: Tensor, stride: int = 2) -> Tensor:
     out = _conv_transpose(x.data, wdat, stride, (stride * (h - 1) + kh, stride * (w_ - 1) + kw))
 
     def bw(g):
-        gx, win = _conv_forward(g, wdat, stride)
-        gw = np.einsum("nohwij,nchw->coij", win, x.data, optimize=True)
-        return gx, gw
+        return _conv_forward(g, wdat, stride), _conv_weight_grad(g, x.data, kh, kw, stride)
 
     return Tensor(out, (x, weight), bw)
 

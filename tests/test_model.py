@@ -301,6 +301,47 @@ class TestProxConvergence:
             assert rep.converged and rep.iterations <= cfg.cg_iters
 
 
+class TestNoEinsum:
+    # convolutions and operator applies run on fixed-layout matmuls; an
+    # einsum call would re-plan its contraction every time.  Fresh
+    # operator definitions so their norms and coarse grids are built
+    # under the patch.  Multi-coil MRI's one-time cached norm is exempt.
+    @staticmethod
+    def _fresh_kinds():
+        shape = (1, 32, 32)
+        return {
+            "blur": ops.make_blur(ops.make_gaussian_kernel(1.3, 7), shape),
+            "inpainting": ops.make_inpainting(ops.make_bernoulli_mask(shape, 0.5, seed=91)),
+            "downsampling": ops.make_downsampling(2, "bicubic", shape),
+        }
+
+    @staticmethod
+    def _forbid_einsum(monkeypatch):
+        def einsum(*args, **kwargs):
+            raise AssertionError("np.einsum called on the model's hot path")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+
+    @pytest.mark.parametrize("kind", ["blur", "inpainting", "downsampling"])
+    def test_forward_backward(self, kind, monkeypatch):
+        self._forbid_einsum(monkeypatch)
+        op = self._fresh_kinds()[kind]
+        model = randomize(RamModel(TINY), seed=26)
+        rng = np.random.default_rng(27)
+        y = op.apply(rng.random(op.domain_shape)) + 0.05 * rng.standard_normal(op.range_shape)
+        model.zero_grad()
+        T.sum_all(T.square(model.forward(y, op, NoiseParams(sigma=0.05)))).backward()
+        assert model.param("head1.conv_in").grad is not None
+
+    def test_default_config_reconstruct(self, monkeypatch):
+        self._forbid_einsum(monkeypatch)
+        op = ops.make_blur(ops.make_gaussian_kernel(0.9, 5), (1, 32, 32))
+        model = randomize(RamModel(RamConfig()), seed=28)
+        y = op.apply(np.random.default_rng(29).random(op.domain_shape))
+        out = model.reconstruct(y, op, NoiseParams(sigma=0.05))
+        assert out.shape == op.domain_shape and np.all(np.isfinite(out))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = randomize(RamModel(SMALL), seed=23)

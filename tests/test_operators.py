@@ -39,6 +39,8 @@ def all_operators():
     out = {}
     out["identity"] = ops.identity_operator((1, 8, 8))
     out["blur_valid"] = ops.make_blur(ops.make_gaussian_kernel(1.2, 5), (1, 12, 12))
+    out["blur_rgb_7x7"] = ops.make_blur(ops.make_gaussian_kernel(1.5, 7), (3, 20, 26))
+    out["blur_motion_31x31"] = ops.make_blur(ops.make_motion_kernel(0.6, 0.5, seed=12), (1, 40, 44))
     mask = ops.make_bernoulli_mask((2, 10, 10), 0.6, seed=1)
     out["inpainting"] = ops.make_inpainting(mask)
     out["mri"] = ops.make_mri(ops.make_mri_mask((2, 8, 8), 4, seed=2), (2, 8, 8))
@@ -48,10 +50,12 @@ def all_operators():
     out["ct"] = ops.make_ct_radon(10, (1, 12, 12))
     out["sr2"] = ops.make_downsampling(2, "bicubic", (1, 12, 12))
     out["sr4"] = ops.make_downsampling(4, "bilinear", (3, 16, 16))
+    out["sr2_nonsquare"] = ops.make_downsampling(2, "bicubic", (2, 12, 18))
     sign, keep = ops.make_cs_pattern((1, 8, 8), 4, seed=11)
     out["compressed_sensing"] = ops.make_compressed_sensing(sign, keep, (1, 8, 8))
     out["demosaic"] = ops.make_demosaic((3, 8, 8))
     out["upsampler"] = ops.make_upsampler(1, (1, 8, 8))
+    out["upsampler_nonsquare"] = ops.make_upsampler(2, (2, 6, 9))
     base = ops.make_inpainting(ops.make_bernoulli_mask((1, 16, 16), 0.5, seed=5))
     out["coarse"] = ops.make_coarse(base, 1)
     return out
@@ -155,6 +159,24 @@ class TestBlurFactory:
     def test_kernel_too_large(self):
         with pytest.raises(ValueError):
             ops.make_blur(ops.make_gaussian_kernel(1.0, 9), (1, 8, 8))
+
+    @pytest.mark.parametrize("name", ["blur_rgb_7x7", "blur_motion_31x31"])
+    def test_matches_dense_loop(self, name):
+        op = OPERATORS[name]
+        k = op.arrays["kernel"]
+        ks = k.shape[0]
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal(op.domain_shape)
+        y = rng.standard_normal(op.range_shape)
+        c, hout, wout = op.range_shape
+        ref = np.zeros(op.range_shape)
+        ref_adj = np.zeros(op.domain_shape)
+        for i in range(hout):
+            for j in range(wout):
+                ref[:, i, j] = (x[:, i:i + ks, j:j + ks] * k).sum(axis=(1, 2))
+                ref_adj[:, i:i + ks, j:j + ks] += y[:, i, j, None, None] * k
+        assert np.linalg.norm(op.apply(x) - ref) < 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(op.adjoint(y) - ref_adj) < 1e-12 * np.linalg.norm(ref_adj)
 
 
 class TestKernels:

@@ -142,6 +142,119 @@ class TestConv2d:
             T.conv2d(T.constant(np.zeros((1, 1, 4, 4))), T.constant(np.zeros((1, 1, 5, 5))))
 
 
+def _naive_pad(x, padding, pad):
+    if padding == "valid":
+        return x
+    mode = "constant" if padding == "zero" else "reflect"
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode=mode)
+
+
+def _naive_unpad(gxp, padding, pad, h, w):
+    """Adjoint of ``_naive_pad``: every padded pixel's gradient goes back to
+    the source pixel it was copied from."""
+    if padding == "valid":
+        return gxp
+    src = _naive_pad(np.arange(h * w, dtype=float).reshape(1, 1, h, w), padding, pad)[0, 0]
+    valid = _naive_pad(np.ones((1, 1, h, w)), padding, pad)[0, 0]
+    gx = np.zeros(gxp.shape[:2] + (h * w,))
+    for i in range(src.shape[0]):
+        for j in range(src.shape[1]):
+            if valid[i, j]:
+                gx[:, :, int(src[i, j])] += gxp[:, :, i, j]
+    return gx.reshape(gxp.shape[:2] + (h, w))
+
+
+def naive_conv2d(x, w, g, stride, padding, pad):
+    """Loop reference for conv2d: output and, for output gradient ``g``,
+    the input and weight gradients."""
+    n, _, h, w_ = x.shape
+    o, _, kh, kw = w.shape
+    xp = _naive_pad(x, padding, pad)
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    out = np.zeros((n, o, ho, wo))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for b in range(n):
+        for oc in range(o):
+            for i in range(ho):
+                for j in range(wo):
+                    win = (b, slice(None), slice(i * stride, i * stride + kh),
+                           slice(j * stride, j * stride + kw))
+                    out[b, oc, i, j] = (xp[win] * w[oc]).sum()
+                    gxp[win] += g[b, oc, i, j] * w[oc]
+                    gw[oc] += g[b, oc, i, j] * xp[win]
+    return out, _naive_unpad(gxp, padding, pad, h, w_), gw
+
+
+def naive_conv_transpose2d(x, w, g, stride):
+    """Loop reference for conv_transpose2d (IOKK weights)."""
+    n, c, h, w_ = x.shape
+    _, o, kh, kw = w.shape
+    out = np.zeros((n, o, stride * (h - 1) + kh, stride * (w_ - 1) + kw))
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for b in range(n):
+        for ic in range(c):
+            for i in range(h):
+                for j in range(w_):
+                    tgt = (b, slice(None), slice(i * stride, i * stride + kh),
+                           slice(j * stride, j * stride + kw))
+                    out[tgt] += x[b, ic, i, j] * w[ic]
+                    gx[b, ic, i, j] = (g[tgt] * w[ic]).sum()
+                    gw[ic] += x[b, ic, i, j] * g[tgt]
+    return out, gx, gw
+
+
+class TestConvParity:
+    """conv2d and conv_transpose2d against nested-loop references."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("padding,pad", [("valid", 0), ("zero", 1), ("reflect", 1), ("reflect", 2)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_matches_loops(self, stride, padding, pad, k):
+        rng = np.random.default_rng(100 + 10 * stride + k)
+        x = rng.standard_normal((2, 3, 7, 10))
+        w = rng.standard_normal((5, 3, k, k))
+        xt = T.Parameter("x", x)
+        wt = T.Parameter("w", w)
+        out = T.conv2d(xt, wt, stride=stride, padding=padding, pad=pad)
+        g = rng.standard_normal(out.shape)
+        T.sum_all(T.mul(out, T.constant(g))).backward()
+        ref, ref_gx, ref_gw = naive_conv2d(x, w, g, stride, padding, pad)
+        assert out.shape == ref.shape
+        assert rel_err(out.data, ref) < 1e-12
+        assert rel_err(xt.grad, ref_gx) < 1e-12
+        assert rel_err(wt.grad, ref_gw) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_conv_transpose2d_matches_loops(self, k):
+        rng = np.random.default_rng(200 + k)
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((3, 4, k, k))
+        xt = T.Parameter("x", x)
+        wt = T.Parameter("w", w)
+        out = T.conv_transpose2d(xt, wt, stride=2)
+        g = rng.standard_normal(out.shape)
+        T.sum_all(T.mul(out, T.constant(g))).backward()
+        ref, ref_gx, ref_gw = naive_conv_transpose2d(x, w, g, 2)
+        assert out.shape == ref.shape
+        assert rel_err(out.data, ref) < 1e-12
+        assert rel_err(xt.grad, ref_gx) < 1e-12
+        assert rel_err(wt.grad, ref_gw) < 1e-12
+
+    def test_scatter_adjoint_matches_add_at(self):
+        # any index map, repeats included
+        rng = np.random.default_rng(300)
+        n, c, h, w = 2, 3, 4, 5
+        idx = rng.integers(0, h * w, size=37)
+        g = rng.standard_normal((n, c, 37))
+        ref = np.zeros((n * c, h * w))
+        np.add.at(ref, (np.arange(n * c)[:, None], idx[None, :]), g.reshape(n * c, -1))
+        out = T._scatter_adjoint(g, idx, h, w)
+        assert np.array_equal(out, ref.reshape(n, c, h, w))
+
+
 class TestConcat:
     def test_shapes(self):
         a = T.constant(np.zeros((1, 2, 4, 4)))
