@@ -91,9 +91,11 @@ def _he_init(rng, shape):
 class RamModel:
     """Reconstructor for linear inverse problems y = A x + noise.
 
-    ``forward`` returns a (1, C, H, W) graph tensor; ``reconstruct``
-    returns a plain (C, H, W) array and is the entry point used by the
-    bootstrap and the evaluation tools.
+    ``forward`` returns a (1, C, H, W) graph tensor for training, SURE/EI
+    losses and gradient checks; ``reconstruct`` returns the same values
+    as a plain (C, H, W) array, runs ``forward`` under ``tensor.no_grad``
+    so no tape is kept, and is the entry point used by the bootstrap and
+    the evaluation tools.
     """
 
     def __init__(self, config: RamConfig = RamConfig()):
@@ -245,7 +247,10 @@ class RamModel:
         return x0 + res
 
     def reconstruct(self, y, op: OperatorHandle, noise: NoiseParams) -> np.ndarray:
-        return self.forward(y, op, noise).data[0]
+        """``forward(y, op, noise).data[0]``, computed without a tape: use
+        ``forward`` when gradients are needed."""
+        with T.no_grad():
+            return self.forward(y, op, noise).data[0]
 
     # -- persistence -----------------------------------------------------
     def save_checkpoint(self, path) -> None:

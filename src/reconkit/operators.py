@@ -18,12 +18,12 @@ where one exists: 1 for the identity and demosaicing; the largest mask
 value for inpainting and single-coil MRI, and 1 for compressed sensing
 that keeps any coefficient (0 for empty selections); ``||M_h|| * ||M_w||``
 for a separable map ``X -> M_h X M_w^T`` per channel (downsampling, the
-upsampler, crops and compositions of these, such as downsampling after
-upsampling); the largest of W small Hermitian eigenproblems for
-multi-coil MRI with a row mask.  Any other operator runs Lanczos on
-``A^T A`` (full reorthogonalisation, done twice; a seeded start vector;
-stopped when the top Ritz pair's residual falls below a relative
-tolerance).
+upsampler, crops, blur with a rank-1 kernel and compositions of these,
+such as downsampling after upsampling); the largest of W small Hermitian
+eigenproblems for multi-coil MRI with a row mask.  Any other operator
+runs Lanczos on ``A^T A`` (full reorthogonalisation, done twice; a
+seeded start vector; stopped when the top Ritz pair's residual falls
+below a relative tolerance).
 
 Caches.  Norms of keyed handles live in a bounded process-wide LRU cache
 keyed by ``key``, and ``make_coarse`` keeps coarse operators in another,
@@ -439,39 +439,54 @@ def make_motion_kernel(length_scale: float, amplitude: float, size: int = 31,
     return BlurKernel(k)
 
 
-def _correlate_valid(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Per-channel valid cross-correlation of (C, H, W) with a square
-    kernel: one window view along the rows, one matmul per kernel row."""
-    ks = k.shape[0]
-    hout = x.shape[1] - ks + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, ks, axis=2)  # (C, H, WO, KS)
-    out = win[:, :hout] @ k[0]
-    for i in range(1, ks):
-        out += win[:, i:i + hout] @ k[i]
+def _band_matrices(vecs: np.ndarray, n: int) -> np.ndarray:
+    """(R, n - ks + 1, n) stack of 1-D valid-correlation matrices: row a of
+    slice r holds ``vecs[r]`` at columns a .. a + ks - 1."""
+    r, ks = vecs.shape
+    nout = n - ks + 1
+    out = np.zeros((r, nout, n))
+    s0, s1, s2 = out.strides
+    # the band is a (nout, ks) view stepping one row and one column per row
+    np.lib.stride_tricks.as_strided(out, (r, nout, ks), (s0, s1 + s2, s2))[:] = vecs[:, None]
     return out
 
 
 def make_blur(kernel: BlurKernel, image_shape) -> OperatorHandle:
-    """Per-channel valid cross-correlation with the kernel (no padding)."""
+    """Per-channel valid cross-correlation with the kernel (no padding).
+
+    With the kernel's SVD k = sum_r s_r u_r v_r^T, truncated to its
+    numerical rank R, the blur of each channel X is sum_r B_r X C_r^T and
+    its adjoint sum_r B_r^T Y C_r, where B_r (rows, holding s_r u_r) and
+    C_r (columns, holding v_r) are 1-D valid-correlation matrices.  A
+    rank-1 kernel (every Gaussian) is separable and carries
+    ``factors = (B_0, C_0)``, so its norm is closed-form."""
     c, h, w = image_shape
     k = _owned(kernel.array)
     ks = k.shape[0]
     if ks >= h or ks >= w:
         raise ValueError("kernel must be smaller than the image")
     hout, wout = h - ks + 1, w - ks + 1
-    kflip = k[::-1, ::-1]
+    u, sv, vt = np.linalg.svd(k)
+    rank = int(np.sum(sv > ks * np.finfo(float).eps * sv[0]))
+    bh = _band_matrices((u[:, :rank] * sv[:rank]).T, h)  # (R, HO, H)
+    cw = _band_matrices(vt[:rank], w)  # (R, WO, W)
+    # the sum over r folds into the second product: (HO, R*H) and (H, R*HO)
+    b_wide = np.ascontiguousarray(bh.transpose(1, 0, 2).reshape(hout, rank * h))
+    b_tall_t = np.ascontiguousarray(bh.reshape(rank * hout, h).T)
+    cw_t = np.ascontiguousarray(cw.transpose(0, 2, 1))
 
     def apply_fn(x):
-        return _correlate_valid(x, k)
+        t = x[:, None] @ cw_t  # (C, R, H, WO)
+        return b_wide @ t.reshape(c, rank * h, wout)
 
     def adjoint_fn(y):
-        # full correlation with the flipped kernel
-        pad = ks - 1
-        return _correlate_valid(np.pad(y, ((0, 0), (pad, pad), (pad, pad))), kflip)
+        t = y[:, None] @ cw  # (C, R, HO, W)
+        return b_tall_t @ t.reshape(c, rank * hout, w)
 
     return _keyed(OperatorHandle(
         image_shape, (c, hout, wout), apply_fn, adjoint_fn,
         kind="blur", arrays={"kernel": k},
+        factors=(bh[0], cw[0]) if rank == 1 else None,
     ))
 
 

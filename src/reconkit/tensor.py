@@ -7,6 +7,11 @@ topological order and accumulates gradients into leaves.  Gradients of
 :class:`Parameter` leaves persist across backward calls until explicitly
 zeroed, so repeated backward passes accumulate additively.
 
+Inside a :func:`no_grad` block the calling thread builds no tape: every
+operation returns a tensor with no parents and no backward closure, so
+the arrays an operation keeps for its backward are freed when it
+returns.  Values are computed exactly as with the tape.
+
 All convolutions are bias-free by construction: there is no bias term
 anywhere in this module.  Each convolution is an im2col patch matrix and
 one BLAS ``matmul`` with a layout fixed in code; the transposed
@@ -15,10 +20,15 @@ convolution is one ``matmul`` for all taps followed by a slice scatter.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import threading
+
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "Parameter",
     "constant",
     "add",
@@ -58,6 +68,27 @@ def _as_array(data) -> np.ndarray:
     return arr
 
 
+class _TapeState(threading.local):
+    off = False
+
+
+_TAPE = _TapeState()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape in the calling thread for the duration of the block.
+
+    Nests, restores the previous state on exit (also on an exception) and
+    leaves other threads untouched."""
+    previous = _TAPE.off
+    _TAPE.off = True
+    try:
+        yield
+    finally:
+        _TAPE.off = previous
+
+
 class Tensor:
     """A node of the dynamic computation graph."""
 
@@ -70,6 +101,8 @@ class Tensor:
             self.data = data
         else:
             self.data = _as_array(data)
+        if parents and _TAPE.off:
+            parents, backward_fn = (), None
         self._parents = tuple(parents)
         self._backward = backward_fn
         self.requires_grad = requires_grad or any(p.requires_grad for p in self._parents)
@@ -324,12 +357,16 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _reflect_index_map(h, w, pads):
     """Flat source index of every pixel of an (h, w) image reflect-padded
-    by ``pads`` = (top, bottom, left, right)."""
+    by ``pads`` = (top, bottom, left, right).  Memoised, so the result is
+    read-only."""
     pt, pb, pl, pr = pads
     idx = np.arange(h * w).reshape(h, w)
-    return np.pad(idx, ((pt, pb), (pl, pr)), mode="reflect").ravel()
+    out = np.pad(idx, ((pt, pb), (pl, pr)), mode="reflect").ravel()
+    out.setflags(write=False)
+    return out
 
 
 def _scatter_adjoint(g: np.ndarray, idx_flat: np.ndarray, h: int, w: int) -> np.ndarray:

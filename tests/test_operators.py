@@ -179,6 +179,60 @@ class TestBlurFactory:
         assert np.linalg.norm(op.adjoint(y) - ref_adj) < 1e-12 * np.linalg.norm(ref_adj)
 
 
+def dense_correlation(k, shape):
+    """Dense matrix of the per-channel valid cross-correlation, one output
+    pixel (row) at a time."""
+    c, h, w = shape
+    ks = k.shape[0]
+    ho, wo = h - ks + 1, w - ks + 1
+    mat = np.zeros((c, ho, wo, c, h, w))
+    for ch in range(c):
+        for i in range(ho):
+            for j in range(wo):
+                mat[ch, i, j, ch, i:i + ks, j:j + ks] = k
+    return mat.reshape(c * ho * wo, c * h * w)
+
+
+BLUR_KERNELS = {
+    "gaussian3": (ops.make_gaussian_kernel(0.8, 3), (9, 13)),
+    "gaussian7": (ops.make_gaussian_kernel(1.5, 7), (12, 17)),
+    "gaussian31": (ops.make_gaussian_kernel(4.0, 31), (33, 36)),
+    "motion7": (ops.make_motion_kernel(0.5, 0.5, 7, seed=21), (13, 10)),
+    "motion31": (ops.make_motion_kernel(0.6, 0.5, 31, seed=22), (34, 33)),
+    "random5": (ops.BlurKernel(np.random.default_rng(23).random((5, 5))), (9, 14)),
+}
+
+
+class TestBlurSVD:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("name", sorted(BLUR_KERNELS))
+    def test_dense_matrix_matches_loop(self, name, channels):
+        kernel, hw = BLUR_KERNELS[name]
+        op = ops.make_blur(kernel, (channels,) + hw)
+        ref = dense_correlation(kernel.array, op.domain_shape)
+        assert np.abs(ops.dense_matrix(op) - ref).max() < 1e-12
+        adj = ops.OperatorHandle(op.range_shape, op.domain_shape, op.adjoint, op.apply)
+        assert np.abs(ops.dense_matrix(adj) - ref.T).max() < 1e-12
+
+    def test_rank_decides_separability(self):
+        assert np.linalg.matrix_rank(BLUR_KERNELS["random5"][0].array) == 5
+        for name, (kernel, hw) in BLUR_KERNELS.items():
+            op = ops.make_blur(kernel, (1,) + hw)
+            assert (op.factors is not None) == name.startswith("gaussian"), name
+
+    @pytest.mark.parametrize("fine_shape", [None, (1, 24, 32)])
+    def test_rank1_norms_closed_form(self, fine_shape):
+        # a kernel no other test builds, so nothing is cached yet
+        op = ops.make_blur(ops.make_gaussian_kernel(1.37, 5), (1, 20, 28))
+        before = ops.cache_stats()["lanczos_applies"]
+        norm = op.norm()
+        coarse = [ops.make_coarse(op, s, fine_shape=fine_shape) for s in range(3)]
+        assert ops.cache_stats()["lanczos_applies"] == before
+        assert abs(norm - dense_norm(op)) < 1e-12
+        for s, cop in enumerate(coarse):
+            assert abs(dense_norm(cop) - 1.0) < 1e-12, f"scale {s}"
+
+
 class TestKernels:
     def test_gaussian_center_max_and_symmetry(self):
         k = ops.make_gaussian_kernel(1.0, 31).array
@@ -552,7 +606,8 @@ def closed_form_operators(draw):
     keep_prob = draw(st.sampled_from([0.0, 0.3, 1.0]))
     choice = draw(st.sampled_from(["identity", "inpainting", "mri", "compressed_sensing",
                                    "demosaic", "multicoil_mri", "downsampling", "upsampler",
-                                   "identity*upsampler", "downsampling*upsampler", "crop"]))
+                                   "identity*upsampler", "downsampling*upsampler", "crop",
+                                   "gaussian_blur"]))
     mask = ops.make_bernoulli_mask((1, n, n), keep_prob, seed=seed)
     if choice == "identity":
         return ops.identity_operator(shape)
@@ -566,6 +621,8 @@ def closed_form_operators(draw):
         return ops.make_compressed_sensing(sign, np.flatnonzero(mask), shape)
     if choice == "demosaic":
         return ops.make_demosaic((3, n, n))
+    if choice == "gaussian_blur":
+        return ops.make_blur(ops.make_gaussian_kernel(draw(st.floats(0.3, 3.0)), 3), shape)
     if choice == "multicoil_mri":
         coils = draw(st.integers(1, 3))
         smaps = ops.make_sensitivity_maps(coils, (2, n, n), seed=seed)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,70 @@ class TestBasics:
         loss = T.mul(w, w)
         loss.backward()
         assert np.allclose(w.grad, [4.0])
+
+
+def _small_graph(w):
+    x = T.constant(np.linspace(-1.0, 1.0, 2 * 3 * 5 * 5).reshape(2, 3, 5, 5))
+    h = T.relu(T.conv2d(x, w, padding="reflect", pad=1))
+    return T.sum_all(T.square(T.pad_reflect(h, (1, 0, 2, 1))))
+
+
+class TestNoGrad:
+    def test_no_parents_and_same_values(self):
+        w = T.Parameter("w", np.random.default_rng(1).standard_normal((4, 3, 3, 3)))
+        taped = _small_graph(w)
+        with T.no_grad():
+            free = _small_graph(w)
+            h = T.relu(T.mul(w, w))
+        assert taped._parents and taped._backward is not None
+        for t in (free, h):
+            assert t._parents == () and t._backward is None and not t.requires_grad
+        assert np.array_equal(free.data, taped.data)
+
+    def test_backward_leaves_parameters_untouched(self):
+        w = T.Parameter("w", np.random.default_rng(2).standard_normal((4, 3, 3, 3)))
+        with T.no_grad():
+            loss = _small_graph(w)
+        loss.backward()
+        assert w.grad is None
+        w.zero_grad()
+        with T.no_grad():
+            loss = _small_graph(w)
+        loss.backward()
+        assert not np.any(w.grad)
+
+    def test_thread_local(self):
+        w = T.Parameter("w", np.ones((4, 3, 3, 3)))
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold():
+            with T.no_grad():
+                seen["held"] = _small_graph(w)._parents
+                inside.set()
+                release.wait(10)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        try:
+            assert inside.wait(10)
+            seen["other"] = _small_graph(w)._parents
+        finally:
+            release.set()
+            worker.join()
+        assert seen["held"] == () and seen["other"] != ()
+
+    def test_restored_after_exception_and_nesting(self):
+        w = T.Parameter("w", np.ones((1,)))
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        assert T.mul(w, w)._parents
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert T.mul(w, w)._parents == ()
+        assert T.mul(w, w)._parents
 
 
 class TestRelu:
@@ -345,6 +411,14 @@ class TestPad:
             lambda a: float((np.pad(a, ((0, 0), (0, 0), (2, 2), (2, 2)), mode="reflect") * wsum).sum()),
             x.copy())
         assert rel_err(xt.grad, fd) < 1e-6
+
+    def test_reflect_index_map_memoised_read_only(self):
+        idx = T._reflect_index_map(5, 6, (2, 1, 0, 3))
+        assert T._reflect_index_map(5, 6, (2, 1, 0, 3)) is idx
+        assert not idx.flags.writeable
+        x = np.arange(30.0).reshape(1, 1, 5, 6)
+        ref = np.pad(x, ((0, 0), (0, 0), (2, 1), (0, 3)), mode="reflect")
+        assert np.array_equal(T.pad_reflect(T.constant(x), (2, 1, 0, 3)).data, ref)
 
     def test_crop_inverse_of_zero_pad(self):
         rng = np.random.default_rng(13)
