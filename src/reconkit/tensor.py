@@ -14,8 +14,14 @@ returns.  Values are computed exactly as with the tape.
 
 All convolutions are bias-free by construction: there is no bias term
 anywhere in this module.  Each convolution is an im2col patch matrix and
-one BLAS ``matmul`` with a layout fixed in code; the transposed
-convolution is one ``matmul`` for all taps followed by a slice scatter.
+one BLAS ``matmul`` with a layout fixed in code, built in output row
+strips whose patch matrices stay below ``_PATCH_BYTES``.  The transposed
+convolution (also the input gradient of a convolution) has no loop over
+kernel taps: when taps do not overlap (kernel equal to the stride) it is
+one ``matmul`` for all taps and a depth-to-space reshape; otherwise it is
+the forward convolution of the zero-inserted, (k - 1)-padded input with
+the flipped kernel.  Reflect padding is one gather through a memoised
+index map.
 """
 
 from __future__ import annotations
@@ -357,16 +363,35 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _reflect_1d(n: int, before: int, after: int) -> np.ndarray:
+    """Source index of every position of a length-``n`` axis reflect-padded
+    (edge not repeated) by ``before`` and ``after``: the reflection is
+    periodic with period 2(n - 1), so any pad width is covered."""
+    j = np.abs(np.arange(-before, n + after))
+    if n == 1:
+        return np.zeros_like(j)
+    j %= 2 * (n - 1)
+    return np.minimum(j, 2 * (n - 1) - j)
+
+
 @functools.lru_cache(maxsize=64)
 def _reflect_index_map(h, w, pads):
     """Flat source index of every pixel of an (h, w) image reflect-padded
     by ``pads`` = (top, bottom, left, right).  Memoised, so the result is
     read-only."""
     pt, pb, pl, pr = pads
-    idx = np.arange(h * w).reshape(h, w)
-    out = np.pad(idx, ((pt, pb), (pl, pr)), mode="reflect").ravel()
+    out = (_reflect_1d(h, pt, pb)[:, None] * w + _reflect_1d(w, pl, pr)[None, :]).ravel()
     out.setflags(write=False)
     return out
+
+
+def _reflect_pad_array(x: np.ndarray, pads) -> np.ndarray:
+    """Reflect-pad the trailing spatial axes of a NCHW array by ``pads`` =
+    (top, bottom, left, right): one gather, C-contiguous output."""
+    n, c, h, w = x.shape
+    pt, pb, pl, pr = pads
+    idx_flat = _reflect_index_map(h, w, pads)
+    return np.take(x.reshape(n, c, -1), idx_flat, axis=2).reshape(n, c, h + pt + pb, w + pl + pr)
 
 
 def _scatter_adjoint(g: np.ndarray, idx_flat: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -387,13 +412,12 @@ def pad_reflect(x: Tensor, pad) -> Tensor:
         pt = pb = pl = pr = pad
     else:
         pt, pb, pl, pr = pad
-    n, c, h, w = x.shape
-    idx_flat = _reflect_index_map(h, w, (pt, pb, pl, pr))
-    hp, wp = h + pt + pb, w + pl + pr
-    out = x.data.reshape(n, c, -1)[:, :, idx_flat].reshape(n, c, hp, wp)
+    h, w = x.shape[2], x.shape[3]
+    pads = (pt, pb, pl, pr)
+    out = _reflect_pad_array(x.data, pads)
 
     def bw(g):
-        return (_scatter_adjoint(g, idx_flat, h, w),)
+        return (_scatter_adjoint(g, _reflect_index_map(h, w, pads), h, w),)
 
     return Tensor(out, (x,), bw)
 
@@ -434,18 +458,42 @@ def _pad_numpy(x: np.ndarray, padding: str, pad: int) -> np.ndarray:
     if padding == "zero":
         return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     if padding == "reflect":
-        return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="reflect")
+        return _reflect_pad_array(x, (pad,) * 4)
     raise ValueError(f"unknown padding mode {padding!r}")
 
 
+# Bytes one im2col patch matrix may take; larger ones are built in output
+# row strips.  glibc maps a block at or above its dynamic mmap threshold
+# (at most 32 MB) afresh on every call and faults every page in again; at
+# 8 MB the strips of a 128x128 default-config forward come from the heap.
+_PATCH_BYTES = 8 << 20
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N, C*KH*KW, HO*WO) patch matrix of a padded NCHW input; the only
-    copy a convolution makes of its input."""
-    n, c = xp.shape[0], xp.shape[1]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
+    """(N, C*KH*KW, HO*WO) patch matrix of a padded NCHW input."""
+    n, c, hp, wp = xp.shape
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    sn, sc, sh, sw = xp.strides
+    # the (N, C, KH, KW, HO, WO) window view, read-only, without copying
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    return win.reshape(n, c * kh * kw, ho * wo)
+
+
+def _row_strips(xp: np.ndarray, kh: int, kw: int, stride: int):
+    """Yield ``(columns, strip)``: views of a padded NCHW input whose
+    im2col patch matrices take at most ``_PATCH_BYTES`` each (one output
+    row at least), with the slice of flattened output positions each
+    covers.  Callers keep no patch matrix across iterations, so the next
+    one reuses its memory."""
+    n, c, hp, wp = xp.shape
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    rows = max(1, _PATCH_BYTES // (n * c * kh * kw * wo * xp.itemsize))
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        yield slice(r0 * wo, r1 * wo), xp[:, :, r0 * stride:(r1 - 1) * stride + kh]
 
 
 def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
@@ -454,31 +502,46 @@ def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     n = xp.shape[0]
     ho = (xp.shape[2] - kh) // stride + 1
     wo = (xp.shape[3] - kw) // stride + 1
-    return (w.reshape(o, -1) @ _im2col(xp, kh, kw, stride)).reshape(n, o, ho, wo)
+    w2 = w.reshape(o, -1)
+    out = np.empty((n, o, ho * wo))
+    for cols, strip in _row_strips(xp, kh, kw, stride):
+        np.matmul(w2, _im2col(strip, kh, kw, stride), out=out[:, :, cols])
+    return out.reshape(n, o, ho, wo)
 
 
 def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Gradient of ``_conv_forward(xp, w, stride)`` in ``w`` for output
     gradient ``g``, shaped (O, C, KH, KW)."""
     n, o = g.shape[0], g.shape[1]
-    cols = _im2col(xp, kh, kw, stride)
-    gw = np.matmul(g.reshape(n, o, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+    g = g.reshape(n, o, -1)
+    gw = sum(np.matmul(g[:, :, cols], _im2col(strip, kh, kw, stride).transpose(0, 2, 1)).sum(axis=0)
+             for cols, strip in _row_strips(xp, kh, kw, stride))
     return gw.reshape(o, xp.shape[1], kh, kw)
 
 
 def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.ndarray:
-    """Adjoint of ``_conv_forward`` in its input: scatter every pixel of
-    ``x`` through the (in, out, kh, kw) taps of ``w`` onto an ``out_hw``
+    """Adjoint of ``_conv_forward`` in its input: every pixel of ``x``
+    spread through the (in, out, kh, kw) taps of ``w`` onto an ``out_hw``
     canvas."""
     n, c, h, w_ = x.shape
     _, o, kh, kw = w.shape
-    # every tap's contribution in one product: (O*KH*KW, C) @ (N, C, H*W)
-    taps = (w.reshape(c, -1).T @ x.reshape(n, c, -1)).reshape(n, o, kh, kw, h, w_)
-    out = np.zeros((n, o) + tuple(out_hw))
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i:i + stride * h:stride, j:j + stride * w_:stride] += taps[:, :, i, j]
-    return out
+    oh, ow = out_hw
+    if kh == kw == stride:
+        # Taps do not overlap: every tap's contribution in one product,
+        # (O*KH*KW, C) @ (N, C, H*W), then depth-to-space.
+        taps = (w.reshape(c, -1).T @ x.reshape(n, c, -1)).reshape(n, o, kh, kw, h, w_)
+        tiles = taps.transpose(0, 1, 4, 2, 5, 3).reshape(n, o, h * kh, w_ * kw)
+        if tiles.shape[2:] == (oh, ow):
+            return tiles
+        out = np.zeros((n, o, oh, ow))
+        out[:, :, :h * kh, :w_ * kw] = tiles
+        return out
+    # Overlapping taps (Dumoulin & Visin, arXiv 1603.07285): insert
+    # stride - 1 zeros between pixels, pad by k - 1 and correlate at stride
+    # 1 with the flipped, in/out-swapped kernel.
+    canvas = np.zeros((n, c, oh + kh - 1, ow + kw - 1))
+    canvas[:, :, kh - 1:kh - 1 + stride * h:stride, kw - 1:kw - 1 + stride * w_:stride] = x
+    return _conv_forward(canvas, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: str = "valid", pad: int = 0) -> Tensor:

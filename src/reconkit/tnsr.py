@@ -8,6 +8,8 @@ data.  Round trips are bit-exact for float64 payloads.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -48,28 +50,38 @@ def save_tensors(path, entries: dict) -> None:
             fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
+def _read(fh, size: int) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValueError("truncated file")
+    return buf
+
+
 def load_tensors(path) -> dict:
+    """Read a file written by :func:`save_tensors`.  A truncated or
+    malformed file raises ``ValueError``; each payload size is checked
+    against the bytes left in the file before anything is allocated."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+        end = os.fstat(fh.fileno()).st_size
+        if _read(fh, 4) != _MAGIC:
             raise ValueError("not a TNSR file")
-        (version,) = struct.unpack("<B", fh.read(1))
+        (version,) = struct.unpack("<B", _read(fh, 1))
         if version != _VERSION:
             raise ValueError(f"unsupported version {version}")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", _read(fh, 4))
         out = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            code, ndim = struct.unpack("<BB", fh.read(2))
+            (nlen,) = struct.unpack("<H", _read(fh, 2))
+            name = _read(fh, nlen).decode("utf-8")
+            code, ndim = struct.unpack("<BB", _read(fh, 2))
             if code not in _DTYPES:
                 raise ValueError(f"unknown dtype code {code}")
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+            shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
             dt = _DTYPES[code]
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n * dt.itemsize)
-            if len(buf) != n * dt.itemsize:
+            size = math.prod(shape) * dt.itemsize
+            if size > end - fh.tell():
                 raise ValueError("truncated file")
-            out[name] = np.frombuffer(buf, dtype=dt).reshape(shape).copy()
+            out[name] = np.frombuffer(_read(fh, size), dtype=dt).reshape(shape).copy()
         return out
 
 

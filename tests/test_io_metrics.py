@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reconkit import cli
 from reconkit import operators as ops
 from reconkit import tnsr
 from reconkit.metrics import psnr, ssim
@@ -38,6 +39,35 @@ class TestTnsrContainer:
         tnsr.save_tensors(p1, entries)
         tnsr.save_tensors(p2, dict(reversed(list(entries.items()))))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated_at_every_byte_raises_value_error(self, tmp_path):
+        p = tmp_path / "full.tnsr"
+        tnsr.save_tensors(p, {"a": np.arange(6.0).reshape(2, 3), "eta": np.array(0.5),
+                              "b": np.ones(3, dtype=np.float32)})
+        raw = p.read_bytes()
+        cut = tmp_path / "cut.tnsr"
+        for end in range(len(raw)):
+            cut.write_bytes(raw[:end])
+            with pytest.raises(ValueError):
+                tnsr.load_tensors(cut)
+
+    def test_inflated_extent_raises_before_allocating(self, tmp_path):
+        p = tmp_path / "big.tnsr"
+        tnsr.save_tensors(p, {"x": np.zeros((1, 4, 4))})
+        raw = bytearray(p.read_bytes())
+        # entry header: magic, version, count, name length, "x", dtype, ndim
+        extent = 4 + 1 + 4 + 2 + 1 + 2
+        raw[extent:extent + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="truncated"):
+            tnsr.load_tensors(p)
+
+    def test_cli_truncated_file_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "x.tnsr"
+        tnsr.save_tensors(p, {"x": np.zeros((1, 8, 8))})
+        p.write_bytes(p.read_bytes()[:10])
+        assert cli.main(["eval", "--pred", str(p), "--ref", str(p)]) == 2
+        assert "error: truncated file" in capsys.readouterr().err
 
     def test_header_layout(self, tmp_path):
         p = tmp_path / "h.tnsr"

@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reconkit import tensor as T
 
@@ -293,18 +295,40 @@ class TestConvParity:
         assert rel_err(xt.grad, ref_gx) < 1e-12
         assert rel_err(wt.grad, ref_gw) < 1e-12
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_conv_transpose2d_matches_loops(self, k):
         rng = np.random.default_rng(200 + k)
-        x = rng.standard_normal((2, 3, 4, 5))
-        w = rng.standard_normal((3, 4, k, k))
+        for stride in (1, 2, 3):
+            x = rng.standard_normal((2, 3, 4, 5))
+            w = rng.standard_normal((3, 4, k, k))
+            xt = T.Parameter("x", x)
+            wt = T.Parameter("w", w)
+            out = T.conv_transpose2d(xt, wt, stride=stride)
+            g = rng.standard_normal(out.shape)
+            T.sum_all(T.mul(out, T.constant(g))).backward()
+            ref, ref_gx, ref_gw = naive_conv_transpose2d(x, w, g, stride)
+            assert out.shape == ref.shape
+            assert rel_err(out.data, ref) < 1e-12
+            assert rel_err(xt.grad, ref_gx) < 1e-12
+            assert rel_err(wt.grad, ref_gw) < 1e-12
+
+    @pytest.mark.parametrize("cap", [1, 10000])
+    @pytest.mark.parametrize("stride,padding,pad,k", [
+        (1, "reflect", 1, 3), (2, "zero", 1, 3), (2, "valid", 0, 2), (1, "valid", 0, 1),
+    ])
+    def test_row_strips_match_loops(self, monkeypatch, stride, padding, pad, k, cap):
+        # a 1-byte cap builds every patch matrix one output row at a time;
+        # 10000 bytes leaves a shorter last strip for the 3x3 stride-1 case
+        monkeypatch.setattr(T, "_PATCH_BYTES", cap)
+        rng = np.random.default_rng(400 + 10 * stride + k)
+        x = rng.standard_normal((2, 3, 9, 8))
+        w = rng.standard_normal((4, 3, k, k))
         xt = T.Parameter("x", x)
         wt = T.Parameter("w", w)
-        out = T.conv_transpose2d(xt, wt, stride=2)
+        out = T.conv2d(xt, wt, stride=stride, padding=padding, pad=pad)
         g = rng.standard_normal(out.shape)
         T.sum_all(T.mul(out, T.constant(g))).backward()
-        ref, ref_gx, ref_gw = naive_conv_transpose2d(x, w, g, 2)
-        assert out.shape == ref.shape
+        ref, ref_gx, ref_gw = naive_conv2d(x, w, g, stride, padding, pad)
         assert rel_err(out.data, ref) < 1e-12
         assert rel_err(xt.grad, ref_gx) < 1e-12
         assert rel_err(wt.grad, ref_gw) < 1e-12
@@ -319,6 +343,62 @@ class TestConvParity:
         np.add.at(ref, (np.arange(n * c)[:, None], idx[None, :]), g.reshape(n * c, -1))
         out = T._scatter_adjoint(g, idx, h, w)
         assert np.array_equal(out, ref.reshape(n, c, h, w))
+
+
+def _assert_adjoint(op, x, w):
+    """<op(x, w), y> equals <x, d/dx> and <w, d/dw> for a random y, to
+    1e-12 relative to the norms of both sides; op is linear in each
+    argument."""
+    xt = T.Parameter("x", x)
+    wt = T.Parameter("w", w)
+    out = op(xt, wt)
+    y = np.random.default_rng(x.size + w.size).standard_normal(out.shape)
+    T.sum_all(T.mul(out, T.constant(y))).backward()
+    lhs = np.vdot(out.data, y)
+    for arg, grad in ((x, xt.grad), (w, wt.grad)):
+        scale = np.linalg.norm(out.data) * np.linalg.norm(y) + np.linalg.norm(arg) * np.linalg.norm(grad)
+        assert abs(lhs - np.vdot(arg, grad)) <= 1e-12 * scale
+
+
+class TestConvProperties:
+    """Adjoint identities of the convolutions on random shapes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 2), c=st.integers(1, 3), o=st.integers(1, 3),
+           h=st.integers(1, 9), w=st.integers(1, 9), k=st.integers(1, 4),
+           stride=st.integers(1, 3), padding=st.sampled_from(["valid", "zero", "reflect"]),
+           pad=st.integers(0, 8), seed=st.integers(0, 2 ** 16))
+    def test_conv2d_adjoint(self, n, c, o, h, w, k, stride, padding, pad, seed):
+        pad = 0 if padding == "valid" else pad
+        assume(pad < min(h, w) and k <= h + 2 * pad and k <= w + 2 * pad)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+        wt = rng.standard_normal((o, c, k, k))
+        _assert_adjoint(lambda a, b: T.conv2d(a, b, stride=stride, padding=padding, pad=pad), x, wt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 2), c=st.integers(1, 3), o=st.integers(1, 3),
+           h=st.integers(1, 9), w=st.integers(1, 9), k=st.integers(1, 4),
+           stride=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+    def test_conv_transpose2d_adjoint(self, n, c, o, h, w, k, stride, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+        wt = rng.standard_normal((c, o, k, k))
+        _assert_adjoint(lambda a, b: T.conv_transpose2d(a, b, stride=stride), x, wt)
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(1, 9), w=st.integers(1, 9), data=st.data())
+    def test_pad_reflect_contiguous_and_equal_to_numpy(self, h, w, data):
+        x = np.random.default_rng(h * 10 + w).standard_normal((2, 3, h, w))
+        drawn = tuple(data.draw(st.integers(0, ext - 1)) for ext in (h, h, w, w))
+        largest = (h - 1, h - 1, w - 1, w - 1)
+        # wider pads reflect more than once, as np.pad does
+        wide = tuple(data.draw(st.integers(0, 3 * ext)) for ext in (h, h, w, w))
+        for pads in (drawn, largest, wide):
+            out = T.pad_reflect(T.constant(x), pads).data
+            ref = np.pad(x, ((0, 0), (0, 0), pads[:2], pads[2:]), mode="reflect")
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, ref)
 
 
 class TestConcat:
