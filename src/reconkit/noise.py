@@ -6,6 +6,7 @@ returns the clean measurement unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ class NoiseParams:
 
     @classmethod
     def from_dict(cls, d):
+        for name in ("sigma", "gamma"):
+            v = d[name]
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ValueError(f"noise {name} must be a finite number, got {v!r}")
         return cls(sigma=float(d["sigma"]), gamma=float(d["gamma"]))
 
 

@@ -43,7 +43,6 @@ from collections import OrderedDict
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.fft
 import scipy.sparse
 
 __all__ = [
@@ -795,10 +794,26 @@ def make_downsampling(factor: int, filt: str, image_shape) -> OperatorHandle:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _dst_matrix(n: int) -> np.ndarray:
+    """Orthonormal DST-II matrix of size n: row k samples
+    sin(pi (k + 1) (2j + 1) / 2n), the phase reduced modulo 4n in integers
+    so large n keeps full precision.  Memoised, so the result is
+    read-only."""
+    k = np.arange(1, n + 1)[:, None]
+    j = np.arange(n)[None, :]
+    mat = np.sqrt(2.0 / n) * np.sin(np.pi / (2 * n) * ((k * (2 * j + 1)) % (4 * n)))
+    mat[-1] /= np.sqrt(2.0)
+    mat.setflags(write=False)
+    return mat
+
+
 def make_compressed_sensing(sign_mask: np.ndarray, keep_indices: np.ndarray,
                             image_shape) -> OperatorHandle:
     """A = S diag(m): orthonormal DST-II of the sign-flipped image, with
-    the flattened coefficients subsampled at ``keep_indices``."""
+    the flattened coefficients subsampled at ``keep_indices``.  The
+    transform is separable, D_h (m * X) D_w^T, and applied to every
+    channel in one batched product."""
     c, h, w = image_shape
     sign_mask = _owned(sign_mask)
     if sign_mask.shape != (h, w) or not np.all(np.abs(sign_mask) == 1):
@@ -806,22 +821,19 @@ def make_compressed_sensing(sign_mask: np.ndarray, keep_indices: np.ndarray,
     keep = np.array(keep_indices, dtype=np.int64)
     if len(np.unique(keep)) != len(keep):
         raise ValueError("keep indices must be distinct")
+    if keep.size and (keep.min() < 0 or keep.max() >= h * w):
+        raise ValueError(f"keep indices must lie in [0, {h * w})")
     m = len(keep)
+    dh = _dst_matrix(h)
+    dw = _dst_matrix(w)
 
     def apply_fn(x):
-        out = np.empty((c, m))
-        for ch in range(c):
-            coeffs = scipy.fft.dstn(sign_mask * x[ch], type=2, norm="ortho")
-            out[ch] = coeffs.ravel()[keep]
-        return out
+        return (dh @ (sign_mask * x) @ dw.T).reshape(c, h * w)[:, keep]
 
     def adjoint_fn(y):
-        out = np.empty((c, h, w))
-        for ch in range(c):
-            coeffs = np.zeros(h * w)
-            coeffs[keep] = y[ch]
-            out[ch] = sign_mask * scipy.fft.idstn(coeffs.reshape(h, w), type=2, norm="ortho")
-        return out
+        coeffs = np.zeros((c, h * w))
+        coeffs[:, keep] = y
+        return (dh.T @ coeffs.reshape(c, h, w) @ dw) * sign_mask
 
     # S has orthonormal rows and diag(m) is orthogonal
     return _keyed(OperatorHandle(

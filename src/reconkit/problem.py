@@ -41,13 +41,26 @@ def operator_to_spec(op: ops.OperatorHandle) -> tuple[dict, dict]:
     return spec, arrays
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def operator_from_spec(spec: dict, arrays: dict | None = None) -> ops.OperatorHandle:
+    """Build the operator a spec and its arrays define.  ``domain_shape``
+    must be three positive integers and match the shape the arrays give."""
     arrays = arrays or {}
     kind = ops.KINDS.get(spec["kind"])
     if kind is None:
         raise ValueError(f"unknown operator kind {spec['kind']!r}")
-    return kind.build(tuple(spec["domain_shape"]), spec,
-                      {name: arrays[f"op.{name}"] for name in kind.array_names})
+    shape = spec["domain_shape"]
+    if not (isinstance(shape, (list, tuple)) and len(shape) == 3
+            and all(_is_int(n) and n > 0 for n in shape)):
+        raise ValueError(f"domain_shape must be three positive integers, got {shape!r}")
+    op = kind.build(tuple(shape), spec, {name: arrays[f"op.{name}"] for name in kind.array_names})
+    if op.domain_shape != tuple(shape):
+        raise ValueError(f"domain_shape {list(shape)} does not match the operator's "
+                         f"{list(op.domain_shape)}")
+    return op
 
 
 def save_instance(path, inst: ProblemInstance) -> None:
@@ -85,7 +98,10 @@ def load_instance(path) -> ProblemInstance:
     x = entries.get("x")
     if x is not None and x.shape != op.domain_shape:
         raise ValueError("ground-truth shape inconsistent with operator spec")
+    seed = manifest.get("seed", 0)
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return ProblemInstance(
         op=op, y=y, noise=NoiseParams.from_dict(manifest["noise"]),
-        x=x, seed=int(manifest.get("seed", 0)), spec=manifest["operator"],
+        x=x, seed=seed, spec=manifest["operator"],
     )

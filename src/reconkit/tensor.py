@@ -13,15 +13,21 @@ the arrays an operation keeps for its backward are freed when it
 returns.  Values are computed exactly as with the tape.
 
 All convolutions are bias-free by construction: there is no bias term
-anywhere in this module.  Each convolution is an im2col patch matrix and
-one BLAS ``matmul`` with a layout fixed in code, built in output row
-strips whose patch matrices stay below ``_PATCH_BYTES``.  The transposed
-convolution (also the input gradient of a convolution) has no loop over
-kernel taps: when taps do not overlap (kernel equal to the stride) it is
-one ``matmul`` for all taps and a depth-to-space reshape; otherwise it is
-the forward convolution of the zero-inserted, (k - 1)-padded input with
-the flipped kernel.  Reflect padding is one gather through a memoised
-index map.
+anywhere in this module.  Each convolution lowers its padded input along
+the width only (MEC; Cho & Brand, ICML 2017): the column patches hold
+every input row with its KW horizontally shifted copies, so each pixel
+is copied KW times, not KH*KW times as in im2col.  Kernel row ``i``
+reads rows i, i + stride, ... of them (at stride 1 a view) and is one
+BLAS ``matmul`` accumulated into the output; kernel rows that do not
+overlap (kernel height <= stride) read disjoint rows, held side by side,
+and are one ``matmul`` together.  The work runs in output row strips
+whose column patches and accumulation temporary together stay below
+``_PATCH_BYTES``.  The transposed convolution (also the input
+gradient of a convolution) has no loop over kernel taps: when taps do
+not overlap (kernel equal to the stride) it is one ``matmul`` for all
+taps and a depth-to-space reshape; otherwise it is the forward
+convolution of the zero-inserted, (k - 1)-padded input with the flipped
+kernel.  Reflect padding is one gather through a memoised index map.
 """
 
 from __future__ import annotations
@@ -299,11 +305,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0.0)
+    out = np.maximum(x.data, 0.0)
 
     def bw(g):
-        return (g * mask,)
+        return (g * (x.data > 0),)
 
     return Tensor(out, (x,), bw)
 
@@ -462,61 +467,108 @@ def _pad_numpy(x: np.ndarray, padding: str, pad: int) -> np.ndarray:
     raise ValueError(f"unknown padding mode {padding!r}")
 
 
-# Bytes one im2col patch matrix may take; larger ones are built in output
-# row strips.  glibc maps a block at or above its dynamic mmap threshold
-# (at most 32 MB) afresh on every call and faults every page in again; at
-# 8 MB the strips of a 128x128 default-config forward come from the heap.
+# Bytes one row strip's transients may take: its column patches, halo rows
+# included, plus the accumulation temporary of its output.  Larger inputs
+# are convolved in output row strips.  glibc maps a block at or above its
+# dynamic mmap threshold (at most 32 MB) afresh on every call and faults
+# every page in again; at 8 MB the strips of a 128x128 default-config
+# forward come from the heap.
 _PATCH_BYTES = 8 << 20
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N, C*KH*KW, HO*WO) patch matrix of a padded NCHW input."""
+def _row_strips(xp: np.ndarray, kh: int, kw: int, stride: int, o: int):
+    """Yield ``(positions, patches)`` for each strip of output rows of a
+    padded NCHW input convolved with ``o`` output channels: the slice of
+    flattened output positions the strip covers, and its column patches,
+    an (N, K, extent, WO) array of input rows, each with its KW
+    horizontally shifted (strided) copies.
+
+    When kernel rows overlap (kh > stride) the patches hold every input
+    row the strip reads once, K = C*KW, and kernel row ``i`` reads rows i,
+    i + stride, ... of them.  Otherwise every input row belongs to at most
+    one kernel row, and K = C*KH*KW holds each kernel row's rows.  A
+    strip's patches and an (N, O, rows*WO) temporary take at most
+    ``_PATCH_BYTES`` together (one output row at least).  Callers drop
+    each strip's patches before asking for the next, so one strip's
+    patches are alive at a time."""
     n, c, hp, wp = xp.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    if kh > stride:
+        # kernel rows held side by side in K, the input-row step between
+        # patch rows, patch rows per output row, extra patch rows per strip
+        phases, row_step, per_row, halo = 1, 1, stride, kh - stride
+    else:
+        phases, row_step, per_row, halo = kh, stride, 1, 0
+    k = c * phases * kw
+    row_budget = _PATCH_BYTES // (n * wo * xp.itemsize) - k * halo
+    strips = -(-ho // max(1, row_budget // (k * per_row + o)))
+    rows = -(-ho // strips)
     sn, sc, sh, sw = xp.strides
-    # the (N, C, KH, KW, HO, WO) window view, read-only, without copying
-    win = np.lib.stride_tricks.as_strided(
-        xp, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
-    return win.reshape(n, c * kh * kw, ho * wo)
-
-
-def _row_strips(xp: np.ndarray, kh: int, kw: int, stride: int):
-    """Yield ``(columns, strip)``: views of a padded NCHW input whose
-    im2col patch matrices take at most ``_PATCH_BYTES`` each (one output
-    row at least), with the slice of flattened output positions each
-    covers.  Callers keep no patch matrix across iterations, so the next
-    one reuses its memory."""
-    n, c, hp, wp = xp.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    rows = max(1, _PATCH_BYTES // (n * c * kh * kw * wo * xp.itemsize))
     for r0 in range(0, ho, rows):
         r1 = min(r0 + rows, ho)
-        yield slice(r0 * wo, r1 * wo), xp[:, :, r0 * stride:(r1 - 1) * stride + kh]
+        extent = (r1 - r0) * per_row + halo
+        win = np.lib.stride_tricks.as_strided(
+            xp[:, :, r0 * stride:], (n, c, phases, kw, extent, wo),
+            (sn, sc, sh, sw, sh * row_step, sw * stride), writeable=False)
+        yield slice(r0 * wo, r1 * wo), win.reshape(n, k, extent, wo)
+
+
+def _row_groups(kh: int, stride: int):
+    """``(groups, step)``: the kernel rows that share one product and the
+    patch-row step between a group's rows.  Overlapping kernel rows are a
+    group each, read every ``stride`` patch rows (at stride 1 a contiguous
+    slice, so a view); otherwise one group holds them all."""
+    return (kh, stride) if kh > stride else (1, 1)
+
+
+def _group_patches(patches: np.ndarray, g: int, step: int, rows: int) -> np.ndarray:
+    """(N, K, rows*WO) patch matrix of row group ``g``."""
+    n, k, _, wo = patches.shape
+    return patches[:, :, g:g + (rows - 1) * step + 1:step].reshape(n, k, rows * wo)
 
 
 def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """Valid cross-correlation of a padded NCHW input with OIKK weights."""
-    o, _, kh, kw = w.shape
+    """Valid cross-correlation of a padded NCHW input with OIKK weights:
+    one (O, K) @ (N, K, rows*WO) product per row group and strip."""
+    o, c, kh, kw = w.shape
     n = xp.shape[0]
     ho = (xp.shape[2] - kh) // stride + 1
     wo = (xp.shape[3] - kw) // stride + 1
-    w2 = w.reshape(o, -1)
+    groups, step = _row_groups(kh, stride)
+    # (groups, O, K), K ordered as the patches: (channel, column) of each
+    # kernel row, or (channel, kernel row, column) for a single group
+    w_groups = (w.transpose(2, 0, 1, 3) if groups > 1 else w).reshape(groups, o, -1)
     out = np.empty((n, o, ho * wo))
-    for cols, strip in _row_strips(xp, kh, kw, stride):
-        np.matmul(w2, _im2col(strip, kh, kw, stride), out=out[:, :, cols])
+    for pos, patches in _row_strips(xp, kh, kw, stride, o):
+        rows = (pos.stop - pos.start) // wo
+        acc = out[:, :, pos]
+        np.matmul(w_groups[0], _group_patches(patches, 0, step, rows), out=acc)
+        for g in range(1, groups):
+            acc += w_groups[g] @ _group_patches(patches, g, step, rows)
+        del patches
     return out.reshape(n, o, ho, wo)
 
 
 def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Gradient of ``_conv_forward(xp, w, stride)`` in ``w`` for output
-    gradient ``g``, shaped (O, C, KH, KW)."""
+    gradient ``g``, shaped (O, C, KH, KW): one product per row group and
+    strip against the column patches the forward reads."""
     n, o = g.shape[0], g.shape[1]
+    c = xp.shape[1]
+    wo = g.shape[3]
     g = g.reshape(n, o, -1)
-    gw = sum(np.matmul(g[:, :, cols], _im2col(strip, kh, kw, stride).transpose(0, 2, 1)).sum(axis=0)
-             for cols, strip in _row_strips(xp, kh, kw, stride))
-    return gw.reshape(o, xp.shape[1], kh, kw)
+    groups, step = _row_groups(kh, stride)
+    gw = np.zeros((groups, o, c * kh * kw // groups))
+    for pos, patches in _row_strips(xp, kh, kw, stride, o):
+        rows = (pos.stop - pos.start) // wo
+        for r in range(groups):
+            gw[r] += np.matmul(g[:, :, pos],
+                               _group_patches(patches, r, step, rows).transpose(0, 2, 1)).sum(axis=0)
+        del patches
+    if groups > 1:
+        return gw.reshape(kh, o, c, kw).transpose(1, 2, 0, 3)
+    return gw.reshape(o, c, kh, kw)
 
 
 def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.ndarray:

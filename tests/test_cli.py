@@ -143,6 +143,31 @@ class TestReconstructAndUq:
                          "--instance", str(inst),
                          "--out", str(tmp_path / "x.tnsr")]) == 3
 
+    @pytest.mark.parametrize("path,value", [
+        (("operator", "domain_shape"), [1, 16]),
+        (("operator", "domain_shape"), [1, 16.5, 16]),
+        (("operator", "domain_shape"), [2, 16, 16]),
+        (("seed",), -1),
+        (("seed",), None),
+        (("operator", "domain_shape"), None),
+        (("noise", "sigma"), None),
+    ], ids=["shape_rank2", "shape_float", "shape_mismatch", "seed_negative", "seed_null",
+            "shape_null", "sigma_null"])
+    def test_malformed_manifest_exit_2(self, tmp_path, clean_image, tiny_ckpt, capsys,
+                                       path, value):
+        inst = self.simulate(tmp_path, clean_image)
+        manifest = json.loads(inst.read_text())
+        node = manifest
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        inst.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--model", str(tiny_ckpt), "--instance", str(inst),
+                         "--out", str(tmp_path / "x.tnsr")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_uq_error_map(self, tmp_path, clean_image, tiny_ckpt):
         inst = self.simulate(tmp_path, clean_image)
         out = tmp_path / "err.tnsr"

@@ -53,6 +53,8 @@ def all_operators():
     out["sr2_nonsquare"] = ops.make_downsampling(2, "bicubic", (2, 12, 18))
     sign, keep = ops.make_cs_pattern((1, 8, 8), 4, seed=11)
     out["compressed_sensing"] = ops.make_compressed_sensing(sign, keep, (1, 8, 8))
+    sign, keep = ops.make_cs_pattern((2, 12, 20), 4, seed=12)
+    out["compressed_sensing_2ch_12x20"] = ops.make_compressed_sensing(sign, keep, (2, 12, 20))
     out["demosaic"] = ops.make_demosaic((3, 8, 8))
     out["upsampler"] = ops.make_upsampler(1, (1, 8, 8))
     out["upsampler_nonsquare"] = ops.make_upsampler(2, (2, 6, 9))
@@ -416,10 +418,31 @@ class TestCompressedSensing:
         aat = op.apply(op.adjoint(y))
         assert np.allclose(aat, y, atol=1e-10)
 
+    def test_matches_per_channel_dst(self):
+        op = OPERATORS["compressed_sensing_2ch_12x20"]
+        sign, keep = op.arrays["sign_mask"], op.arrays["keep_indices"].astype(np.int64)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal(op.domain_shape)
+        y = rng.standard_normal(op.range_shape)
+        ref_apply = np.stack([scipy.fft.dstn(sign * ch, type=2, norm="ortho").ravel()[keep]
+                              for ch in x])
+        ref_adjoint = np.empty(op.domain_shape)
+        for c, yc in enumerate(y):
+            coeffs = np.zeros(sign.size)
+            coeffs[keep] = yc
+            ref_adjoint[c] = sign * scipy.fft.idstn(coeffs.reshape(sign.shape), type=2, norm="ortho")
+        assert np.abs(op.apply(x) - ref_apply).max() < 1e-12
+        assert np.abs(op.adjoint(y) - ref_adjoint).max() < 1e-12
+
     def test_duplicate_indices_rejected(self):
         sign = np.ones((4, 4))
         with pytest.raises(ValueError):
             ops.make_compressed_sensing(sign, [0, 0, 1], (1, 4, 4))
+
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_out_of_range_indices_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ops.make_compressed_sensing(np.ones((4, 4)), [0, bad], (1, 4, 4))
 
 
 class TestDemosaic:

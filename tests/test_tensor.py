@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ class TestRelu:
         fd = finite_diff_grad(lambda a: np.maximum(a, 0).sum(), x.copy())
         assert rel_err(xt.grad, fd) < 1e-6
         assert np.allclose(xt.grad, (x > 0).astype(float))
+
+    def test_zeros_and_kept_state(self):
+        x = np.array([-2.0, -0.0, 0.0, 1e-300, -1e-300, 3.0])
+        xt = T.Parameter("x", x)
+        out = T.relu(xt)
+        assert np.array_equal(out.data, np.where(x > 0, x, 0.0))
+        assert not np.signbit(out.data).any()
+        # the backward reads the parent; no mask is kept beside it
+        assert [c.cell_contents for c in out._backward.__closure__] == [xt]
+        T.sum_all(out).backward()
+        assert np.array_equal(xt.grad, [0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
 
 
 class TestConv2d:
@@ -332,6 +344,49 @@ class TestConvParity:
         assert rel_err(out.data, ref) < 1e-12
         assert rel_err(xt.grad, ref_gx) < 1e-12
         assert rel_err(wt.grad, ref_gw) < 1e-12
+
+    @pytest.mark.parametrize("cap", [1, 2000])
+    @pytest.mark.parametrize("stride,k", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_row_group_patches(self, monkeypatch, stride, k, cap):
+        # each row group's patch matrix holds the input rows its kernel
+        # rows read; at stride 1 every one is a view of the strip's patches
+        monkeypatch.setattr(T, "_PATCH_BYTES", cap)
+        xp = np.random.default_rng(500).standard_normal((2, 3, 11, 9))
+        wo = (9 - k) // stride + 1
+        groups, step = T._row_groups(k, stride)
+        strips = 0
+        for pos, patches in T._row_strips(xp, k, k, stride, 4):
+            strips += 1
+            rows = (pos.stop - pos.start) // wo
+            r0 = pos.start // wo
+            for g in range(groups):
+                mat = T._group_patches(patches, g, step, rows)
+                if stride == 1:
+                    assert np.shares_memory(mat, patches)
+                kernel_rows = [g] if groups > 1 else range(k)
+                ref = np.stack([np.stack([xp[:, :, r0 * stride + i:(r0 + rows - 1) * stride + i + 1:stride,
+                                             j:j + (wo - 1) * stride + 1:stride] for j in range(k)], axis=2)
+                                for i in kernel_rows], axis=2)
+                assert np.array_equal(mat, ref.reshape(mat.shape))
+        assert strips > 1
+
+    @pytest.mark.parametrize("cap", [None, 2 << 20])
+    def test_forward_transients_within_patch_bytes(self, monkeypatch, cap):
+        # beyond the padded input and the output, which the tape node
+        # keeps, one forward allocates at most _PATCH_BYTES
+        if cap is not None:
+            monkeypatch.setattr(T, "_PATCH_BYTES", cap)
+        rng = np.random.default_rng(501)
+        x = T.constant(rng.standard_normal((1, 32, 128, 128)))
+        w = T.constant(rng.standard_normal((32, 32, 3, 3)))
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, w, padding="reflect", pad=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = x.data.nbytes * 130 * 130 // (128 * 128)
+        assert peak - padded - out.data.nbytes <= T._PATCH_BYTES
 
     def test_scatter_adjoint_matches_add_at(self):
         # any index map, repeats included
