@@ -20,10 +20,17 @@ that keeps any coefficient (0 for empty selections); ``||M_h|| * ||M_w||``
 for a separable map ``X -> M_h X M_w^T`` per channel (downsampling, the
 upsampler, crops, blur with a rank-1 kernel and compositions of these,
 such as downsampling after upsampling); the largest of W small Hermitian
-eigenproblems for multi-coil MRI with a row mask.  Any other operator
+eigenproblems for multi-coil MRI with a row mask.  Single-coil MRI with
+a row mask is separable too, with complex factors ``(diag(m_h) F_h, F_w)``
+acting on the (real, imag) pair as one complex image, so its coarse
+operators, crops included, are closed-form as well.  Any other operator
 runs Lanczos on ``A^T A`` (full reorthogonalisation, done twice; a
-seeded start vector; stopped when the top Ritz pair's residual falls
-below a relative tolerance).
+seeded start vector).  It stops when the top Ritz pair's residual ``r``
+falls below a relative tolerance, ``r <= tol * theta_1``, or when the
+gap-aware error bound ``r^2 / (theta_1 - theta_2)`` (Parlett, *The
+Symmetric Eigenvalue Problem*) falls below ``1e-13 * theta_1``.  The
+tridiagonal eigenproblem is solved on a geometric schedule: at step 8,
+then at ``max(k + 4, 1.25 k)``, at the step cap and on breakdown.
 
 Caches.  Norms of keyed handles live in a bounded process-wide LRU cache
 keyed by ``key``, and ``make_coarse`` keeps coarse operators in another,
@@ -31,7 +38,7 @@ keyed by ``(key, scale, fine_shape)``; both are guarded by one lock, so
 redrawing the same blur kernel, identity or downsampler costs no normal
 applies.  Derived handles cache nothing across objects.
 :func:`cache_stats` reports hits, misses and sizes of both caches and the
-normal applies Lanczos has made.
+Lanczos runs and the normal applies they have made.
 """
 
 from __future__ import annotations
@@ -82,9 +89,14 @@ class OperatorHandle:
     """A linear map with paired forward/adjoint application.
 
     ``exact_norm``, when the builder knows the spectral norm in closed
-    form, is a zero-argument function computing it; ``factors`` holds
-    ``(M_h, M_w)`` when the map is separable, ``X -> M_h X M_w^T`` on each
-    channel.  ``key`` is set only by the factories in :data:`KINDS`.
+    form, is a zero-argument function computing it.  ``factors``, when the
+    map is separable, ``X -> M_h X M_w^T`` on each channel, is a
+    zero-argument function returning ``(M_h, M_w)``; it builds them on
+    demand, so a handle keeps no dense matrix alive that only its norm
+    needs.  Complex factors act on the (real, imag) channel pair as one
+    complex image; real factors act on every channel alike, which is the
+    same map on a complex image.  ``key`` is set only by the factories in
+    :data:`KINDS`.
     """
 
     def __init__(self, domain_shape, range_shape, apply_fn, adjoint_fn,
@@ -171,11 +183,12 @@ class CoarseOperator(OperatorHandle):
 
 
 class OperatorKind(NamedTuple):
-    """How one factory-built kind is defined: its scalar spec fields and
-    defining arrays (serialized, and read by the content key), and a
-    builder ``(domain_shape, spec, arrays) -> OperatorHandle``."""
+    """How one factory-built kind is defined: its scalar spec fields, each
+    with its JSON type, and its defining arrays (serialized, and read by
+    the content key), and a builder ``(domain_shape, spec, arrays) ->
+    OperatorHandle``."""
 
-    spec_fields: tuple
+    spec_fields: dict
     array_names: tuple
     build: Callable
 
@@ -245,15 +258,17 @@ class _LRUCache:
 # a norm entry is a float; a coarse entry holds its base operator's arrays
 _NORMS = _LRUCache(1024)
 _COARSE = _LRUCache(128)
+_lanczos_runs = 0
 _lanczos_applies = 0
 
 
 def cache_stats() -> dict:
     """Hits, misses and entries of the norm and coarse-operator caches,
-    and the normal applies made by Lanczos, since the process started."""
+    and the Lanczos runs and the normal applies they made, since the
+    process started."""
     with _LOCK:
         return {"norm": _NORMS.stats(), "coarse": _COARSE.stats(),
-                "lanczos_applies": _lanczos_applies}
+                "lanczos_runs": _lanczos_runs, "lanczos_applies": _lanczos_applies}
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +286,7 @@ def _eye(n: int) -> np.ndarray:
 def identity_operator(shape) -> OperatorHandle:
     _, h, w = shape
     return _keyed(OperatorHandle(shape, shape, lambda x: x, lambda y: y, kind="identity",
-                                 exact_norm=lambda: 1.0, factors=(_eye(h), _eye(w))))
+                                 exact_norm=lambda: 1.0, factors=lambda: (_eye(h), _eye(w))))
 
 
 def compose(a: OperatorHandle, b: OperatorHandle, kind=None) -> OperatorHandle:
@@ -280,7 +295,8 @@ def compose(a: OperatorHandle, b: OperatorHandle, kind=None) -> OperatorHandle:
         raise ValueError(f"compose shape mismatch: {b.range_shape} vs {a.domain_shape}")
     factors = None
     if a.factors is not None and b.factors is not None:
-        factors = (a.factors[0] @ b.factors[0], a.factors[1] @ b.factors[1])
+        def factors():
+            return tuple(p @ q for p, q in zip(a.factors(), b.factors()))
     return OperatorHandle(
         b.domain_shape, a.range_shape,
         lambda x: a.apply(b.apply(x)),
@@ -307,6 +323,10 @@ def scale_operator(op: OperatorHandle, c: float) -> OperatorHandle:
 # coincide; the step cap ends such clusters.
 _NORM_STEPS = 300
 _NORM_TOL = 1e-10
+# every Lanczos run also stops once residual^2 / (theta_1 - theta_2), the
+# gap-aware bound on the top Ritz value's error, is this small relative to
+# it: the Ritz value converges well before its residual does
+_GAP_TOL = 1e-13
 
 
 def operator_norm(op: OperatorHandle, iters: int = 100, tol: float = 1e-6, seed: int = 0) -> float:
@@ -317,12 +337,13 @@ def operator_norm(op: OperatorHandle, iters: int = 100, tol: float = 1e-6, seed:
     if op.exact_norm is not None:
         return float(op.exact_norm())
     if op.factors is not None:
-        return float(np.linalg.norm(op.factors[0], 2) * np.linalg.norm(op.factors[1], 2))
+        m_h, m_w = op.factors()
+        return float(np.linalg.norm(m_h, 2) * np.linalg.norm(m_w, 2))
     return _lanczos_norm(op, iters, tol, seed)
 
 
 def _lanczos_norm(op: OperatorHandle, iters: int, tol: float, seed: int) -> float:
-    global _lanczos_applies
+    global _lanczos_runs, _lanczos_applies
     q = np.random.default_rng(seed).standard_normal(op.domain_shape).ravel()
     q /= np.linalg.norm(q)
     steps = max(1, min(iters, q.size))
@@ -330,6 +351,7 @@ def _lanczos_norm(op: OperatorHandle, iters: int, tol: float, seed: int) -> floa
     alpha = np.empty(steps)
     beta = np.empty(steps)
     theta = 0.0
+    solve_at = 8
     for k in range(steps):
         basis[k] = q
         w = op.normal(q.reshape(op.domain_shape)).ravel()
@@ -341,16 +363,21 @@ def _lanczos_norm(op: OperatorHandle, iters: int, tol: float, seed: int) -> floa
         for _ in range(2):
             w -= v.T @ (v @ w)
         beta[k] = np.linalg.norm(w)
-        # the tridiagonal eigenproblem costs O(k^3): solve it every step
-        # while the basis is small, then about every k/16 steps
-        if k < 32 or k % (k // 16) == 0 or k == steps - 1 or beta[k] == 0:
+        # the tridiagonal eigenproblem costs O(k^3): solve it on a
+        # geometric schedule, so a long run spends little on it and a
+        # run overshoots its stop by at most max(4, k / 4) steps
+        if k + 1 == solve_at or k == steps - 1 or beta[k] == 0:
+            solve_at = max(k + 5, int(1.25 * (k + 1)))
             t = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
             evals, evecs = np.linalg.eigh(t)
             theta = evals[-1]
-            if beta[k] * abs(evecs[-1, -1]) <= tol * theta:
+            res = beta[k] * abs(evecs[-1, -1])
+            gap = theta - evals[-2] if k else 0.0
+            if res <= tol * theta or res * res <= _GAP_TOL * theta * gap:
                 break
         q = w / beta[k]
     with _LOCK:
+        _lanczos_runs += 1
         _lanczos_applies += k + 1
     return float(np.sqrt(max(theta, 0.0)))
 
@@ -485,7 +512,7 @@ def make_blur(kernel: BlurKernel, image_shape) -> OperatorHandle:
     return _keyed(OperatorHandle(
         image_shape, (c, hout, wout), apply_fn, adjoint_fn,
         kind="blur", arrays={"kernel": k},
-        factors=(bh[0], cw[0]) if rank == 1 else None,
+        factors=(lambda: (b_tall_t.T, cw[0])) if rank == 1 else None,
     ))
 
 
@@ -570,9 +597,23 @@ def make_mri_mask(image_shape, acceleration: int, center_fraction: float = 0.08,
     return np.broadcast_to(lines[:, None], (h, w)).astype(np.float64).copy()
 
 
+@functools.lru_cache(maxsize=64)
+def _dft_matrix(n: int) -> np.ndarray:
+    """Orthonormal DFT matrix of size n, exp(-2 pi i k j / n) / sqrt(n),
+    the phase reduced modulo n in integers so large n keeps full
+    precision.  Memoised, so the result is read-only."""
+    k = np.arange(n)
+    mat = np.exp(-2j * np.pi / n * (np.outer(k, k) % n)) / np.sqrt(n)
+    mat.setflags(write=False)
+    return mat
+
+
 def make_mri(mask: np.ndarray, image_shape) -> OperatorHandle:
     """Single-coil MRI: y = diag(m) F x with unitary F, on 2-channel
-    (real, imag) images."""
+    (real, imag) images.  A row mask (every column equal, as
+    :func:`make_mri_mask` draws) makes the map separable on the complex
+    image, ``Z -> diag(m_h) F_h Z F_w^T``, and the handle carries those
+    complex factors."""
     c, h, w = image_shape
     if c != 2:
         raise ValueError("MRI expects a 2-channel (real, imag) image")
@@ -586,9 +627,13 @@ def make_mri(mask: np.ndarray, image_shape) -> OperatorHandle:
     def adjoint_fn(y):
         return _from_complex(np.fft.ifft2(mask * _to_complex(y), norm="ortho"))
 
+    def factors():
+        return mask[:, :1] * _dft_matrix(h), _dft_matrix(w)
+
     return _keyed(OperatorHandle(
         image_shape, image_shape, apply_fn, adjoint_fn,
         kind="mri", arrays={"mask": mask}, exact_norm=lambda: float(np.abs(mask).max()),
+        factors=factors if np.all(mask == mask[:, :1]) else None,
     ))
 
 
@@ -657,7 +702,7 @@ def _line_mask_multicoil_norm(lines: np.ndarray, smaps_c: np.ndarray) -> float:
     the norm is the largest top eigenvalue over W small Hermitian blocks.
     Lanczos needs hundreds of steps here: the columns' top eigenvalues
     cluster within 1e-7 of each other."""
-    f = np.fft.fft(np.eye(lines.size), norm="ortho")
+    f = _dft_matrix(lines.size)
     p = f.conj().T @ ((lines ** 2)[:, None] * f)
     top = 0.0
     for j in range(smaps_c.shape[2]):
@@ -784,8 +829,8 @@ def make_downsampling(factor: int, filt: str, image_shape) -> OperatorHandle:
 
     return _keyed(OperatorHandle(
         image_shape, (c, h // factor, w // factor), apply_fn, adjoint_fn,
-        kind="downsampling", spec={"kind": "downsampling", "factor": factor, "filter": filt},
-        factors=(dh, dw),
+        kind="downsampling", spec={"kind": "downsampling", "factor": int(factor), "filter": filt},
+        factors=lambda: (dh, dw),
     ))
 
 
@@ -896,7 +941,7 @@ def make_upsampler(scale: int, coarse_shape, beta: float = 8.0, taps: int = 8) -
 
     return OperatorHandle(
         coarse_shape, (c, h * f, w * f), apply_fn, adjoint_fn,
-        kind="upsampler", spec={"kind": "upsampler", "scale": scale}, factors=(uh, uw),
+        kind="upsampler", spec={"kind": "upsampler", "scale": scale}, factors=lambda: (uh, uw),
     )
 
 
@@ -954,7 +999,7 @@ def _crop_op(fine_shape, target_shape) -> OperatorHandle:
         return out
 
     return OperatorHandle(fine_shape, target_shape, apply_fn, adjoint_fn, kind="crop",
-                          factors=(_eye(fh)[t0:t0 + th], _eye(fw)[l0:l0 + tw]))
+                          factors=lambda: (_eye(fh)[t0:t0 + th], _eye(fw)[l0:l0 + tw]))
 
 
 # ---------------------------------------------------------------------------
@@ -963,28 +1008,28 @@ def _crop_op(fine_shape, target_shape) -> OperatorHandle:
 
 
 KINDS = {
-    "identity": OperatorKind((), (), lambda shape, spec, arrays: identity_operator(shape)),
+    "identity": OperatorKind({}, (), lambda shape, spec, arrays: identity_operator(shape)),
     "blur": OperatorKind(
-        (), ("kernel",),
+        {}, ("kernel",),
         lambda shape, spec, arrays: make_blur(BlurKernel(arrays["kernel"]), shape)),
     "inpainting": OperatorKind(
-        (), ("mask",), lambda shape, spec, arrays: make_inpainting(arrays["mask"])),
+        {}, ("mask",), lambda shape, spec, arrays: make_inpainting(arrays["mask"])),
     "mri": OperatorKind(
-        (), ("mask",), lambda shape, spec, arrays: make_mri(arrays["mask"], shape)),
+        {}, ("mask",), lambda shape, spec, arrays: make_mri(arrays["mask"], shape)),
     "multicoil_mri": OperatorKind(
-        (), ("mask", "smaps"),
+        {}, ("mask", "smaps"),
         lambda shape, spec, arrays: make_multicoil_mri(arrays["mask"], arrays["smaps"], shape)),
     "ct": OperatorKind(
-        ("num_angles",), (),
-        lambda shape, spec, arrays: make_ct_radon(int(spec["num_angles"]), shape)),
+        {"num_angles": int}, (),
+        lambda shape, spec, arrays: make_ct_radon(spec["num_angles"], shape)),
     "downsampling": OperatorKind(
-        ("factor", "filter"), (),
-        lambda shape, spec, arrays: make_downsampling(int(spec["factor"]), spec["filter"], shape)),
+        {"factor": int, "filter": str}, (),
+        lambda shape, spec, arrays: make_downsampling(spec["factor"], spec["filter"], shape)),
     "compressed_sensing": OperatorKind(
-        (), ("sign_mask", "keep_indices"),
+        {}, ("sign_mask", "keep_indices"),
         lambda shape, spec, arrays: make_compressed_sensing(
             arrays["sign_mask"], np.asarray(arrays["keep_indices"], dtype=np.int64), shape)),
-    "demosaic": OperatorKind((), (), lambda shape, spec, arrays: make_demosaic(shape)),
+    "demosaic": OperatorKind({}, (), lambda shape, spec, arrays: make_demosaic(shape)),
 }
 
 

@@ -45,13 +45,31 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_object(value, what: str) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+
+
 def operator_from_spec(spec: dict, arrays: dict | None = None) -> ops.OperatorHandle:
-    """Build the operator a spec and its arrays define.  ``domain_shape``
-    must be three positive integers and match the shape the arrays give."""
+    """Build the operator a spec and its arrays define.  The spec holds
+    exactly ``kind`` (a name in :data:`operators.KINDS`), ``domain_shape``
+    (three positive integers, matching the shape the arrays give) and that
+    kind's spec fields, each of its type; anything else is a ValueError."""
     arrays = arrays or {}
-    kind = ops.KINDS.get(spec["kind"])
-    if kind is None:
-        raise ValueError(f"unknown operator kind {spec['kind']!r}")
+    _check_object(spec, "operator")
+    kind_name = spec.get("kind")
+    if not (isinstance(kind_name, str) and kind_name in ops.KINDS):
+        raise ValueError(f"unknown operator kind {kind_name!r}")
+    kind = ops.KINDS[kind_name]
+    fields = {"kind", "domain_shape", *kind.spec_fields}
+    if set(spec) != fields:
+        raise ValueError(f"{kind_name} operator fields must be {sorted(fields)}, "
+                         f"got {sorted(spec)}")
+    for field, typ in kind.spec_fields.items():
+        value = spec[field]
+        if not isinstance(value, typ) or isinstance(value, bool):
+            raise ValueError(f"{kind_name} operator field {field!r} must be of type "
+                             f"{typ.__name__}, got {value!r}")
     shape = spec["domain_shape"]
     if not (isinstance(shape, (list, tuple)) and len(shape) == 3
             and all(_is_int(n) and n > 0 for n in shape)):
@@ -89,6 +107,10 @@ def load_instance(path) -> ProblemInstance:
     path = str(path)
     with open(path) as fh:
         manifest = json.load(fh)
+    _check_object(manifest, "manifest")
+    _check_object(manifest.get("noise"), "noise")
+    if not isinstance(manifest.get("data"), str):
+        raise ValueError(f"data must be a file name, got {manifest.get('data')!r}")
     data_path = os.path.join(os.path.dirname(path) or ".", manifest["data"])
     entries = tnsr.load_tensors(data_path)
     op = operator_from_spec(manifest["operator"], entries)

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import reconkit
 from reconkit import cli, tnsr
+from reconkit import operators as ops
 from reconkit.model import RamConfig, RamModel
-from reconkit.problem import load_instance
+from reconkit.noise import NoiseParams
+from reconkit.problem import ProblemInstance, load_instance, save_instance
 
 TINY = RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=1,
                  head_channels=(1,), seed=0)
@@ -143,24 +149,51 @@ class TestReconstructAndUq:
                          "--instance", str(inst),
                          "--out", str(tmp_path / "x.tnsr")]) == 3
 
-    @pytest.mark.parametrize("path,value", [
-        (("operator", "domain_shape"), [1, 16]),
-        (("operator", "domain_shape"), [1, 16.5, 16]),
-        (("operator", "domain_shape"), [2, 16, 16]),
-        (("seed",), -1),
-        (("seed",), None),
-        (("operator", "domain_shape"), None),
-        (("noise", "sigma"), None),
+    def instance(self, tmp_path, clean_image, task):
+        """A simulated instance, or for CT (no built-in task) one saved
+        directly."""
+        if task != "ct":
+            return self.simulate(tmp_path, clean_image, task)
+        _, x = clean_image
+        op = ops.make_ct_radon(4, x.shape)
+        inst = tmp_path / "inst.json"
+        save_instance(inst, ProblemInstance(op=op, y=op.apply(x), noise=NoiseParams(0.01), x=x))
+        return inst
+
+    @pytest.mark.parametrize("task,path,value", [
+        ("inpainting", ("operator", "domain_shape"), [1, 16]),
+        ("inpainting", ("operator", "domain_shape"), [1, 16.5, 16]),
+        ("inpainting", ("operator", "domain_shape"), [2, 16, 16]),
+        ("inpainting", ("seed",), -1),
+        ("inpainting", ("seed",), None),
+        ("inpainting", ("operator", "domain_shape"), None),
+        ("inpainting", ("noise", "sigma"), None),
+        ("ct", ("operator", "num_angles"), None),
+        ("ct", ("operator", "num_angles"), "4"),
+        ("ct", ("operator", "num_angles"), 0),
+        ("downsampling", ("operator", "factor"), None),
+        ("downsampling", ("operator", "filter"), 2),
+        ("inpainting", ("operator", "kind"), ["x"]),
+        ("inpainting", ("operator", "extra"), 1),
+        ("inpainting", ("operator",), "blur"),
+        ("inpainting", ("data",), None),
+        ("inpainting", ("noise",), None),
+        ("inpainting", (), ["inst.tnsr"]),
     ], ids=["shape_rank2", "shape_float", "shape_mismatch", "seed_negative", "seed_null",
-            "shape_null", "sigma_null"])
+            "shape_null", "sigma_null", "angles_null", "angles_string", "angles_zero",
+            "factor_null", "filter_int", "kind_list", "extra_field", "operator_string",
+            "data_null", "noise_null", "top_level_list"])
     def test_malformed_manifest_exit_2(self, tmp_path, clean_image, tiny_ckpt, capsys,
-                                       path, value):
-        inst = self.simulate(tmp_path, clean_image)
+                                       task, path, value):
+        inst = self.instance(tmp_path, clean_image, task)
         manifest = json.loads(inst.read_text())
-        node = manifest
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        if path:
+            node = manifest
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        else:
+            manifest = value
         inst.write_text(json.dumps(manifest))
         capsys.readouterr()
         assert cli.main(["reconstruct", "--model", str(tiny_ckpt), "--instance", str(inst),
@@ -242,3 +275,14 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "adjoint-blur: ok" in out
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # importing scipy.linalg adds about a quarter second to every command's
+    # start-up; nothing the CLI reaches needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reconkit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, reconkit.cli; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -565,7 +565,10 @@ def model_kinds(n):
 @pytest.mark.parametrize("kind", sorted(model_kinds(16)))
 def test_unit_norm_against_dense_svd(kind, n):
     op = model_kinds(n)[kind]
-    for unit in (ops.normalize(op), ops.make_coarse(op, 0), ops.make_coarse(op, 1)):
+    c, h, w = op.domain_shape
+    padded = ops.make_coarse(op, 1, (c, h + 4, w + 4))  # fine grid 2 px larger per side
+    for unit in (ops.normalize(op), ops.make_coarse(op, 0), ops.make_coarse(op, 1),
+                 ops.make_coarse(op, 2), padded):
         gap = abs(dense_norm(unit) - 1.0)
         assert gap < 1e-12, f"{kind} {n}: {unit.kind} {unit.domain_shape} gap {gap:.1e}"
 
@@ -630,7 +633,7 @@ def closed_form_operators(draw):
     choice = draw(st.sampled_from(["identity", "inpainting", "mri", "compressed_sensing",
                                    "demosaic", "multicoil_mri", "downsampling", "upsampler",
                                    "identity*upsampler", "downsampling*upsampler", "crop",
-                                   "gaussian_blur"]))
+                                   "gaussian_blur", "mri*upsampler", "mri*crop"]))
     mask = ops.make_bernoulli_mask((1, n, n), keep_prob, seed=seed)
     if choice == "identity":
         return ops.identity_operator(shape)
@@ -639,6 +642,13 @@ def closed_form_operators(draw):
                                                            per_channel=True))
     if choice == "mri":
         return ops.make_mri(mask[0], (2, n, n))
+    if choice in ("mri*upsampler", "mri*crop"):
+        # a row mask, so the handle carries complex factors
+        mri = ops.make_mri(ops.make_mri_mask((2, n, n), draw(st.sampled_from([1, 2, 4])),
+                                             seed=seed), (2, n, n))
+        if choice == "mri*upsampler":
+            return ops.compose(mri, ops.make_upsampler(1, (2, n // 2, n // 2)))
+        return ops.compose(mri, ops._crop_op((2, n + 2, n + 4), (2, n, n)))
     if choice == "compressed_sensing":
         sign, _ = ops.make_cs_pattern(shape, 1, seed=seed)
         return ops.make_compressed_sensing(sign, np.flatnonzero(mask), shape)
@@ -673,6 +683,29 @@ def test_closed_form_norms_match_dense_svd(op):
     assert abs(ops.operator_norm(op) - dense_norm(op)) <= 1e-12 * max(1.0, dense_norm(op))
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["inpainting", "compressed_sensing", "mri"]),
+       n=st.sampled_from([8, 12, 16]), scale=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 20), keep=st.floats(0.2, 0.8))
+def test_lanczos_norms_match_dense_svd(kind, n, scale, seed, keep):
+    """Fresh coarse operators that take Lanczos, gap-aware stop included."""
+    assume(n % 2 ** scale == 0)
+    mask = ops.make_bernoulli_mask((1, n, n), keep, seed=seed)
+    if kind == "inpainting":
+        op = ops.make_inpainting(mask)
+    elif kind == "compressed_sensing":
+        sign, keep_idx = ops.make_cs_pattern((1, n, n), 4, seed=seed)
+        op = ops.make_compressed_sensing(sign, keep_idx, (1, n, n))
+    else:
+        assume(not np.all(mask[0] == mask[0, :, :1]))  # not a row mask
+        op = ops.make_mri(mask[0], (2, n, n))
+    c = op.domain_shape[0]
+    inner = ops.compose(op, ops.make_upsampler(scale, (c, n >> scale, n >> scale)))
+    assert inner.exact_norm is None and inner.factors is None
+    dense = dense_norm(inner)
+    assert abs(inner.norm() - dense) <= 1e-12 * dense
+
+
 class TestCaches:
     def test_stats_count_hits_misses_and_lanczos(self):
         kernel = ops.make_motion_kernel(0.7, 0.4, 5, seed=424242)
@@ -688,9 +721,25 @@ class TestCaches:
         assert mid["norm"]["misses"] - before["norm"]["misses"] == 1
         assert mid["coarse"]["misses"] - before["coarse"]["misses"] == 1
         assert mid["lanczos_applies"] > before["lanczos_applies"]
+        assert mid["lanczos_runs"] > before["lanczos_runs"]
         assert after["norm"]["hits"] - mid["norm"]["hits"] == 1
         assert after["coarse"]["hits"] - mid["coarse"]["hits"] == 1
         assert after["lanczos_applies"] == mid["lanczos_applies"]
+        assert after["lanczos_runs"] == mid["lanczos_runs"]
+
+    def test_row_mask_mri_ladder_runs_no_lanczos(self):
+        cplx = (2, 16, 16)
+        before = ops.cache_stats()
+        row = ops.make_mri(ops.make_mri_mask(cplx, 4, seed=313131), cplx)
+        for scale in range(3):
+            ops.make_coarse(row, scale)
+        mid = ops.cache_stats()
+        assert mid["lanczos_runs"] == before["lanczos_runs"]
+        assert mid["lanczos_applies"] == before["lanczos_applies"]
+        bernoulli = ops.make_mri(ops.make_bernoulli_mask((1, 16, 16), 0.5, seed=313131)[0], cplx)
+        for scale in range(3):
+            ops.make_coarse(bernoulli, scale)
+        assert ops.cache_stats()["lanczos_runs"] > mid["lanczos_runs"]
 
     def test_defining_arrays_are_private(self):
         # a caller editing its mask afterwards must not change the
