@@ -18,6 +18,7 @@ import numpy as np
 from . import operators as ops
 from . import tnsr
 from . import train as tr
+from .config import read_config
 from .metrics import psnr, ssim
 from .model import RamConfig, RamModel
 from .noise import NoiseParams, sample_noise, sample_params
@@ -121,10 +122,9 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     with open(args.config) as fh:
         cfg_doc = json.load(fh)
-    model_cfg = dict(cfg_doc.get("model", {}))
-    if "head_channels" in model_cfg:
-        model_cfg["head_channels"] = tuple(model_cfg["head_channels"])
-    model = RamModel(RamConfig(**model_cfg))
+    if not isinstance(cfg_doc, dict):
+        raise DataError(f"train config must be an object, got {type(cfg_doc).__name__}")
+    model = RamModel(read_config(RamConfig, cfg_doc.get("model", {}), "model config"))
     tasks = [tr.TaskSpec.from_dict(d) for d in cfg_doc["tasks"]]
     train_cfg = tr.TrainConfig.from_dict(cfg_doc.get("train", {}))
     ds = cfg_doc.get("dataset", {"kind": "piecewise-constant", "count": 50,
@@ -380,7 +380,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (DataError, OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, FloatingPointError, np.linalg.LinAlgError, RuntimeError) as e:

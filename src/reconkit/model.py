@@ -12,13 +12,13 @@ R(a y, A, a sigma, a gamma) == a R(y, A, sigma, gamma) for a > 0.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from . import tnsr
+from .config import config_dict, read_config
 from .noise import NoiseParams
 from .operators import OperatorHandle, make_coarse, normalize
 from .solvers import lambda_schedule, prox_estimate_graph
@@ -50,37 +50,19 @@ class RamConfig:
             raise ValueError("ksm_kernel_size must be 1 or 3")
 
     def to_entries(self) -> dict:
-        out = {
-            "config.num_scales": np.array(float(self.num_scales)),
-            "config.base_width": np.array(float(self.base_width)),
-            "config.blocks": np.array(float(self.blocks)),
-            "config.krylov_depth": np.array(float(self.krylov_depth)),
-            "config.cg_iters": np.array(float(self.cg_iters)),
-            "config.cg_tol": np.array(self.cg_tol),
-            "config.eta_init": np.array(self.eta_init),
-            "config.ksm_kernel_size": np.array(float(self.ksm_kernel_size)),
-            "config.seed": np.array(float(self.seed)),
-            "config.head_channels": np.array(self.head_channels, dtype=np.float64),
-        }
-        return out
+        return {f"config.{k}": np.array(v, dtype=np.float64) for k, v in config_dict(self).items()}
 
     @classmethod
     def from_entries(cls, entries: dict) -> "RamConfig":
-        def scalar(name):
-            return float(np.asarray(entries[name]).reshape(-1)[0])
+        def value(name, default):
+            arr = np.asarray(entries[f"config.{name}"]).reshape(-1)
+            if isinstance(default, float):
+                return float(arr[0])
+            ints = tuple(int(v) for v in arr)
+            return ints if isinstance(default, tuple) else ints[0]
 
-        return cls(
-            num_scales=int(scalar("config.num_scales")),
-            base_width=int(scalar("config.base_width")),
-            blocks=int(scalar("config.blocks")),
-            krylov_depth=int(scalar("config.krylov_depth")),
-            head_channels=tuple(int(v) for v in np.asarray(entries["config.head_channels"]).reshape(-1)),
-            cg_iters=int(scalar("config.cg_iters")),
-            cg_tol=scalar("config.cg_tol"),
-            eta_init=scalar("config.eta_init"),
-            ksm_kernel_size=int(scalar("config.ksm_kernel_size")),
-            seed=int(scalar("config.seed")),
-        )
+        return read_config(cls, {k: value(k, v) for k, v in config_dict(cls()).items()},
+                           "checkpoint config")
 
 
 def _he_init(rng, shape):
@@ -101,7 +83,6 @@ class RamModel:
     def __init__(self, config: RamConfig = RamConfig()):
         self.config = config
         self.eval_count = 0
-        self._count_lock = threading.Lock()
         self._params: dict[str, T.Parameter] = {}
         rng = np.random.default_rng(config.seed)
         w0 = config.base_width
@@ -195,8 +176,7 @@ class RamModel:
 
     def forward(self, y, op: OperatorHandle, noise: NoiseParams) -> T.Tensor:
         """Reconstruct from measurement ``y`` (array or graph tensor)."""
-        with self._count_lock:  # bootstrap replicates may run in threads
-            self.eval_count += 1
+        self.eval_count += 1
         cfg = self.config
         c, h, w = op.domain_shape
         self.select_head(c)

@@ -55,7 +55,6 @@ import scipy.sparse
 __all__ = [
     "OperatorHandle",
     "BlurKernel",
-    "CoarseOperator",
     "OperatorKind",
     "KINDS",
     "identity_operator",
@@ -165,16 +164,6 @@ class BlurKernel:
     @property
     def size(self) -> int:
         return self.array.shape[0]
-
-
-class CoarseOperator(OperatorHandle):
-    """Forward operator preceded by sinc upsampling, normalized to unit
-    norm."""
-
-    def __init__(self, base, scale, **kw):
-        super().__init__(**kw)
-        self.base = base
-        self.scale = scale
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +934,7 @@ def make_upsampler(scale: int, coarse_shape, beta: float = 8.0, taps: int = 8) -
     )
 
 
-def make_coarse(op: OperatorHandle, scale: int, fine_shape=None) -> CoarseOperator:
+def make_coarse(op: OperatorHandle, scale: int, fine_shape=None) -> OperatorHandle:
     """Coarse-grid variant of ``op`` at dyadic scale ``scale``: op composed
     with a Kaiser-sinc upsampler (cropping if the working fine grid is
     padded beyond the operator's domain), normalized to unit norm.  For a
@@ -969,14 +958,8 @@ def make_coarse(op: OperatorHandle, scale: int, fine_shape=None) -> CoarseOperat
     inner = op if fine_shape == op.domain_shape else compose(op, _crop_op(fine_shape, op.domain_shape))
     if scale > 0:
         inner = compose(inner, make_upsampler(scale, (c, fh // f, fw // f)))
-    scaled = normalize(inner)
-    out = CoarseOperator(
-        base=op, scale=scale,
-        domain_shape=scaled.domain_shape, range_shape=scaled.range_shape,
-        apply_fn=scaled.apply, adjoint_fn=scaled.adjoint,
-        kind=f"coarse[{op.kind}]",
-    )
-    out.norm_estimate = 1.0
+    out = normalize(inner)
+    out.kind = f"coarse[{op.kind}]"
     return out if key is None else _COARSE.put(key, out)
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import config_dict, read_config
 from .metrics import psnr
 from .operators import OperatorHandle
 from .problem import ProblemInstance
@@ -221,16 +222,11 @@ class FinetuneConfig:
             raise ValueError(f"unknown null_loss {self.null_loss!r}")
 
     def to_dict(self) -> dict:
-        return {"mc_loss": self.mc_loss, "null_loss": self.null_loss,
-                "omega": self.omega, "probes": self.probes,
-                "keep_prob": self.keep_prob, "max_shift_frac": self.max_shift_frac,
-                "steps": self.steps, "lr": self.lr, "seed": self.seed,
-                "oracle_selection": self.oracle_selection}
+        return config_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FinetuneConfig":
-        base = cls()
-        return cls(**{k: d.get(k, getattr(base, k)) for k in base.to_dict()})
+        return read_config(cls, d, "finetune config")
 
 
 def finetune(model, instances: list, cfg: FinetuneConfig,

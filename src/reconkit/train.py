@@ -10,6 +10,7 @@ import numpy as np
 
 from . import operators as ops
 from . import tensor as T
+from .config import config_dict, read_config
 from .metrics import psnr
 from .noise import NoiseParams, sample_noise, sample_params
 from .problem import ProblemInstance
@@ -84,8 +85,9 @@ class TrainConfig:
     sigma_floor: float = 1e-3
     seed: int = 0
     log_every: int = 50
-    log_path: object = None
-    checkpoint_path: object = None
+    # output paths: set by the caller, never read from a config file
+    log_path: object = field(default=None, init=False)
+    checkpoint_path: object = field(default=None, init=False)
     checkpoint_every: int = 500
 
     def __post_init__(self):
@@ -96,16 +98,11 @@ class TrainConfig:
             raise ValueError("config values must be positive")
 
     def to_dict(self) -> dict:
-        return {"steps": self.steps, "batch_size": self.batch_size, "lr": self.lr,
-                "lr_decay_step": self.lr_decay_step, "patch_size": self.patch_size,
-                "sigma_floor": self.sigma_floor, "seed": self.seed,
-                "log_every": self.log_every}
+        return config_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        base = cls()
-        kw = {k: d.get(k, getattr(base, k)) for k in base.to_dict()}
-        return cls(**kw)
+        return read_config(cls, d, "train config")
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ estimates the reconstruction error without ground truth.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +16,13 @@ from .problem import ProblemInstance
 from .selfsup import TransformGroup
 
 __all__ = ["BootstrapSample", "equivariant_bootstrap", "pixelwise_errors",
-           "coverage_curve", "thread_count"]
+           "coverage_curve"]
 
 
 @dataclass
 class BootstrapSample:
     replicates: np.ndarray          # (N, C, H, W)
     base: np.ndarray                # (C, H, W)
-    transforms: list = field(default_factory=list)
     seed: int = 0
 
     def __post_init__(self):
@@ -35,41 +32,20 @@ class BootstrapSample:
             raise ValueError("replicates must share the base reconstruction's shape")
 
 
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("RECONKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _one_replicate(model, inst: ProblemInstance, group: TransformGroup,
-                   base: np.ndarray, seed: int, i: int):
-    t = group.sample(inst.op.domain_shape, seed=[seed, i, 0])
-    tx = t.forward_np(base)
-    clean = inst.op.apply(tx)
-    y_boot, _ = sample_noise(clean, inst.noise, seed=[seed, i, 1])
-    rec = model.reconstruct(y_boot, inst.op, inst.noise)
-    return t.inverse_np(rec), t
-
-
 def equivariant_bootstrap(model, inst: ProblemInstance, group: TransformGroup,
                           n: int, seed: int = 0) -> BootstrapSample:
     """Draw ``n`` bootstrap replicates with exactly n + 1 model
-    evaluations.  Replicate i depends only on (seed, i), so results are
-    identical under any RECONKIT_THREADS setting."""
+    evaluations.  Replicate i depends only on (seed, i)."""
     if n < 1:
         raise ValueError("need at least one replicate")
     base = model.reconstruct(inst.y, inst.op, inst.noise)
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda i: _one_replicate(model, inst, group, base, seed, i), range(n)))
-    else:
-        results = [_one_replicate(model, inst, group, base, seed, i) for i in range(n)]
-    reps = np.stack([r[0] for r in results])
-    return BootstrapSample(replicates=reps, base=base,
-                           transforms=[r[1] for r in results], seed=seed)
+    reps = []
+    for i in range(n):
+        t = group.sample(inst.op.domain_shape, seed=[seed, i, 0])
+        clean = inst.op.apply(t.forward_np(base))
+        y_boot, _ = sample_noise(clean, inst.noise, seed=[seed, i, 1])
+        reps.append(t.inverse_np(model.reconstruct(y_boot, inst.op, inst.noise)))
+    return BootstrapSample(replicates=np.stack(reps), base=base, seed=seed)
 
 
 def pixelwise_errors(sample: BootstrapSample) -> np.ndarray:

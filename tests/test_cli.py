@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reconkit
 from reconkit import cli, tnsr
@@ -62,6 +69,9 @@ class TestEval:
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["eval", "--pred", str(tmp_path / "no.tnsr"),
                          "--ref", str(tmp_path / "no.tnsr")]) == 2
+
+    def test_directory_path_exit_2(self, tmp_path):
+        assert cli.main(["eval", "--pred", str(tmp_path), "--ref", str(tmp_path)]) == 2
 
 
 class TestUsageErrors:
@@ -177,12 +187,13 @@ class TestReconstructAndUq:
         ("inpainting", ("operator", "extra"), 1),
         ("inpainting", ("operator",), "blur"),
         ("inpainting", ("data",), None),
+        ("inpainting", ("data",), ""),
         ("inpainting", ("noise",), None),
         ("inpainting", (), ["inst.tnsr"]),
     ], ids=["shape_rank2", "shape_float", "shape_mismatch", "seed_negative", "seed_null",
             "shape_null", "sigma_null", "angles_null", "angles_string", "angles_zero",
             "factor_null", "filter_int", "kind_list", "extra_field", "operator_string",
-            "data_null", "noise_null", "top_level_list"])
+            "data_null", "data_empty", "noise_null", "top_level_list"])
     def test_malformed_manifest_exit_2(self, tmp_path, clean_image, tiny_ckpt, capsys,
                                        task, path, value):
         inst = self.instance(tmp_path, clean_image, task)
@@ -269,6 +280,67 @@ class TestTrainFinetunePipeline:
                          "--data", str(data_dir), "--out", str(tmp_path / "o.tnsr")]) == 2
 
 
+TRAIN_DOC = {"model": {"num_scales": 1, "base_width": 4, "blocks": 1, "krylov_depth": 1,
+                       "head_channels": [1], "seed": 1},
+             "tasks": [{"name": "den", "kind": "identity", "sigma_range": 0.1}],
+             "train": {"steps": 1, "batch_size": 1, "patch_size": 16, "lr_decay_step": 1,
+                       "log_every": 1, "seed": 2},
+             "dataset": {"kind": "piecewise-constant", "count": 2, "shape": [1, 16, 16],
+                         "seed": 3}}
+
+
+class TestConfigFiles:
+    """A malformed config file exits 2 with an error line: no traceback, and
+    no key silently dropped."""
+
+    @pytest.mark.parametrize("doc", [
+        ["steps", 1],
+        {"steps": 1, "omgea": 0.2},
+        {"steps": "2"},
+        {"steps": 1, "omega": None},
+        {"steps": 1, "oracle_selection": 1},
+    ], ids=["list", "misspelled_key", "steps_string", "omega_null", "flag_int"])
+    def test_malformed_finetune_config_exit_2(self, tmp_path, clean_image, tiny_ckpt,
+                                              capsys, doc):
+        p, _ = clean_image
+        data_dir = tmp_path / "meas"
+        data_dir.mkdir()
+        assert cli.main(["simulate", "--task", "denoising", "--in", str(p),
+                         "--out", str(data_dir / "m0.json"), "--seed", "5"]) == 0
+        ft_cfg = tmp_path / "ft.json"
+        ft_cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["finetune", "--config", str(ft_cfg), "--model", str(tiny_ckpt),
+                         "--data", str(data_dir), "--out", str(tmp_path / "o.tnsr")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "widht", 4),
+        ("model", "num_scales", "2"),
+        ("model", "head_channels", [1, True]),
+        ("model", "cg_tol", 10 ** 400),
+        ("train", "steps", "1"),
+        ("train", "lr", True),
+        ("train", "log_path", "log.csv"),
+        (None, None, [TRAIN_DOC]),
+    ], ids=["model_unknown_key", "model_scales_string", "model_head_bool", "model_tol_huge",
+            "train_steps_string", "train_lr_bool", "train_log_path", "top_level_list"])
+    def test_malformed_train_config_exit_2(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(json.dumps(TRAIN_DOC))
+        if section is None:
+            doc = value
+        else:
+            doc[section][key] = value
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "ckpt.tnsr")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestSelftest:
     def test_runs_clean(self, capsys):
         assert cli.main(["selftest"]) == 0
@@ -286,3 +358,105 @@ def test_cli_import_leaves_scipy_linalg_out():
         [sys.executable, "-c", "import sys, reconkit.cli; print('scipy.linalg' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs at the command-line boundary
+# ---------------------------------------------------------------------------
+
+FUZZ_TASKS = ("inpainting", "blur", "downsampling")
+
+# data file names that resolve to a directory or to another file of the example
+FILE_NAMES = st.sampled_from(["", ".", "..", "x.tnsr", "model.tnsr", "s.json"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 40, 2 ** 40) | st.floats() | st.text(max_size=4)
+    | FILE_NAMES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A tiny checkpoint, a clean 16x16 image and one simulated instance
+    per task, written once; each example mutates copies of them."""
+    d = tmp_path_factory.mktemp("fuzz")
+    RamModel(TINY).save_checkpoint(d / "model.tnsr")
+    tnsr.save_tensors(d / "x.tnsr", {"x": np.random.default_rng(0).random((1, 16, 16))})
+    for task in FUZZ_TASKS:
+        assert cli.main(["simulate", "--task", task, "--in", str(d / "x.tnsr"),
+                         "--out", str(d / f"{task}.json"), "--seed", "3"]) == 0
+    return d
+
+
+def _json_paths(node, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        yield from _json_paths(v, prefix + (k,))
+
+
+def _mutate_manifest(path, data):
+    doc = json.loads(path.read_text())
+    where = data.draw(st.sampled_from(list(_json_paths(doc))))
+    if not where:
+        doc = data.draw(JSON_VALUES)
+    else:
+        parent = doc
+        for k in where[:-1]:
+            parent = parent[k]
+        if data.draw(st.booleans()):
+            parent[where[-1]] = data.draw(JSON_VALUES)
+        else:
+            del parent[where[-1]]
+    path.write_text(json.dumps(doc))
+
+
+def _mutate_bytes(path, data):
+    """Truncate the file or flip one byte, most often in the leading header."""
+    raw = bytearray(path.read_bytes())
+    pos = data.draw(st.integers(0, 63) | st.integers(0, len(raw) - 1))
+    if data.draw(st.booleans()):
+        del raw[pos:]
+    else:
+        raw[pos] ^= data.draw(st.integers(1, 255))
+    path.write_bytes(bytes(raw))
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=st.sampled_from(FUZZ_TASKS),
+       target=st.sampled_from(["manifest", "data_name", "data", "image"]), data=st.data())
+def test_fuzzed_inputs_exit_cleanly(fuzz_inputs, task, target, data):
+    """simulate, reconstruct, eval and uq on a mutated manifest (any field,
+    or the data file name), TNSR data file or image exit 0, 2 or 3, and every failure prints an error line;
+    an exception escaping ``cli.main`` fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = os.path.join(tmp, "w")
+        shutil.copytree(fuzz_inputs, work)
+        image = os.path.join(work, "x.tnsr")
+        inst = os.path.join(work, f"{task}.json")
+        if target == "manifest":
+            _mutate_manifest(pathlib.Path(inst), data)
+        elif target == "data_name":
+            doc = json.loads(pathlib.Path(inst).read_text())
+            doc["data"] = data.draw(FILE_NAMES)
+            pathlib.Path(inst).write_text(json.dumps(doc))
+        else:
+            _mutate_bytes(pathlib.Path(work, f"{task}.tnsr" if target == "data" else "x.tnsr"), data)
+        xhat = os.path.join(work, "xhat.tnsr")
+        commands = [
+            ["simulate", "--task", task, "--in", image, "--out", os.path.join(work, "s.json")],
+            ["reconstruct", "--model", os.path.join(work, "model.tnsr"), "--instance", inst,
+             "--out", xhat],
+            ["eval", "--pred", xhat, "--ref", image],
+            ["uq", "--model", os.path.join(work, "model.tnsr"), "--instance", inst,
+             "--samples", "2", "--out", os.path.join(work, "err.tnsr")],
+        ]
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2, 3), (argv[0], code)
+            assert code == 0 or err.getvalue().startswith("error: "), (argv[0], err.getvalue())

@@ -231,3 +231,8 @@ class TestTrainLoop:
         assert tr.TaskSpec.from_dict(task.to_dict()) == task
         cfg = tr.TrainConfig(steps=7, lr=3e-4)
         assert tr.TrainConfig.from_dict(cfg.to_dict()) == tr.TrainConfig(steps=7, lr=3e-4)
+
+    def test_checkpoint_every_round_trips(self):
+        assert tr.TrainConfig.from_dict({"checkpoint_every": 7}).checkpoint_every == 7
+        cfg = tr.TrainConfig(steps=9, checkpoint_every=3)
+        assert tr.TrainConfig.from_dict(cfg.to_dict()) == cfg

@@ -64,17 +64,10 @@ class TestBootstrap:
         long = uq.equivariant_bootstrap(ShrinkageModel(0.8), inst, group, n=8, seed=8)
         assert np.array_equal(short.replicates, long.replicates[:4])
 
-    def test_thread_env_preserves_results(self, monkeypatch):
-        inst = make_inst(seed=9)
-        group = TransformGroup("composite")
-        serial = uq.equivariant_bootstrap(ShrinkageModel(0.7), inst, group, n=8, seed=10)
-        monkeypatch.setenv("RECONKIT_THREADS", "4")
-        threaded = uq.equivariant_bootstrap(ShrinkageModel(0.7), inst, group, n=8, seed=10)
-        assert np.array_equal(serial.replicates, threaded.replicates)
-
-    def test_ram_model_threads_match_serial(self, monkeypatch):
-        # a kernel no other test draws: the threaded run starts from a
-        # handle whose norm and coarse operators are not yet cached
+    def test_ram_model_repeat_is_bitwise(self):
+        # a kernel no other test draws: the first run starts from a handle
+        # whose norm and coarse operators are not yet cached, the second
+        # reads them from the caches
         kernel = ops.make_motion_kernel(0.4, 0.3, 5, seed=8080)
         shape = (1, 16, 16)
         rng = np.random.default_rng(13)
@@ -88,14 +81,12 @@ class TestBootstrap:
             y = op.apply(x) + 0.05 * np.random.default_rng(15).standard_normal(op.range_shape)
             return ProblemInstance(op=op, y=y, noise=NoiseParams(sigma=0.05), x=x)
 
-        monkeypatch.setenv("RECONKIT_THREADS", "2")
-        threaded = uq.equivariant_bootstrap(model, instance(), group, n=6, seed=16)
+        cold = uq.equivariant_bootstrap(model, instance(), group, n=6, seed=16)
         assert model.eval_count == 7
-        monkeypatch.setenv("RECONKIT_THREADS", "1")
-        serial = uq.equivariant_bootstrap(model, instance(), group, n=6, seed=16)
+        warm = uq.equivariant_bootstrap(model, instance(), group, n=6, seed=16)
         assert model.eval_count == 14
-        assert np.array_equal(serial.base, threaded.base)
-        assert np.array_equal(serial.replicates, threaded.replicates)
+        assert np.array_equal(cold.base, warm.base)
+        assert np.array_equal(cold.replicates, warm.replicates)
 
     def test_invalid_n(self):
         inst = make_inst(seed=11)
