@@ -18,7 +18,7 @@ import numpy as np
 from . import operators as ops
 from . import tnsr
 from . import train as tr
-from .config import read_config
+from .config import read_config, read_fields
 from .metrics import psnr, ssim
 from .model import RamConfig, RamModel
 from .noise import NoiseParams, sample_noise, sample_params
@@ -70,13 +70,10 @@ def _export_image(path, img: np.ndarray) -> None:
 
 _BUILTIN_TASKS = {
     "denoising": {"kind": "identity", "sigma_range": 0.1},
-    "inpainting": {"kind": "inpainting", "sigma_range": 0.05,
-                   "params": {"p_range": [0.3, 0.9]}},
-    "blur": {"kind": "blur", "sigma_range": 0.05,
-             "params": {"sigma_blur": 1.0, "kernel_size": 7}},
+    "inpainting": {"kind": "inpainting", "sigma_range": 0.05},
+    "blur": {"kind": "blur", "sigma_range": 0.05},
     "motion_blur": {"kind": "motion_blur", "sigma_range": 0.05},
-    "downsampling": {"kind": "downsampling", "sigma_range": 0.02,
-                     "params": {"factor": 2, "filter": "bicubic"}},
+    "downsampling": {"kind": "downsampling", "sigma_range": 0.02},
 }
 
 
@@ -121,20 +118,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     with open(args.config) as fh:
-        cfg_doc = json.load(fh)
-    if not isinstance(cfg_doc, dict):
-        raise DataError(f"train config must be an object, got {type(cfg_doc).__name__}")
-    model = RamModel(read_config(RamConfig, cfg_doc.get("model", {}), "model config"))
-    tasks = [tr.TaskSpec.from_dict(d) for d in cfg_doc["tasks"]]
-    train_cfg = tr.TrainConfig.from_dict(cfg_doc.get("train", {}))
-    ds = cfg_doc.get("dataset", {"kind": "piecewise-constant", "count": 50,
-                                 "shape": [1, 32, 32], "seed": 0})
-    datasets = {}
-    for task in tasks:
-        shape = [task.channels] + list(ds.get("shape", [1, 32, 32]))[1:]
-        datasets[task.name] = tr.make_synthetic_dataset(
-            ds.get("kind", "piecewise-constant"), int(ds.get("count", 50)),
-            tuple(shape), seed=int(ds.get("seed", 0)))
+        doc = read_fields(json.load(fh), {"model": {}, "tasks": [], "train": {}, "dataset": {}},
+                          "train config")
+    model = RamModel(read_config(RamConfig, doc.get("model", {}), "model config"))
+    tasks = [tr.TaskSpec.from_dict(d) for d in doc.get("tasks", [])]
+    train_cfg = tr.TrainConfig.from_dict(doc.get("train", {}))
+    ds = read_config(tr.DatasetConfig, doc.get("dataset", {}), "dataset config")
+    datasets = {task.name: tr.make_synthetic_dataset(
+        ds.kind, ds.count, (task.channels, *ds.shape[1:]), seed=ds.seed) for task in tasks}
     train_cfg.checkpoint_path = args.out
     if args.log:
         train_cfg.log_path = args.log
@@ -176,14 +167,12 @@ def cmd_eval(args) -> int:
     if pred.shape != ref.shape:
         raise DataError(f"shape mismatch: pred {pred.shape} vs ref {ref.shape}")
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    metrics = {"psnr": psnr, "ssim": ssim}
     print("metric,value")
     for m in wanted:
-        if m == "psnr":
-            val = psnr(ref, pred)
-        elif m == "ssim":
-            val = ssim(ref, pred)
-        else:
+        if m not in metrics:
             raise DataError(f"unknown metric {m!r}")
+        val = metrics[m](ref, pred)
         if not np.isfinite(val):
             raise NumericError(f"{m} is not finite")
         print(f"{m},{val}")

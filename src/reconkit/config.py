@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 
-__all__ = ["config_dict", "read_config"]
+__all__ = ["config_dict", "read_config", "read_fields", "typed"]
 
 
 def config_dict(cfg) -> dict:
@@ -23,20 +23,26 @@ def config_dict(cfg) -> dict:
 
 def read_config(cls, d, what: str):
     """Build ``cls`` from a mapping of field names to values; fields left
-    out keep their defaults.  A non-mapping, an unknown key or a value of
-    the wrong type raises ValueError naming ``what``."""
+    out keep their defaults."""
+    return cls(**read_fields(d, config_dict(cls()), what))
+
+
+def read_fields(d, defaults: dict, what: str) -> dict:
+    """The entries of mapping ``d``, each typed by the default of its key.
+    A non-mapping, an unknown key or a value of the wrong type raises
+    ValueError naming ``what``."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be an object, got {type(d).__name__}")
-    defaults = config_dict(cls())
     unknown = sorted(set(d) - set(defaults))
     if unknown:
         raise ValueError(f"{what}: unknown keys {unknown}; known keys {sorted(defaults)}")
-    return cls(**{k: _typed(v, defaults[k], f"{what} {k!r}") for k, v in d.items()})
+    return {k: typed(v, defaults[k], f"{what} {k!r}") for k, v in d.items()}
 
 
-def _typed(v, default, what: str):
+def typed(v, default, what: str):
+    """``v`` as a value of ``default``'s type, by the rules above."""
     if isinstance(default, tuple) and isinstance(v, (list, tuple)):
-        return tuple(_typed(item, default[0], what) for item in v)
+        return tuple(typed(item, default[0], what) for item in v)
     if isinstance(default, float) and isinstance(v, (int, float)) and not isinstance(v, bool):
         if abs(v) <= sys.float_info.max:  # false for NaN, infinities and huge ints
             return float(v)

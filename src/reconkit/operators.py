@@ -439,18 +439,16 @@ def make_motion_kernel(length_scale: float, amplitude: float, size: int = 31,
         traj = chol @ rng.standard_normal((num_points, 2))
     # center the trajectory and map GP units to pixels
     traj = traj - traj.mean(axis=0)
-    px = traj * (size // 2)
+    uv = np.clip(size // 2 + traj * (size // 2), 0, size - 1 - 1e-9)
+    ij = uv.astype(int)
+    (fu, fv), (i0, j0) = (uv - ij).T, ij.T
+    # point-major, then the four corners: np.add.at adds in index order, so
+    # every pixel sums its contributions in the order of the trajectory
+    rows = np.stack([i0, i0 + 1, i0, i0 + 1], axis=1).ravel()
+    cols = np.stack([j0, j0, j0 + 1, j0 + 1], axis=1).ravel()
+    wts = np.stack([(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv], axis=1)
     k = np.zeros((size, size))
-    c = size // 2
-    for dx, dy in px:
-        u = np.clip(c + dx, 0, size - 1 - 1e-9)
-        v = np.clip(c + dy, 0, size - 1 - 1e-9)
-        i0, j0 = int(u), int(v)
-        fu, fv = u - i0, v - j0
-        k[i0, j0] += (1 - fu) * (1 - fv)
-        k[i0 + 1, j0] += fu * (1 - fv)
-        k[i0, j0 + 1] += (1 - fu) * fv
-        k[i0 + 1, j0 + 1] += fu * fv
+    np.add.at(k, (rows, cols), wts.ravel())
     return BlurKernel(k)
 
 
@@ -631,18 +629,15 @@ def make_sensitivity_maps(num_coils: int, image_shape, seed: int = 0) -> np.ndar
     positions with a mild per-coil phase ramp, normalized pointwise so that
     sum_l |s_l|^2 == 1.  Returns (L, 2, H, W)."""
     _, h, w = image_shape
-    rng = np.random.default_rng(seed)
     yy, xx = np.meshgrid(np.linspace(-1, 1, h), np.linspace(-1, 1, w), indexing="ij")
-    maps = np.zeros((num_coils, h, w), dtype=np.complex128)
-    for ell in range(num_coils):
-        ang = 2 * np.pi * ell / num_coils
-        cy, cx = 0.6 * np.sin(ang), 0.6 * np.cos(ang)
-        mag = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * 0.7 ** 2))
-        phase = rng.uniform(-0.5, 0.5) * xx + rng.uniform(-0.5, 0.5) * yy
-        maps[ell] = mag * np.exp(1j * phase)
-    ssq = np.sqrt((np.abs(maps) ** 2).sum(axis=0))
-    maps /= ssq
-    return np.stack([_from_complex(m) for m in maps])
+    ang = (2 * np.pi * np.arange(num_coils) / num_coils)[:, None, None]
+    cy, cx = 0.6 * np.sin(ang), 0.6 * np.cos(ang)
+    mag = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * 0.7 ** 2))
+    # row ell holds the (x, y) ramp slopes of coil ell, drawn in that order
+    ramp = np.random.default_rng(seed).uniform(-0.5, 0.5, (num_coils, 2))[:, :, None, None]
+    maps = mag * np.exp(1j * (ramp[:, 0] * xx + ramp[:, 1] * yy))
+    maps /= np.sqrt((np.abs(maps) ** 2).sum(axis=0))
+    return np.stack([maps.real, maps.imag], axis=1)
 
 
 def make_multicoil_mri(mask: np.ndarray, smaps: np.ndarray, image_shape) -> OperatorHandle:
@@ -652,7 +647,7 @@ def make_multicoil_mri(mask: np.ndarray, smaps: np.ndarray, image_shape) -> Oper
         raise ValueError("multi-coil MRI expects a 2-channel image")
     smaps = _owned(smaps)
     num_coils = smaps.shape[0]
-    smaps_c = np.stack([_to_complex(s) for s in smaps])
+    smaps_c = smaps[:, 0] + 1j * smaps[:, 1]
     ssq = (np.abs(smaps_c) ** 2).sum(axis=0)
     if np.max(np.abs(ssq - 1)) > 1e-6:
         raise ValueError("sensitivity maps must satisfy sum |s_l|^2 == 1")
@@ -661,19 +656,14 @@ def make_multicoil_mri(mask: np.ndarray, smaps: np.ndarray, image_shape) -> Oper
         raise ValueError("mask shape must match spatial extents")
 
     def apply_fn(x):
-        z = _to_complex(x)
-        out = np.empty((2 * num_coils, h, w))
-        for ell in range(num_coils):
-            out[2 * ell:2 * ell + 2] = _from_complex(
-                mask * np.fft.fft2(smaps_c[ell] * z, norm="ortho"))
-        return out
+        k = mask * np.fft.fft2(smaps_c * _to_complex(x), norm="ortho")  # (L, H, W)
+        return np.stack([k.real, k.imag], axis=1).reshape(2 * num_coils, h, w)
 
     def adjoint_fn(y):
-        acc = np.zeros((h, w), dtype=np.complex128)
-        for ell in range(num_coils):
-            z = _to_complex(y[2 * ell:2 * ell + 2])
-            acc += np.conj(smaps_c[ell]) * np.fft.ifft2(mask * z, norm="ortho")
-        return _from_complex(acc)
+        z = y.reshape(num_coils, 2, h, w)
+        # a sum over the leading axis adds the coils one after another
+        return _from_complex((np.conj(smaps_c) * np.fft.ifft2(
+            mask * (z[:, 0] + 1j * z[:, 1]), norm="ortho")).sum(axis=0))
 
     line_mask = bool(np.all(mask == mask[:, :1]))
     return _keyed(OperatorHandle(
@@ -693,11 +683,8 @@ def _line_mask_multicoil_norm(lines: np.ndarray, smaps_c: np.ndarray) -> float:
     cluster within 1e-7 of each other."""
     f = _dft_matrix(lines.size)
     p = f.conj().T @ ((lines ** 2)[:, None] * f)
-    top = 0.0
-    for j in range(smaps_c.shape[2]):
-        s = smaps_c[:, :, j]
-        top = max(top, np.linalg.eigvalsh(np.einsum("lh,hk,lk->hk", s.conj(), p, s))[-1])
-    return float(np.sqrt(max(top, 0.0)))
+    blocks = np.einsum("lhj,hk,lkj->jhk", smaps_c.conj(), p, smaps_c)  # (W, H, H)
+    return float(np.sqrt(max(np.linalg.eigvalsh(blocks)[:, -1].max(), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -719,40 +706,30 @@ def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
     if h != w:
         raise ValueError("CT expects a square image")
     det = int(np.ceil(np.sqrt(2.0) * h))
-    angles = np.arange(num_angles) * np.pi / num_angles
+    angles = (np.arange(num_angles) * np.pi / num_angles)[:, None]
     jj, ii = np.meshgrid(np.arange(w), np.arange(h))
     uc = (jj - (w - 1) / 2.0).ravel()
     vc = (ii - (h - 1) / 2.0).ravel()
     n = h * w
-    rows, cols, vals = [], [], []
-    for a, th in enumerate(angles):
-        s = uc * np.cos(th) + vc * np.sin(th) + (det - 1) / 2.0
-        s = np.clip(s, 0, det - 1 - 1e-9)
-        b0 = s.astype(int)
-        f = s - b0
-        cols.append(np.arange(n))
-        rows.append(a * det + b0)
-        vals.append(1.0 - f)
-        cols.append(np.arange(n))
-        rows.append(a * det + b0 + 1)
-        vals.append(f)
+    s = np.clip(uc * np.cos(angles) + vc * np.sin(angles) + (det - 1) / 2.0, 0, det - 1 - 1e-9)
+    bins = s.astype(int)
+    f = s - bins
+    b0 = bins + det * np.arange(num_angles)[:, None]  # (A, n) matrix rows
+    # per angle, the lower bins of all pixels, then the upper bins; the CSR
+    # conversion sorts each row by pixel (a pixel's two bins differ, so no
+    # entry repeats), and each row sums its products in pixel order
     mat = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.stack([1.0 - f, f], axis=1).ravel(),
+         (np.stack([b0, b0 + 1], axis=1).ravel(), np.tile(np.arange(n), 2 * num_angles))),
         shape=(num_angles * det, n),
     )
     mat_t = mat.T.tocsr()
 
     def apply_fn(x):
-        out = np.empty((c, num_angles, det))
-        for ch in range(c):
-            out[ch] = (mat @ x[ch].ravel()).reshape(num_angles, det)
-        return out
+        return (mat @ x.reshape(c, n).T).T.reshape(c, num_angles, det)
 
     def adjoint_fn(y):
-        out = np.empty((c, h, w))
-        for ch in range(c):
-            out[ch] = (mat_t @ y[ch].ravel()).reshape(h, w)
-        return out
+        return (mat_t @ y.reshape(c, num_angles * det).T).T.reshape(c, h, w)
 
     return _keyed(OperatorHandle(
         image_shape, (c, num_angles, det), apply_fn, adjoint_fn,
@@ -767,12 +744,8 @@ def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
 
 def _bicubic_kernel(t: np.ndarray, a: float = -0.5) -> np.ndarray:
     t = np.abs(t)
-    out = np.zeros_like(t)
-    m1 = t <= 1
-    m2 = (t > 1) & (t < 2)
-    out[m1] = (a + 2) * t[m1] ** 3 - (a + 3) * t[m1] ** 2 + 1
-    out[m2] = a * t[m2] ** 3 - 5 * a * t[m2] ** 2 + 8 * a * t[m2] - 4 * a
-    return out
+    return np.where(t <= 1, (a + 2) * t ** 3 - (a + 3) * t ** 2 + 1,
+                    np.where(t < 2, a * t ** 3 - 5 * a * t ** 2 + 8 * a * t - 4 * a, 0.0))
 
 
 def _bilinear_kernel(t: np.ndarray) -> np.ndarray:
@@ -784,16 +757,11 @@ def _decimation_matrix(n: int, factor: int, filt: str) -> np.ndarray:
     """Rows are antialias filters centered on output samples; rows are
     normalized to sum to one (partition of unity on constants).  Memoised,
     so the result is read-only."""
-    kern, support = ((_bicubic_kernel, 2) if filt == "bicubic" else (_bilinear_kernel, 1))
-    nout = n // factor
-    mat = np.zeros((nout, n))
-    for i in range(nout):
-        center = (i + 0.5) * factor - 0.5
-        j0 = int(np.floor(center - support * factor)) - 1
-        j1 = int(np.ceil(center + support * factor)) + 1
-        js = np.arange(max(j0, 0), min(j1, n - 1) + 1)
-        wts = kern((js - center) / factor)
-        mat[i, js] = wts
+    kern = _bicubic_kernel if filt == "bicubic" else _bilinear_kernel
+    centers = (np.arange(n // factor) + 0.5) * factor - 0.5
+    # both kernels are exactly zero outside their support, so every column
+    # may be evaluated
+    mat = kern((np.arange(n) - centers[:, None]) / factor)
     mat /= mat.sum(axis=1, keepdims=True)
     mat.setflags(write=False)
     return mat
@@ -898,16 +866,12 @@ def _upsample_matrix(n_coarse: int, factor: int, beta: float = 8.0, taps: int = 
     window of ``taps`` coarse samples total support; rows normalized to
     preserve constants exactly.  Memoised, so the result is read-only."""
     half = taps / 2.0
-    nf = n_coarse * factor
-    mat = np.zeros((nf, n_coarse))
-    for i in range(nf):
-        pos = i / factor  # position in coarse sample units
-        js = np.arange(max(int(np.ceil(pos - half)), 0),
-                       min(int(np.floor(pos + half)), n_coarse - 1) + 1)
-        t = pos - js
-        window = np.i0(beta * np.sqrt(np.clip(1 - (t / half) ** 2, 0, None))) / np.i0(beta)
-        wts = np.sinc(t) * window
-        mat[i, js] = wts
+    # t: fine position minus coarse sample, in coarse sample units; the
+    # Kaiser window does not vanish at its edge, so the columns with
+    # |t| > half are zeroed explicitly
+    t = np.arange(n_coarse * factor)[:, None] / factor - np.arange(n_coarse)
+    window = np.i0(beta * np.sqrt(np.clip(1 - (t / half) ** 2, 0, None))) / np.i0(beta)
+    mat = np.where(np.abs(t) <= half, np.sinc(t) * window, 0.0)
     mat /= mat.sum(axis=1, keepdims=True)
     mat.setflags(write=False)
     return mat

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class ProblemInstance:
     noise: NoiseParams
     x: np.ndarray | None = None
     seed: int = 0
-    spec: dict = field(default_factory=dict)
 
 
 def operator_to_spec(op: ops.OperatorHandle) -> tuple[dict, dict]:
@@ -123,7 +122,5 @@ def load_instance(path) -> ProblemInstance:
     seed = manifest.get("seed", 0)
     if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return ProblemInstance(
-        op=op, y=y, noise=NoiseParams.from_dict(manifest["noise"]),
-        x=x, seed=seed, spec=manifest["operator"],
-    )
+    return ProblemInstance(op=op, y=y, noise=NoiseParams.from_dict(manifest["noise"]),
+                           x=x, seed=seed)

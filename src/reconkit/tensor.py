@@ -235,9 +235,10 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _reduce_scalar(grad: np.ndarray, shape) -> np.ndarray:
-    """Collapse a broadcasted gradient back to a size-1 operand."""
-    return np.array([grad.sum()]).reshape(shape)
+def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
+    """The gradient of an operand of ``shape``: a broadcast size-1 operand
+    gets the sum of ``grad``."""
+    return grad if grad.shape == shape else np.array([grad.sum()]).reshape(shape)
 
 
 def _binary_shapes(a: Tensor, b: Tensor):
@@ -250,58 +251,39 @@ def _binary_shapes(a: Tensor, b: Tensor):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
-    out = a.data + b.data
 
     def bw(g):
-        ga = _reduce_scalar(g, a.shape) if a.shape != g.shape else g
-        gb = _reduce_scalar(g, b.shape) if b.shape != g.shape else g
-        return ga, gb
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return Tensor(out, (a, b), bw)
+    return Tensor(a.data + b.data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
-    out = a.data - b.data
 
     def bw(g):
-        ga = _reduce_scalar(g, a.shape) if a.shape != g.shape else g
-        gb = _reduce_scalar(g, b.shape) if b.shape != g.shape else g
-        return ga, -gb
+        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
 
-    return Tensor(out, (a, b), bw)
+    return Tensor(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
-    out = a.data * b.data
 
     def bw(g):
-        ga = g * b.data
-        gb = g * a.data
-        if ga.shape != a.shape:
-            ga = _reduce_scalar(ga, a.shape)
-        if gb.shape != b.shape:
-            gb = _reduce_scalar(gb, b.shape)
-        return ga, gb
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return Tensor(out, (a, b), bw)
+    return Tensor(a.data * b.data, (a, b), bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
-    out = a.data / b.data
 
     def bw(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        if ga.shape != a.shape:
-            ga = _reduce_scalar(ga, a.shape)
-        if gb.shape != b.shape:
-            gb = _reduce_scalar(gb, b.shape)
-        return ga, gb
+        return (_unbroadcast(g / b.data, a.shape),
+                _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return Tensor(out, (a, b), bw)
+    return Tensor(a.data / b.data, (a, b), bw)
 
 
 def relu(x: Tensor) -> Tensor:

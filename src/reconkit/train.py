@@ -4,75 +4,86 @@ patch sampling, the training loop, and synthetic desk-scale datasets."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import operators as ops
 from . import tensor as T
-from .config import config_dict, read_config
+from .config import config_dict, read_config, read_fields, typed
 from .metrics import psnr
-from .noise import NoiseParams, sample_noise, sample_params
+from .noise import sample_noise, sample_params
 from .problem import ProblemInstance
 
-__all__ = ["TaskSpec", "TrainConfig", "make_synthetic_dataset",
-           "sample_batch", "task_loss", "train"]
+__all__ = ["TASK_KINDS", "TaskSpec", "TrainConfig", "DatasetConfig",
+           "make_synthetic_dataset", "sample_batch", "task_loss", "train"]
+
+
+def _draw_inpainting(shape, rng, p_range):
+    lo, hi = p_range
+    p = float(rng.uniform(lo, hi))
+    return ops.make_inpainting(ops.make_bernoulli_mask(shape, p, seed=int(rng.integers(2 ** 31))))
+
+
+# task kind -> (its operator parameters with their defaults,
+#               draw(shape, rng, **params), which draws one operator from rng)
+TASK_KINDS = {
+    "identity": ({}, lambda shape, rng: ops.identity_operator(shape)),
+    "inpainting": ({"p_range": (0.3, 0.9)}, _draw_inpainting),
+    "blur": ({"sigma_blur": 1.0, "kernel_size": 7},
+             lambda shape, rng, sigma_blur, kernel_size: ops.make_blur(
+                 ops.make_gaussian_kernel(sigma_blur, kernel_size), shape)),
+    "motion_blur": ({"length_scale": 0.6, "amplitude": 0.5, "kernel_size": 7},
+                    lambda shape, rng, length_scale, amplitude, kernel_size: ops.make_blur(
+                        ops.make_motion_kernel(length_scale, amplitude, kernel_size,
+                                               seed=int(rng.integers(2 ** 31))), shape)),
+    "downsampling": ({"factor": 2, "filter": "bicubic"},
+                     lambda shape, rng, factor, filter: ops.make_downsampling(factor, filter, shape)),
+}
 
 
 @dataclass
 class TaskSpec:
-    """One training task: how to draw operators, noise levels, and data."""
+    """One training task: how to draw operators, noise levels, and data.
+    ``params`` may set any of the kind's parameters (see
+    :data:`TASK_KINDS`); the others keep their defaults."""
 
     name: str
-    kind: str  # identity | inpainting | blur | motion_blur | downsampling
+    kind: str
     channels: int = 1
     sigma_range: object = 0.0
     gamma_range: object = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.channels not in (1, 2, 3):
+        if not isinstance(self.name, str):
+            raise ValueError(f"task name must be a string, got {self.name!r}")
+        if not (isinstance(self.kind, str) and self.kind in TASK_KINDS):
+            raise ValueError(f"unknown task kind {self.kind!r}; known kinds {sorted(TASK_KINDS)}")
+        if type(self.channels) is not int or self.channels not in (1, 2, 3):
             raise ValueError("channel count must be 1, 2, or 3")
-        self._fixed_kernel = None
+        for name in ("sigma_range", "gamma_range"):  # None, a number or a [lo, hi] pair
+            v = getattr(self, name)
+            if v is not None:
+                setattr(self, name, typed(v, (0.0,) if isinstance(v, (list, tuple)) else 0.0, name))
+        self.params = read_fields(self.params, TASK_KINDS[self.kind][0], f"{self.kind} task params")
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "channels": self.channels,
-                "sigma_range": self.sigma_range, "gamma_range": self.gamma_range,
-                "params": self.params}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        def as_range(v):
-            return tuple(v) if isinstance(v, list) else v
-
-        return cls(name=d["name"], kind=d["kind"], channels=int(d.get("channels", 1)),
-                   sigma_range=as_range(d.get("sigma_range", 0.0)),
-                   gamma_range=as_range(d.get("gamma_range")),
-                   params=dict(d.get("params", {})))
+    def from_dict(cls, d) -> "TaskSpec":
+        """A task from an object with a ``name``, a ``kind`` and any other
+        field; the constructor checks the values."""
+        known = {f.name for f in fields(cls)}
+        if not (isinstance(d, dict) and {"name", "kind"} <= set(d) <= known):
+            raise ValueError(f"a task must be an object with a name, a kind and "
+                             f"optionally the other keys of {sorted(known)}, got {d!r}")
+        return cls(**d)
 
     def draw_operator(self, shape, rng) -> ops.OperatorHandle:
-        if self.kind == "identity":
-            return ops.identity_operator(shape)
-        if self.kind == "inpainting":
-            lo, hi = self.params.get("p_range", (0.3, 0.9))
-            p = float(rng.uniform(lo, hi))
-            mask = ops.make_bernoulli_mask(shape, p, seed=int(rng.integers(2 ** 31)))
-            return ops.make_inpainting(mask)
-        if self.kind == "blur":
-            # deterministic task: kernel fixed for the task's lifetime
-            if self._fixed_kernel is None:
-                self._fixed_kernel = ops.make_gaussian_kernel(
-                    self.params.get("sigma_blur", 1.0), self.params.get("kernel_size", 7))
-            return ops.make_blur(self._fixed_kernel, shape)
-        if self.kind == "motion_blur":
-            kern = ops.make_motion_kernel(
-                self.params.get("length_scale", 0.6), self.params.get("amplitude", 0.5),
-                self.params.get("kernel_size", 7), seed=int(rng.integers(2 ** 31)))
-            return ops.make_blur(kern, shape)
-        if self.kind == "downsampling":
-            return ops.make_downsampling(
-                self.params.get("factor", 2), self.params.get("filter", "bicubic"), shape)
-        raise ValueError(f"unknown task kind {self.kind!r}")
+        defaults, draw = TASK_KINDS[self.kind]
+        return draw(shape, rng, **{**defaults, **self.params})
 
 
 @dataclass
@@ -108,6 +119,20 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # synthetic data
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class DatasetConfig:
+    """Synthetic images per task: ``count`` of ``kind``, ``shape`` with the task's channels."""
+
+    kind: str = "piecewise-constant"
+    count: int = 50
+    shape: tuple = (1, 32, 32)
+    seed: int = 0
+
+    def __post_init__(self):
+        if len(self.shape) != 3 or min(self.shape) < 1 or self.count < 1:
+            raise ValueError("dataset shape must be three positive integers and count positive")
 
 
 def make_synthetic_dataset(kind: str, count: int, shape, seed: int = 0) -> list:

@@ -324,14 +324,35 @@ class TestConfigFiles:
         ("train", "lr", True),
         ("train", "log_path", "log.csv"),
         (None, None, [TRAIN_DOC]),
+        ("datset", None, {}),
+        ("tasks", None, [1]),
+        ("tasks", None, {"a": 1}),
+        ("tasks", None, [{"name": "b", "kind": "blur", "params": {"sigma_blurr": 1.0}}]),
+        ("task", "params", []),
+        ("task", "sigmarange", 0.1),
+        ("task", "kind", "deblur"),
+        ("task", "channels", 1.7),
+        ("task", "name", 3),
+        ("task", "sigma_range", [0.1, "a"]),
+        ("dataset", None, []),
+        ("dataset", "shape", "abc"),
+        ("dataset", "shape", [16, 16]),
+        ("dataset", "sead", 3),
     ], ids=["model_unknown_key", "model_scales_string", "model_head_bool", "model_tol_huge",
-            "train_steps_string", "train_lr_bool", "train_log_path", "top_level_list"])
+            "train_steps_string", "train_lr_bool", "train_log_path", "top_level_list",
+            "unknown_section", "tasks_number", "tasks_object", "task_params_typo",
+            "task_params_list", "task_unknown_key", "task_unknown_kind", "task_channels_float",
+            "task_name_number", "task_range_string", "dataset_list", "dataset_shape_string",
+            "dataset_shape_2d", "dataset_unknown_key"])
     def test_malformed_train_config_exit_2(self, tmp_path, capsys, section, key, value):
+        # section "task" is the first task; a key of None replaces the section
         doc = json.loads(json.dumps(TRAIN_DOC))
         if section is None:
             doc = value
+        elif key is None:
+            doc[section] = value
         else:
-            doc[section][key] = value
+            (doc["tasks"][0] if section == "task" else doc[section])[key] = value
         cfg_path = tmp_path / "train.json"
         cfg_path.write_text(json.dumps(doc))
         capsys.readouterr()

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +49,7 @@ def all_operators():
     out["multicoil_mri"] = ops.make_multicoil_mri(
         ops.make_mri_mask((2, 8, 8), 2, seed=4), smaps, (2, 8, 8))
     out["ct"] = ops.make_ct_radon(10, (1, 12, 12))
+    out["ct_3ch"] = ops.make_ct_radon(7, (3, 12, 12))
     out["sr2"] = ops.make_downsampling(2, "bicubic", (1, 12, 12))
     out["sr4"] = ops.make_downsampling(4, "bilinear", (3, 16, 16))
     out["sr2_nonsquare"] = ops.make_downsampling(2, "bicubic", (2, 12, 18))
@@ -379,6 +381,17 @@ class TestRadon:
         with pytest.raises(ValueError):
             ops.make_ct_radon(0, (1, 8, 8))
 
+    def test_channels_match_single_channel_bitwise(self):
+        # every channel goes through the one sparse matrix on its own
+        op3 = ops.make_ct_radon(7, (3, 13, 13))
+        op1 = ops.make_ct_radon(7, (1, 13, 13))
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(op3.domain_shape)
+        y = rng.standard_normal(op3.range_shape)
+        assert np.array_equal(op3.apply(x), np.concatenate([op1.apply(x[i:i + 1]) for i in range(3)]))
+        assert np.array_equal(op3.adjoint(y),
+                              np.concatenate([op1.adjoint(y[i:i + 1]) for i in range(3)]))
+
 
 class TestDownsampling:
     def test_constant_preserved(self):
@@ -512,6 +525,30 @@ class TestUpsampler:
         up = op.apply(img)
         rec = up[:, ::2, ::2]
         assert np.linalg.norm(rec - img) / np.linalg.norm(img) < 1e-2
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_out=st.integers(1, 48), rem=st.integers(0, 3), factor=st.sampled_from([2, 4]),
+       filt=st.sampled_from(["bicubic", "bilinear"]))
+def test_decimation_rows_sum_to_one_inside_support(n_out, rem, factor, filt):
+    n = n_out * factor + rem % factor
+    mat = ops._decimation_matrix(n, factor, filt)
+    centers = (np.arange(n_out) + 0.5) * factor - 0.5
+    t = np.abs(np.arange(n) - centers[:, None]) / factor
+    assert mat.shape == (n_out, n)
+    assert np.allclose(mat.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(mat[t >= (2 if filt == "bicubic" else 1)] == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_coarse=st.integers(1, 40), factor=st.sampled_from([2, 4, 8]),
+       beta=st.sampled_from([5.0, 8.0]), taps=st.sampled_from([4, 6, 8]))
+def test_upsample_rows_sum_to_one_inside_window(n_coarse, factor, beta, taps):
+    mat = ops._upsample_matrix(n_coarse, factor, beta, taps)
+    t = np.arange(n_coarse * factor)[:, None] / factor - np.arange(n_coarse)
+    assert mat.shape == (n_coarse * factor, n_coarse)
+    assert np.allclose(mat.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(mat[np.abs(t) > taps / 2] == 0)
 
 
 class TestCoarse:
@@ -782,3 +819,177 @@ class TestCaches:
         assert len(results) == calls and all(r is results[0] for r in results)
         after = ops.cache_stats()["coarse"]
         assert (after["hits"] + after["misses"]) - (before["hits"] + before["misses"]) == calls
+
+
+# ---------------------------------------------------------------------------
+# loop references: the array expressions in operators.py replace per-item
+# loops with the same arithmetic in the same order, so they must agree bit
+# for bit with these loops
+# ---------------------------------------------------------------------------
+
+
+def loop_motion_kernel(length_scale, amplitude, size, seed, num_points=1000):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, num_points)
+    traj = np.zeros((num_points, 2))
+    if amplitude > 0:
+        cov = amplitude ** 2 * np.exp(-0.5 * (t[:, None] - t[None, :]) ** 2
+                                      / max(length_scale, 1e-6) ** 2)
+        cov[np.diag_indices_from(cov)] += 1e-10
+        traj = np.linalg.cholesky(cov) @ rng.standard_normal((num_points, 2))
+    px = (traj - traj.mean(axis=0)) * (size // 2)
+    k = np.zeros((size, size))
+    for dx, dy in px:
+        u = np.clip(size // 2 + dx, 0, size - 1 - 1e-9)
+        v = np.clip(size // 2 + dy, 0, size - 1 - 1e-9)
+        i0, j0 = int(u), int(v)
+        fu, fv = u - i0, v - j0
+        k[i0, j0] += (1 - fu) * (1 - fv)
+        k[i0 + 1, j0] += fu * (1 - fv)
+        k[i0, j0 + 1] += (1 - fu) * fv
+        k[i0 + 1, j0 + 1] += fu * fv
+    return k / k.sum()
+
+
+def loop_sensitivity_maps(num_coils, h, w, seed):
+    rng = np.random.default_rng(seed)
+    yy, xx = np.meshgrid(np.linspace(-1, 1, h), np.linspace(-1, 1, w), indexing="ij")
+    maps = np.zeros((num_coils, h, w), dtype=np.complex128)
+    for ell in range(num_coils):
+        ang = 2 * np.pi * ell / num_coils
+        cy, cx = 0.6 * np.sin(ang), 0.6 * np.cos(ang)
+        mag = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * 0.7 ** 2))
+        phase = rng.uniform(-0.5, 0.5) * xx + rng.uniform(-0.5, 0.5) * yy
+        maps[ell] = mag * np.exp(1j * phase)
+    maps /= np.sqrt((np.abs(maps) ** 2).sum(axis=0))
+    return np.stack([np.stack([m.real, m.imag]) for m in maps])
+
+
+def loop_multicoil(mask, smaps, x, y):
+    """(apply x, adjoint y, row-mask norm) of multi-coil MRI, coil by coil
+    and column by column."""
+    s = smaps[:, 0] + 1j * smaps[:, 1]
+    num_coils, h, w = s.shape
+    z = x[0] + 1j * x[1]
+    out = np.empty((2 * num_coils, h, w))
+    acc = np.zeros((h, w), dtype=np.complex128)
+    for ell in range(num_coils):
+        k = mask * np.fft.fft2(s[ell] * z, norm="ortho")
+        out[2 * ell], out[2 * ell + 1] = k.real, k.imag
+        acc += np.conj(s[ell]) * np.fft.ifft2(mask * (y[2 * ell] + 1j * y[2 * ell + 1]),
+                                              norm="ortho")
+    f = ops._dft_matrix(h)
+    p = f.conj().T @ ((mask[:, 0] ** 2)[:, None] * f)
+    top = 0.0
+    for j in range(w):
+        sj = s[:, :, j]
+        top = max(top, np.linalg.eigvalsh(np.einsum("lh,hk,lk->hk", sj.conj(), p, sj))[-1])
+    return out, np.stack([acc.real, acc.imag]), float(np.sqrt(max(top, 0.0)))
+
+
+def loop_ct(num_angles, c, n, x, y):
+    det = int(np.ceil(np.sqrt(2.0) * n))
+    jj, ii = np.meshgrid(np.arange(n), np.arange(n))
+    uc = (jj - (n - 1) / 2.0).ravel()
+    vc = (ii - (n - 1) / 2.0).ravel()
+    rows, cols, vals = [], [], []
+    for a, th in enumerate(np.arange(num_angles) * np.pi / num_angles):
+        s = np.clip(uc * np.cos(th) + vc * np.sin(th) + (det - 1) / 2.0, 0, det - 1 - 1e-9)
+        b0 = s.astype(int)
+        for rows_a, vals_a in ((a * det + b0, 1.0 - (s - b0)), (a * det + b0 + 1, s - b0)):
+            rows.append(rows_a)
+            cols.append(np.arange(n * n))
+            vals.append(vals_a)
+    mat = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(num_angles * det, n * n))
+    mat_t = mat.T.tocsr()
+    apply = np.stack([(mat @ x[ch].ravel()).reshape(num_angles, det) for ch in range(c)])
+    adjoint = np.stack([(mat_t @ y[ch].ravel()).reshape(n, n) for ch in range(c)])
+    return apply, adjoint
+
+
+def loop_decimation(n, factor, filt):
+    kern, support = (ops._bicubic_kernel, 2) if filt == "bicubic" else (ops._bilinear_kernel, 1)
+    mat = np.zeros((n // factor, n))
+    for i in range(n // factor):
+        center = (i + 0.5) * factor - 0.5
+        js = np.arange(max(int(np.floor(center - support * factor)) - 1, 0),
+                       min(int(np.ceil(center + support * factor)) + 1, n - 1) + 1)
+        mat[i, js] = kern((js - center) / factor)
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+def loop_upsample(n_coarse, factor, beta=8.0, taps=8):
+    half = taps / 2.0
+    mat = np.zeros((n_coarse * factor, n_coarse))
+    for i in range(n_coarse * factor):
+        pos = i / factor
+        js = np.arange(max(int(np.ceil(pos - half)), 0),
+                       min(int(np.floor(pos + half)), n_coarse - 1) + 1)
+        t = pos - js
+        window = np.i0(beta * np.sqrt(np.clip(1 - (t / half) ** 2, 0, None))) / np.i0(beta)
+        mat[i, js] = np.sinc(t) * window
+    return mat / mat.sum(axis=1, keepdims=True)
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLoopReferences:
+    @pytest.mark.parametrize("size", [7, 31])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_motion_kernel(self, size, seed):
+        for ls, amp in ((0.6, 0.5), (0.1, 1.5), (0.3, 0.0)):
+            assert bitwise_equal(ops.make_motion_kernel(ls, amp, size, seed=seed).array,
+                                 loop_motion_kernel(ls, amp, size, seed))
+
+    @pytest.mark.parametrize("num_coils", [1, 2, 4, 8])
+    def test_sensitivity_maps(self, num_coils):
+        for h, w in ((8, 8), (16, 12), (33, 33)):
+            assert bitwise_equal(ops.make_sensitivity_maps(num_coils, (2, h, w), seed=num_coils),
+                                 loop_sensitivity_maps(num_coils, h, w, num_coils))
+
+    @pytest.mark.parametrize("num_coils", [1, 4])
+    @pytest.mark.parametrize("row_mask", [True, False])
+    def test_multicoil(self, num_coils, row_mask):
+        shape = (2, 16, 12)
+        smaps = ops.make_sensitivity_maps(num_coils, shape, seed=5)
+        mask = (ops.make_mri_mask(shape, 4, seed=2) if row_mask
+                else ops.make_bernoulli_mask(shape, 0.4, seed=5)[0])
+        op = ops.make_multicoil_mri(mask, smaps, shape)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(op.domain_shape)
+        y = rng.standard_normal(op.range_shape)
+        apply, adjoint, norm = loop_multicoil(mask, smaps, x, y)
+        assert bitwise_equal(op.apply(x), apply)
+        assert bitwise_equal(op.adjoint(y), adjoint)
+        assert (op.exact_norm is not None) == row_mask
+        if row_mask:
+            assert op.exact_norm() == norm
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("n", [16, 33])
+    def test_ct(self, c, n):
+        op = ops.make_ct_radon(n // 4, (c, n, n))
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(op.domain_shape)
+        y = rng.standard_normal(op.range_shape)
+        apply, adjoint = loop_ct(n // 4, c, n, x, y)
+        assert bitwise_equal(op.apply(x), apply)
+        assert bitwise_equal(op.adjoint(y), adjoint)
+
+    def test_decimation_matrices(self):
+        for n in [*range(8, 65), 127, 128, 255, 256]:
+            for factor in (2, 4):
+                for filt in ("bicubic", "bilinear"):
+                    assert bitwise_equal(ops._decimation_matrix(n, factor, filt),
+                                         loop_decimation(n, factor, filt)), (n, factor, filt)
+
+    def test_upsample_matrices(self):
+        for n_coarse in [*range(1, 17), 31, 32, 33, 64]:
+            for factor in (2, 4, 8):
+                assert bitwise_equal(ops._upsample_matrix(n_coarse, factor),
+                                     loop_upsample(n_coarse, factor)), (n_coarse, factor)
