@@ -122,15 +122,14 @@ def cmd_train(args) -> int:
                           "train config")
     model = RamModel(read_config(RamConfig, doc.get("model", {}), "model config"))
     tasks = [tr.TaskSpec.from_dict(d) for d in doc.get("tasks", [])]
-    train_cfg = tr.TrainConfig.from_dict(doc.get("train", {}))
+    train_cfg = read_config(tr.TrainConfig, doc.get("train", {}), "train config")
     ds = read_config(tr.DatasetConfig, doc.get("dataset", {}), "dataset config")
     datasets = {task.name: tr.make_synthetic_dataset(
         ds.kind, ds.count, (task.channels, *ds.shape[1:]), seed=ds.seed) for task in tasks}
-    train_cfg.checkpoint_path = args.out
+    train_cfg.checkpoint_path = args.out  # train() writes the final model here
     if args.log:
         train_cfg.log_path = args.log
     report = tr.train(model, tasks, train_cfg, datasets)
-    model.save_checkpoint(args.out)
     for name in sorted(report["task_psnr"]):
         print(f"{name},psnr,{report['task_psnr'][name]:.4f},"
               f"baseline,{report['baseline_psnr'][name]:.4f}")
@@ -140,7 +139,7 @@ def cmd_train(args) -> int:
 def cmd_finetune(args) -> int:
     model = RamModel.load_checkpoint(args.model)
     with open(args.config) as fh:
-        cfg = FinetuneConfig.from_dict(json.load(fh))
+        cfg = read_config(FinetuneConfig, json.load(fh), "finetune config")
     manifests = sorted(glob.glob(os.path.join(args.data, "*.json")))
     if not manifests:
         raise DataError(f"no instance manifests in {args.data}")

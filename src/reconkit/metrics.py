@@ -29,10 +29,10 @@ def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
     return k / k.sum()
 
 
-def ssim(ref: np.ndarray, test: np.ndarray, data_range: float = 1.0,
-         k1: float = 0.01, k2: float = 0.03) -> float:
-    """Mean structural similarity with an 11x11 Gaussian window (sigma 1.5),
-    averaged over channels.  Inputs are (C, H, W) or (H, W)."""
+def ssim(ref: np.ndarray, test: np.ndarray, data_range: float = 1.0) -> float:
+    """Mean structural similarity with an 11x11 Gaussian window (sigma 1.5)
+    and the usual constants k1 = 0.01, k2 = 0.03, averaged over channels.
+    Inputs are (C, H, W) or (H, W)."""
     ref = np.asarray(ref, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if ref.shape != test.shape:
@@ -42,8 +42,8 @@ def ssim(ref: np.ndarray, test: np.ndarray, data_range: float = 1.0,
     if ref.ndim != 3:
         raise ValueError("expected (C, H, W) images")
     win = _gaussian_window()
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
     vals = []
     for x, y in zip(ref, test):
         mu_x = scipy.ndimage.correlate(x, win, mode="reflect")

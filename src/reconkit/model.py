@@ -48,6 +48,8 @@ class RamConfig:
             raise ValueError("krylov_depth must be >= 0")
         if self.ksm_kernel_size not in (1, 3):
             raise ValueError("ksm_kernel_size must be 1 or 3")
+        if self.cg_iters < 1 or self.cg_tol <= 0:
+            raise ValueError("cg_iters and cg_tol must be positive")
 
     def to_entries(self) -> dict:
         return {f"config.{k}": np.array(v, dtype=np.float64) for k, v in config_dict(self).items()}

@@ -278,7 +278,7 @@ def identity_operator(shape) -> OperatorHandle:
                                  exact_norm=lambda: 1.0, factors=lambda: (_eye(h), _eye(w))))
 
 
-def compose(a: OperatorHandle, b: OperatorHandle, kind=None) -> OperatorHandle:
+def compose(a: OperatorHandle, b: OperatorHandle) -> OperatorHandle:
     """a after b (x -> a(b(x)))."""
     if b.range_shape != a.domain_shape:
         raise ValueError(f"compose shape mismatch: {b.range_shape} vs {a.domain_shape}")
@@ -290,7 +290,7 @@ def compose(a: OperatorHandle, b: OperatorHandle, kind=None) -> OperatorHandle:
         b.domain_shape, a.range_shape,
         lambda x: a.apply(b.apply(x)),
         lambda y: b.adjoint(a.adjoint(y)),
-        kind=kind or f"{a.kind}*{b.kind}", factors=factors,
+        kind=f"{a.kind}*{b.kind}", factors=factors,
     )
 
 
@@ -420,6 +420,20 @@ def make_gaussian_kernel(sigma_blur: float, size: int = 31) -> BlurKernel:
     return BlurKernel(k)
 
 
+@functools.lru_cache(maxsize=16)
+def _gp_factor(length_scale: float, amplitude: float, num_points: int) -> np.ndarray:
+    """Cholesky factor of the RBF covariance of ``num_points`` trajectory
+    samples on [0, 1], with 1e-10 added to the diagonal.  Memoised, so
+    the result is read-only."""
+    t = np.linspace(0.0, 1.0, num_points)
+    d2 = (t[:, None] - t[None, :]) ** 2
+    cov = amplitude ** 2 * np.exp(-0.5 * d2 / max(length_scale, 1e-6) ** 2)
+    cov[np.diag_indices_from(cov)] += 1e-10
+    chol = np.linalg.cholesky(cov)
+    chol.setflags(write=False)
+    return chol
+
+
 def make_motion_kernel(length_scale: float, amplitude: float, size: int = 31,
                        seed: int = 0, num_points: int = 1000) -> BlurKernel:
     """Random motion kernel: a smooth Gaussian-process trajectory (RBF
@@ -428,14 +442,10 @@ def make_motion_kernel(length_scale: float, amplitude: float, size: int = 31,
     if size % 2 == 0:
         raise ValueError("kernel size must be odd")
     rng = np.random.default_rng(seed)
-    t = np.linspace(0.0, 1.0, num_points)
     if amplitude <= 0:
         traj = np.zeros((num_points, 2))
     else:
-        d2 = (t[:, None] - t[None, :]) ** 2
-        cov = amplitude ** 2 * np.exp(-0.5 * d2 / max(length_scale, 1e-6) ** 2)
-        cov[np.diag_indices_from(cov)] += 1e-10
-        chol = np.linalg.cholesky(cov)
+        chol = _gp_factor(length_scale, amplitude, num_points)
         traj = chol @ rng.standard_normal((num_points, 2))
     # center the trajectory and map GP units to pixels
     traj = traj - traj.mean(axis=0)
@@ -563,15 +573,14 @@ def make_demosaic(image_shape) -> OperatorHandle:
 # ---------------------------------------------------------------------------
 
 
-def make_mri_mask(image_shape, acceleration: int, center_fraction: float = 0.08,
-                  seed: int = 0) -> np.ndarray:
-    """Cartesian line mask (rows of k-space): the central
-    ``center_fraction`` of lines are always kept, plus uniformly random
-    lines up to ``H / acceleration`` in total."""
+def make_mri_mask(image_shape, acceleration: int, seed: int = 0) -> np.ndarray:
+    """Cartesian line mask (rows of k-space): the central 8% of lines are
+    always kept, plus uniformly random lines up to ``H / acceleration`` in
+    total."""
     h = image_shape[-2]
     w = image_shape[-1]
     n_keep = int(round(h / acceleration))
-    n_center = max(1, int(round(center_fraction * h)))
+    n_center = max(1, int(round(0.08 * h)))
     n_center = min(n_center, n_keep)
     lines = np.zeros(h, dtype=bool)
     start = (h - n_center) // 2

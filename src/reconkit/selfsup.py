@@ -9,8 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import config_dict, read_config
-from .metrics import psnr
 from .operators import OperatorHandle
 from .problem import ProblemInstance
 
@@ -209,11 +207,10 @@ class FinetuneConfig:
     steps: int = 200
     lr: float = 1e-4
     seed: int = 0
-    # select the best checkpoint by ground-truth PSNR instead of the
-    # self-supervised loss (evaluation parity mode; needs inst.x)
-    oracle_selection: bool = False
 
     def __post_init__(self):
+        if self.steps < 1 or self.lr <= 0:
+            raise ValueError("steps and lr must be positive")
         if self.omega < 0:
             raise ValueError("omega must be nonnegative")
         if self.mc_loss not in ("sure", "split"):
@@ -221,30 +218,16 @@ class FinetuneConfig:
         if self.null_loss not in ("ei", "moi", "none"):
             raise ValueError(f"unknown null_loss {self.null_loss!r}")
 
-    def to_dict(self) -> dict:
-        return config_dict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FinetuneConfig":
-        return read_config(cls, d, "finetune config")
-
-
-def finetune(model, instances: list, cfg: FinetuneConfig,
-             operator_family: list | None = None) -> dict:
+def finetune(model, instances: list, cfg: FinetuneConfig) -> dict:
     """Adapt the model on measurements alone: per step, L_MC + omega
     L_NULL summed over the instances, one Adam step, and best-checkpoint
-    tracking by the self-supervised loss (or oracle PSNR)."""
+    tracking by the self-supervised loss.  MOI draws its operators from
+    the instances'; ground truths are never read."""
     if not instances:
         raise ValueError("no finetuning measurements")
-    if cfg.mc_loss == "sure":
-        for inst in instances:
-            if inst.noise.gamma > 0:
-                raise ValueError("SURE finetuning requires Gaussian noise")
-    if cfg.oracle_selection and any(inst.x is None for inst in instances):
-        raise ValueError("oracle selection needs ground truths")
     group = TransformGroup("composite", cfg.max_shift_frac)
-    if operator_family is None:
-        operator_family = [inst.op for inst in instances]
+    operator_family = [inst.op for inst in instances]
     opt = T.AdamOptimizer(model.parameters(), lr=cfg.lr)
     history = []
     best = {"score": np.inf, "step": -1, "params": None}
@@ -268,13 +251,8 @@ def finetune(model, instances: list, cfg: FinetuneConfig,
             raise RuntimeError(f"finetuning diverged at step {step}")
         opt.step()
         history.append(total)
-        if cfg.oracle_selection:
-            score = -np.mean([psnr(inst.x, model.reconstruct(inst.y, inst.op, inst.noise))
-                              for inst in instances])
-        else:
-            score = total
-        if score < best["score"]:
-            best = {"score": score, "step": step,
+        if total < best["score"]:
+            best = {"score": total, "step": step,
                     "params": {p.name: p.data.copy() for p in model.parameters()}}
     if best["params"] is not None:
         for p in model.parameters():

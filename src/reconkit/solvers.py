@@ -1,11 +1,13 @@
 """Classical linear solvers: conjugate gradient, the proximal input
 estimate, and a ridge-regularized pseudo-inverse.
 
-There is one solver, ``conjugate_gradient`` on plain numpy arrays.
-``prox_estimate_graph`` puts the prox solve on the autodiff tape as a
-single node whose backward differentiates the linear system implicitly:
-one more CG solve with the same symmetric matrix gives the gradients with
-respect to A^T y and lambda, so no CG iteration is unrolled onto the tape.
+There is one solver, ``conjugate_gradient`` on plain numpy arrays, and
+one prox body.  ``prox_estimate_graph`` puts the prox solve on the
+autodiff tape as a single node whose backward differentiates the linear
+system implicitly: one more CG solve with the same symmetric matrix gives
+the gradients with respect to A^T y and lambda, so no CG iteration is
+unrolled onto the tape.  ``prox_estimate`` runs the same node without a
+tape.
 """
 
 from __future__ import annotations
@@ -87,15 +89,6 @@ def lambda_schedule(sigma: float, eta, y) -> float:
     return sigma * eta_val / l1
 
 
-def _prox_system(op: OperatorHandle, lam: float):
-    """M u = lam A^T A u + u, the symmetric positive definite prox matrix."""
-
-    def system(u):
-        return lam * op.normal(u) + u
-
-    return system
-
-
 def prox_estimate(op: OperatorHandle, y: np.ndarray, lam: float,
                   cg_iters: int = 10, cg_tol: float = 1e-6) -> np.ndarray:
     """Data-fidelity prox of A^T y: solves (lam A^T A + I) u = (1 + lam) A^T y.
@@ -104,12 +97,9 @@ def prox_estimate(op: OperatorHandle, y: np.ndarray, lam: float,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    aty = op.adjoint(y)
-    if lam == 0:
-        return aty
-    u, _ = conjugate_gradient(_prox_system(op, lam), (1.0 + lam) * aty,
-                              max_iters=cg_iters, tol=cg_tol)
-    return u
+    with T.no_grad():
+        return prox_estimate_graph(op, T.constant(op.adjoint(y)[None]), T.constant(lam),
+                                   cg_iters, cg_tol).data[0]
 
 
 def prox_estimate_graph(op: OperatorHandle, aty: "T.Tensor", lam: "T.Tensor",
@@ -126,7 +116,10 @@ def prox_estimate_graph(op: OperatorHandle, aty: "T.Tensor", lam: "T.Tensor",
     if lam_val == 0:
         return aty
     b = aty.data[0]
-    system = _prox_system(op, lam_val)
+
+    def system(v):  # M v = lam A^T A v + v, symmetric positive definite
+        return lam_val * op.normal(v) + v
+
     u, _ = conjugate_gradient(system, (1.0 + lam_val) * b, max_iters=cg_iters, tol=cg_tol)
 
     def bw(g):

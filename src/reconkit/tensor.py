@@ -350,24 +350,15 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _reflect_1d(n: int, before: int, after: int) -> np.ndarray:
-    """Source index of every position of a length-``n`` axis reflect-padded
-    (edge not repeated) by ``before`` and ``after``: the reflection is
-    periodic with period 2(n - 1), so any pad width is covered."""
-    j = np.abs(np.arange(-before, n + after))
-    if n == 1:
-        return np.zeros_like(j)
-    j %= 2 * (n - 1)
-    return np.minimum(j, 2 * (n - 1) - j)
-
-
 @functools.lru_cache(maxsize=64)
 def _reflect_index_map(h, w, pads):
     """Flat source index of every pixel of an (h, w) image reflect-padded
     by ``pads`` = (top, bottom, left, right).  Memoised, so the result is
-    read-only."""
+    read-only.  The edge is not repeated, and any pad width is covered."""
     pt, pb, pl, pr = pads
-    out = (_reflect_1d(h, pt, pb)[:, None] * w + _reflect_1d(w, pl, pr)[None, :]).ravel()
+    rows = np.pad(np.arange(h), (pt, pb), mode="reflect")
+    cols = np.pad(np.arange(w), (pl, pr), mode="reflect")
+    out = (rows[:, None] * w + cols[None, :]).ravel()
     out.setflags(write=False)
     return out
 
@@ -701,15 +692,12 @@ class AdamOptimizer:
     """Adam with bias correction; per-parameter moments persist on the
     optimizer."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {p.name: np.zeros_like(p.data) for p in self.params}
         self._v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -720,7 +708,7 @@ class AdamOptimizer:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for p in self.params:
             if p.grad is None:
                 raise ValueError(f"missing gradient for parameter {p.name!r}")
@@ -733,4 +721,4 @@ class AdamOptimizer:
             v += (1 - b2) * g * g
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + 1e-8)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import operators as ops
 from . import tensor as T
-from .config import config_dict, read_config, read_fields, typed
+from .config import read_fields, typed
 from .metrics import psnr
 from .noise import sample_noise, sample_params
 from .problem import ProblemInstance
@@ -107,13 +107,6 @@ class TrainConfig:
             raise ValueError("config values must be positive")
         if self.lr <= 0 or self.sigma_floor <= 0:
             raise ValueError("config values must be positive")
-
-    def to_dict(self) -> dict:
-        return config_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return read_config(cls, d, "train config")
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,12 @@ class TestConfigFiles:
         {"steps": "2"},
         {"steps": 1, "omega": None},
         {"steps": 1, "oracle_selection": 1},
-    ], ids=["list", "misspelled_key", "steps_string", "omega_null", "flag_int"])
+        {"steps": 0},
+        {"steps": -3},
+        {"steps": 1, "lr": -1.0},
+        {"steps": 1, "lr": 0.0},
+    ], ids=["list", "misspelled_key", "steps_string", "omega_null", "flag_int",
+            "steps_zero", "steps_negative", "lr_negative", "lr_zero"])
     def test_malformed_finetune_config_exit_2(self, tmp_path, clean_image, tiny_ckpt,
                                               capsys, doc):
         p, _ = clean_image
@@ -320,6 +325,8 @@ class TestConfigFiles:
         ("model", "num_scales", "2"),
         ("model", "head_channels", [1, True]),
         ("model", "cg_tol", 10 ** 400),
+        ("model", "cg_iters", 0),
+        ("model", "cg_tol", -1.0),
         ("train", "steps", "1"),
         ("train", "lr", True),
         ("train", "log_path", "log.csv"),
@@ -339,6 +346,7 @@ class TestConfigFiles:
         ("dataset", "shape", [16, 16]),
         ("dataset", "sead", 3),
     ], ids=["model_unknown_key", "model_scales_string", "model_head_bool", "model_tol_huge",
+            "model_cg_iters_zero", "model_cg_tol_negative",
             "train_steps_string", "train_lr_bool", "train_log_path", "top_level_list",
             "unknown_section", "tasks_number", "tasks_object", "task_params_typo",
             "task_params_list", "task_unknown_key", "task_unknown_kind", "task_channels_float",

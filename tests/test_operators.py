@@ -279,6 +279,16 @@ class TestKernels:
         b = ops.make_motion_kernel(0.6, 0.5, 31, seed=3).array
         assert np.array_equal(a, b)
 
+    def test_motion_gp_factor_shared_and_read_only(self):
+        ops.make_motion_kernel(0.45, 0.35, 7, seed=1)
+        hits = ops._gp_factor.cache_info().hits
+        ops.make_motion_kernel(0.45, 0.35, 7, seed=2)
+        assert ops._gp_factor.cache_info().hits == hits + 1
+        chol = ops._gp_factor(0.45, 0.35, 1000)
+        assert not chol.flags.writeable
+        with pytest.raises(ValueError):
+            chol[0, 0] = 0.0
+
 
 class TestInpainting:
     def test_all_ones_is_identity(self):

@@ -5,7 +5,7 @@ import scipy.ndimage
 from reconkit import operators as ops
 from reconkit import selfsup as ss
 from reconkit import tensor as T
-from reconkit.metrics import psnr
+from reconkit.config import config_dict, read_config
 from reconkit.model import RamConfig, RamModel
 from reconkit.noise import NoiseParams
 from reconkit.problem import ProblemInstance
@@ -332,13 +332,17 @@ class TestFinetune:
         assert 0 <= report["best_step"] < cfg.steps
         assert report["best_score"] == min(report["loss_history"])
 
-    def test_oracle_selection_requires_ground_truth(self):
-        insts = self.make_instances()
-        insts[0].x = None
-        cfg = ss.FinetuneConfig(steps=2, oracle_selection=True)
-        with pytest.raises(ValueError):
-            ss.finetune(RamModel(TINY), insts, cfg)
+    @pytest.mark.parametrize("mc_loss,null_loss", [("sure", "ei"), ("split", "moi")])
+    def test_reads_no_ground_truth(self, mc_loss, null_loss):
+        insts = self.make_instances(n=2)
+        for inst in insts:
+            inst.x = None
+        cfg = ss.FinetuneConfig(mc_loss=mc_loss, null_loss=null_loss, steps=3, seed=6)
+        report = ss.finetune(RamModel(TINY), insts, cfg)
+        assert len(report["loss_history"]) == cfg.steps
+        assert np.all(np.isfinite(report["loss_history"]))
+        assert 0 <= report["best_step"] < cfg.steps
 
     def test_config_round_trip(self):
         cfg = ss.FinetuneConfig(mc_loss="split", null_loss="moi", omega=0.3, steps=11)
-        assert ss.FinetuneConfig.from_dict(cfg.to_dict()) == cfg
+        assert read_config(ss.FinetuneConfig, config_dict(cfg), "finetune config") == cfg

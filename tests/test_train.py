@@ -4,6 +4,7 @@ import pytest
 from reconkit import operators as ops
 from reconkit import tensor as T
 from reconkit import train as tr
+from reconkit.config import config_dict, read_config
 from reconkit.model import RamConfig, RamModel
 from reconkit.noise import NoiseParams
 from reconkit.problem import ProblemInstance
@@ -230,9 +231,11 @@ class TestTrainLoop:
                            params={"p_range": [0.3, 0.9]})
         assert tr.TaskSpec.from_dict(task.to_dict()) == task
         cfg = tr.TrainConfig(steps=7, lr=3e-4)
-        assert tr.TrainConfig.from_dict(cfg.to_dict()) == tr.TrainConfig(steps=7, lr=3e-4)
+        assert read_config(tr.TrainConfig, config_dict(cfg), "train config") == \
+            tr.TrainConfig(steps=7, lr=3e-4)
 
     def test_checkpoint_every_round_trips(self):
-        assert tr.TrainConfig.from_dict({"checkpoint_every": 7}).checkpoint_every == 7
+        assert read_config(tr.TrainConfig, {"checkpoint_every": 7},
+                           "train config").checkpoint_every == 7
         cfg = tr.TrainConfig(steps=9, checkpoint_every=3)
-        assert tr.TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert read_config(tr.TrainConfig, config_dict(cfg), "train config") == cfg
