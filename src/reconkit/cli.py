@@ -81,8 +81,8 @@ def _resolve_task(spec: str) -> tr.TaskSpec:
     if spec.endswith(".json"):
         with open(spec) as fh:
             d = json.load(fh)
-        d.setdefault("name", os.path.splitext(os.path.basename(spec))[0])
-        return tr.TaskSpec.from_dict(d)
+        name = os.path.splitext(os.path.basename(spec))[0]
+        return tr.TaskSpec.from_dict({"name": name, **d} if isinstance(d, dict) else d)
     if spec in _BUILTIN_TASKS:
         return tr.TaskSpec.from_dict({"name": spec, **_BUILTIN_TASKS[spec]})
     raise DataError(f"unknown task {spec!r}; builtins: {sorted(_BUILTIN_TASKS)}")

@@ -1,4 +1,5 @@
-"""Dataclass configurations read from JSON objects and checkpoints.
+"""Configurations and the other outside documents (manifests, noise levels,
+operator specs, task files) read from JSON objects and checkpoints.
 
 A configuration's readable fields are its ``init`` dataclass fields, each
 with a default; a value must have its default's type.  An int also passes
@@ -13,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 
-__all__ = ["config_dict", "read_config", "read_fields", "typed"]
+__all__ = ["config_dict", "read_config", "read_fields", "require", "typed"]
 
 
 def config_dict(cfg) -> dict:
@@ -37,6 +38,14 @@ def read_fields(d, defaults: dict, what: str) -> dict:
     if unknown:
         raise ValueError(f"{what}: unknown keys {unknown}; known keys {sorted(defaults)}")
     return {k: typed(v, defaults[k], f"{what} {k!r}") for k, v in d.items()}
+
+
+def require(d: dict, keys, what: str) -> dict:
+    """``d``, once it holds all of ``keys``; else ValueError naming ``what``."""
+    missing = sorted(set(keys) - set(d))
+    if missing:
+        raise ValueError(f"{what}: missing keys {missing}")
+    return d
 
 
 def typed(v, default, what: str):

@@ -12,6 +12,7 @@ R(a y, A, a sigma, a gamma) == a R(y, A, sigma, gamma) for a > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,12 @@ class RamConfig:
 
     @classmethod
     def from_entries(cls, entries: dict) -> "RamConfig":
+        """The stored config, each entry read as JSON would give it (integral
+        values as ints, one element as a scalar unless the field is a tuple)."""
         def value(name, default):
-            arr = np.asarray(entries[f"config.{name}"]).reshape(-1)
-            if isinstance(default, float):
-                return float(arr[0])
-            ints = tuple(int(v) for v in arr)
-            return ints if isinstance(default, tuple) else ints[0]
+            vals = np.asarray(entries[f"config.{name}"], dtype=np.float64).ravel().tolist()
+            vals = [int(v) if v.is_integer() else v for v in vals]
+            return vals[0] if len(vals) == 1 and not isinstance(default, tuple) else vals
 
         return read_config(cls, {k: value(k, v) for k, v in config_dict(cls()).items()},
                            "checkpoint config")
@@ -70,6 +71,28 @@ class RamConfig:
 def _he_init(rng, shape):
     fan_in = shape[1] * shape[2] * shape[3]
     return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+
+
+def _layout(config: RamConfig):
+    """Each convolution weight's name, shape and whether it starts at zero,
+    in the order the model draws them."""
+    w0, kk, nk = config.base_width, config.ksm_kernel_size, 2 * (config.krylov_depth + 1)
+    for c in config.head_channels:
+        yield f"head{c}.conv_in", (w0, c + 2, 3, 3), False
+        yield f"head{c}.conv_out", (c, w0, 3, 3), True
+        for s in range(config.num_scales):
+            ws = w0 * 2 ** s
+            yield f"head{c}.ksm{s}.decode", (c, ws, 1, 1), False
+            yield f"head{c}.ksm{s}.combine", (c, nk * c, kk, kk), False
+            yield f"head{c}.ksm{s}.encode", (ws, c, 1, 1), False
+    for s in range(config.num_scales):
+        ws = w0 * 2 ** s
+        for b in range(config.blocks):
+            yield f"enc{s}.block{b}.conv", (ws, ws, 3, 3), False
+            yield f"dec{s}.block{b}.conv", (ws, ws, 3, 3), False
+        if s < config.num_scales - 1:
+            yield f"down{s}.conv", (2 * ws, ws, 2, 2), False
+            yield f"up{s}.conv", (2 * ws, ws, 2, 2), False
 
 
 class RamModel:
@@ -85,35 +108,9 @@ class RamModel:
     def __init__(self, config: RamConfig = RamConfig()):
         self.config = config
         self.eval_count = 0
-        self._params: dict[str, T.Parameter] = {}
         rng = np.random.default_rng(config.seed)
-        w0 = config.base_width
-        kk = config.ksm_kernel_size
-        nk = 2 * (config.krylov_depth + 1)
-
-        def par(name, shape, zero=False):
-            data = np.zeros(shape) if zero else _he_init(rng, shape)
-            p = T.Parameter(name, data)
-            self._params[name] = p
-            return p
-
-        for c in config.head_channels:
-            par(f"head{c}.conv_in", (w0, c + 2, 3, 3))
-            par(f"head{c}.conv_out", (c, w0, 3, 3), zero=True)
-            for s in range(config.num_scales):
-                ws = w0 * 2 ** s
-                par(f"head{c}.ksm{s}.decode", (c, ws, 1, 1))
-                par(f"head{c}.ksm{s}.combine", (c, nk * c, kk, kk))
-                par(f"head{c}.ksm{s}.encode", (ws, c, 1, 1))
-        for s in range(config.num_scales):
-            ws = w0 * 2 ** s
-            for b in range(config.blocks):
-                par(f"enc{s}.block{b}.conv", (ws, ws, 3, 3))
-                par(f"dec{s}.block{b}.conv", (ws, ws, 3, 3))
-            if s < config.num_scales - 1:
-                wd = w0 * 2 ** (s + 1)
-                par(f"down{s}.conv", (wd, ws, 2, 2))
-                par(f"up{s}.conv", (wd, ws, 2, 2))
+        self._params = {name: T.Parameter(name, np.zeros(shape) if zero else _he_init(rng, shape))
+                        for name, shape, zero in _layout(config)}
         self._params["eta"] = T.Parameter("eta", np.array(config.eta_init))
 
     # -- parameter access ------------------------------------------------
@@ -244,11 +241,17 @@ class RamModel:
     def load_checkpoint(cls, path) -> "RamModel":
         entries = tnsr.load_tensors(path)
         config = RamConfig.from_entries(entries)
-        model = cls(config)
         stored = {k: v for k, v in entries.items() if not k.startswith("config.")}
-        if set(stored) != set(model._params):
+        # match the stored weights before allocating any: a config may claim
+        # any size, and the walk stops at the first weight the file lacks
+        names = {"eta"}
+        for name, shape, _ in _layout(config):
+            if name not in stored or stored[name].size != math.prod(shape):
+                raise ValueError(f"checkpoint weight {name} does not match its config's {shape}")
+            names.add(name)
+        if set(stored) != names:
             raise ValueError("checkpoint parameter names do not match the architecture")
+        model = cls(config)
         for name, p in model._params.items():
-            arr = stored[name].reshape(p.data.shape)
-            p.data = np.asarray(arr, dtype=np.float64)
+            p.data = np.asarray(stored[name].reshape(p.data.shape), dtype=np.float64)
         return model

@@ -6,7 +6,6 @@ returns the clean measurement unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,17 +21,6 @@ class NoiseParams:
     def __post_init__(self):
         if self.sigma < 0 or self.gamma < 0:
             raise ValueError("noise parameters must be nonnegative")
-
-    def to_dict(self):
-        return {"sigma": self.sigma, "gamma": self.gamma}
-
-    @classmethod
-    def from_dict(cls, d):
-        for name in ("sigma", "gamma"):
-            v = d[name]
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValueError(f"noise {name} must be a finite number, got {v!r}")
-        return cls(sigma=float(d["sigma"]), gamma=float(d["gamma"]))
 
 
 def sample_noise(clean: np.ndarray, params: NoiseParams, seed: int | list[int] = 0):

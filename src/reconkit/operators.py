@@ -173,9 +173,9 @@ class BlurKernel:
 
 class OperatorKind(NamedTuple):
     """How one factory-built kind is defined: its scalar spec fields, each
-    with its JSON type, and its defining arrays (serialized, and read by
-    the content key), and a builder ``(domain_shape, spec, arrays) ->
-    OperatorHandle``."""
+    with a default of its JSON type, and its defining arrays (serialized,
+    and read by the content key), and a builder ``(domain_shape, spec,
+    arrays) -> OperatorHandle``."""
 
     spec_fields: dict
     array_names: tuple
@@ -435,18 +435,17 @@ def _gp_factor(length_scale: float, amplitude: float, num_points: int) -> np.nda
 
 
 def make_motion_kernel(length_scale: float, amplitude: float, size: int = 31,
-                       seed: int = 0, num_points: int = 1000) -> BlurKernel:
-    """Random motion kernel: a smooth Gaussian-process trajectory (RBF
-    covariance, length scale ``length_scale``, amplitude ``amplitude``)
-    rasterized with bilinear splatting."""
+                       seed: int = 0) -> BlurKernel:
+    """Random motion kernel: a smooth Gaussian-process trajectory of 1000
+    points (RBF covariance, length scale ``length_scale``, amplitude
+    ``amplitude``) rasterized with bilinear splatting."""
     if size % 2 == 0:
         raise ValueError("kernel size must be odd")
     rng = np.random.default_rng(seed)
     if amplitude <= 0:
-        traj = np.zeros((num_points, 2))
+        traj = np.zeros((1000, 2))
     else:
-        chol = _gp_factor(length_scale, amplitude, num_points)
-        traj = chol @ rng.standard_normal((num_points, 2))
+        traj = _gp_factor(length_scale, amplitude, 1000) @ rng.standard_normal((1000, 2))
     # center the trajectory and map GP units to pixels
     traj = traj - traj.mean(axis=0)
     uv = np.clip(size // 2 + traj * (size // 2), 0, size - 1 - 1e-9)
@@ -886,14 +885,14 @@ def _upsample_matrix(n_coarse: int, factor: int, beta: float = 8.0, taps: int = 
     return mat
 
 
-def make_upsampler(scale: int, coarse_shape, beta: float = 8.0, taps: int = 8) -> OperatorHandle:
-    """U_s: 2^s separable Kaiser-windowed sinc upsampling."""
+def make_upsampler(scale: int, coarse_shape) -> OperatorHandle:
+    """U_s: 2^s separable Kaiser-windowed sinc upsampling (beta 8, 8 taps)."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
     f = 2 ** scale
     c, h, w = coarse_shape
-    uh = _upsample_matrix(h, f, beta, taps)
-    uw = _upsample_matrix(w, f, beta, taps)
+    uh = _upsample_matrix(h, f)
+    uw = _upsample_matrix(w, f)
 
     def apply_fn(x):
         return uh @ x @ uw.T
@@ -976,10 +975,10 @@ KINDS = {
         {}, ("mask", "smaps"),
         lambda shape, spec, arrays: make_multicoil_mri(arrays["mask"], arrays["smaps"], shape)),
     "ct": OperatorKind(
-        {"num_angles": int}, (),
+        {"num_angles": 0}, (),
         lambda shape, spec, arrays: make_ct_radon(spec["num_angles"], shape)),
     "downsampling": OperatorKind(
-        {"factor": int, "filter": str}, (),
+        {"factor": 0, "filter": ""}, (),
         lambda shape, spec, arrays: make_downsampling(spec["factor"], spec["filter"], shape)),
     "compressed_sensing": OperatorKind(
         {}, ("sign_mask", "keep_indices"),

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import operators as ops
 from . import tnsr
+from .config import config_dict, read_config, read_fields, require
 from .noise import NoiseParams
 
 __all__ = ["ProblemInstance", "operator_from_spec", "operator_to_spec",
@@ -24,6 +25,11 @@ class ProblemInstance:
     noise: NoiseParams
     x: np.ndarray | None = None
     seed: int = 0
+
+
+# a manifest's keys, each with a default of its type; operator, noise and
+# data must be present
+_MANIFEST = {"operator": {}, "noise": {}, "seed": 0, "data": "", "has_ground_truth": False}
 
 
 def operator_to_spec(op: ops.OperatorHandle) -> tuple[dict, dict]:
@@ -40,41 +46,24 @@ def operator_to_spec(op: ops.OperatorHandle) -> tuple[dict, dict]:
     return spec, arrays
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_object(value, what: str) -> None:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {value!r}")
-
-
 def operator_from_spec(spec: dict, arrays: dict | None = None) -> ops.OperatorHandle:
     """Build the operator a spec and its arrays define.  The spec holds
     exactly ``kind`` (a name in :data:`operators.KINDS`), ``domain_shape``
     (three positive integers, matching the shape the arrays give) and that
     kind's spec fields, each of its type; anything else is a ValueError."""
     arrays = arrays or {}
-    _check_object(spec, "operator")
     kind_name = spec.get("kind")
     if not (isinstance(kind_name, str) and kind_name in ops.KINDS):
         raise ValueError(f"unknown operator kind {kind_name!r}")
     kind = ops.KINDS[kind_name]
-    fields = {"kind", "domain_shape", *kind.spec_fields}
-    if set(spec) != fields:
-        raise ValueError(f"{kind_name} operator fields must be {sorted(fields)}, "
-                         f"got {sorted(spec)}")
-    for field, typ in kind.spec_fields.items():
-        value = spec[field]
-        if not isinstance(value, typ) or isinstance(value, bool):
-            raise ValueError(f"{kind_name} operator field {field!r} must be of type "
-                             f"{typ.__name__}, got {value!r}")
+    fields = {"kind": kind_name, "domain_shape": (0,), **kind.spec_fields}
+    what = f"{kind_name} operator"
+    spec = require(read_fields(spec, fields, what), fields, what)
     shape = spec["domain_shape"]
-    if not (isinstance(shape, (list, tuple)) and len(shape) == 3
-            and all(_is_int(n) and n > 0 for n in shape)):
-        raise ValueError(f"domain_shape must be three positive integers, got {shape!r}")
-    op = kind.build(tuple(shape), spec, {name: arrays[f"op.{name}"] for name in kind.array_names})
-    if op.domain_shape != tuple(shape):
+    if not (len(shape) == 3 and min(shape) > 0):
+        raise ValueError(f"domain_shape must be three positive integers, got {list(shape)}")
+    op = kind.build(shape, spec, {name: arrays[f"op.{name}"] for name in kind.array_names})
+    if op.domain_shape != shape:
         raise ValueError(f"domain_shape {list(shape)} does not match the operator's "
                          f"{list(op.domain_shape)}")
     return op
@@ -89,13 +78,8 @@ def save_instance(path, inst: ProblemInstance) -> None:
     entries["y"] = inst.y
     if inst.x is not None:
         entries["x"] = inst.x
-    manifest = {
-        "operator": op_spec,
-        "noise": inst.noise.to_dict(),
-        "seed": inst.seed,
-        "data": os.path.basename(data_path),
-        "has_ground_truth": inst.x is not None,
-    }
+    manifest = {"operator": op_spec, "noise": config_dict(inst.noise), "seed": inst.seed,
+                "data": os.path.basename(data_path), "has_ground_truth": inst.x is not None}
     tnsr.save_tensors(data_path, entries)
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -105,13 +89,14 @@ def save_instance(path, inst: ProblemInstance) -> None:
 def load_instance(path) -> ProblemInstance:
     path = str(path)
     with open(path) as fh:
-        manifest = json.load(fh)
-    _check_object(manifest, "manifest")
-    _check_object(manifest.get("noise"), "noise")
-    if not isinstance(manifest.get("data"), str):
-        raise ValueError(f"data must be a file name, got {manifest.get('data')!r}")
-    data_path = os.path.join(os.path.dirname(path) or ".", manifest["data"])
-    entries = tnsr.load_tensors(data_path)
+        manifest = require(read_fields(json.load(fh), _MANIFEST, "manifest"),
+                           ("operator", "noise", "data"), "manifest")
+    noise = read_config(NoiseParams, require(manifest["noise"], ("sigma", "gamma"), "noise"),
+                        "noise")
+    seed = manifest.get("seed", 0)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    entries = tnsr.load_tensors(os.path.join(os.path.dirname(path) or ".", manifest["data"]))
     op = operator_from_spec(manifest["operator"], entries)
     y = entries["y"]
     if y.shape != op.range_shape:
@@ -119,8 +104,4 @@ def load_instance(path) -> ProblemInstance:
     x = entries.get("x")
     if x is not None and x.shape != op.domain_shape:
         raise ValueError("ground-truth shape inconsistent with operator spec")
-    seed = manifest.get("seed", 0)
-    if not (_is_int(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return ProblemInstance(op=op, y=y, noise=NoiseParams.from_dict(manifest["noise"]),
-                           x=x, seed=seed)
+    return ProblemInstance(op=op, y=y, noise=noise, x=x, seed=seed)

@@ -68,9 +68,6 @@ class TaskSpec:
                 setattr(self, name, typed(v, (0.0,) if isinstance(v, (list, tuple)) else 0.0, name))
         self.params = read_fields(self.params, TASK_KINDS[self.kind][0], f"{self.kind} task params")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, d) -> "TaskSpec":
         """A task from an object with a ``name``, a ``kind`` and any other
@@ -83,7 +80,10 @@ class TaskSpec:
 
     def draw_operator(self, shape, rng) -> ops.OperatorHandle:
         defaults, draw = TASK_KINDS[self.kind]
-        return draw(shape, rng, **{**defaults, **self.params})
+        params = {**defaults, **self.params}
+        if params.get("kernel_size", 0) >= min(shape[1:]):  # refused before the kernel is built
+            raise ValueError("kernel must be smaller than the image")
+        return draw(shape, rng, **params)
 
 
 @dataclass

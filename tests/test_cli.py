@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,13 +13,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reconkit
 from reconkit import cli, tnsr
 from reconkit import operators as ops
+from reconkit import train as tr
 from reconkit.model import RamConfig, RamModel
 from reconkit.noise import NoiseParams
 from reconkit.problem import ProblemInstance, load_instance, save_instance
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+# a manifest value that marks its key for deletion
+DELETE = object()
 
 TINY = RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=1,
                  head_channels=(1,), seed=0)
@@ -115,6 +123,19 @@ class TestSimulate:
         assert inst.op.kind == "blur"
         assert np.array_equal(inst.x, x)
 
+    @pytest.mark.parametrize("doc", [[1], "blur", None,
+                                     {"kind": "blur", "params": {"kernel_size": 1001}}],
+                             ids=["list", "string", "null", "kernel_too_large"])
+    def test_malformed_task_file_exit_2(self, tmp_path, clean_image, capsys, doc):
+        p, _ = clean_image
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["simulate", "--task", str(task), "--in", str(p),
+                         "--out", str(tmp_path / "inst.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_task_exit_2(self, tmp_path, clean_image):
         p, _ = clean_image
         assert cli.main(["simulate", "--task", "hologram", "--in", str(p),
@@ -190,10 +211,22 @@ class TestReconstructAndUq:
         ("inpainting", ("data",), ""),
         ("inpainting", ("noise",), None),
         ("inpainting", (), ["inst.tnsr"]),
+        ("inpainting", ("noise", "sigma"), 10 ** 400),
+        ("inpainting", ("noise", "extra"), 0.1),
+        ("inpainting", ("extra",), 1),
+        ("inpainting", ("has_ground_truth",), "x"),
+        ("inpainting", ("noise", "gamma"), DELETE),
+        ("inpainting", ("noise", "sigma"), DELETE),
+        ("inpainting", ("operator",), DELETE),
+        ("inpainting", ("data",), DELETE),
+        ("ct", ("operator", "num_angles"), DELETE),
     ], ids=["shape_rank2", "shape_float", "shape_mismatch", "seed_negative", "seed_null",
             "shape_null", "sigma_null", "angles_null", "angles_string", "angles_zero",
             "factor_null", "filter_int", "kind_list", "extra_field", "operator_string",
-            "data_null", "data_empty", "noise_null", "top_level_list"])
+            "data_null", "data_empty", "noise_null", "top_level_list", "sigma_huge",
+            "noise_unknown_key", "top_level_unknown_key", "ground_truth_string",
+            "gamma_missing", "sigma_missing", "operator_missing", "data_missing",
+            "angles_missing"])
     def test_malformed_manifest_exit_2(self, tmp_path, clean_image, tiny_ckpt, capsys,
                                        task, path, value):
         inst = self.instance(tmp_path, clean_image, task)
@@ -202,7 +235,10 @@ class TestReconstructAndUq:
             node = manifest
             for key in path[:-1]:
                 node = node[key]
-            node[path[-1]] = value
+            if value is DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
         else:
             manifest = value
         inst.write_text(json.dumps(manifest))
@@ -211,6 +247,34 @@ class TestReconstructAndUq:
                          "--out", str(tmp_path / "x.tnsr")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    # larger_model: a 2^20-wide config is refused from the stored weights,
+    # before the model is allocated
+    @pytest.mark.parametrize("name,value", [
+        ("blocks", np.inf), ("blocks", np.array([])), ("blocks", 1.7), ("blocks", np.nan),
+        ("base_width", 2.0 ** 20),
+    ], ids=["inf", "empty", "fraction", "nan", "larger_model"])
+    def test_malformed_checkpoint_config_exit_2(self, tmp_path, clean_image, tiny_ckpt,
+                                                capsys, name, value):
+        inst = self.simulate(tmp_path, clean_image)
+        entries = tnsr.load_tensors(tiny_ckpt)
+        entries[f"config.{name}"] = np.asarray(value, dtype=np.float64)
+        tnsr.save_tensors(tiny_ckpt, entries)
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--model", str(tiny_ckpt), "--instance", str(inst),
+                         "--out", str(tmp_path / "x.tnsr")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_golden_files_load(self, tmp_path):
+        """A checkpoint, manifest and data file written by an earlier
+        version still load, and reconstruct to the same bytes."""
+        out = tmp_path / "xhat.tnsr"
+        assert cli.main(["reconstruct", "--model", str(GOLDEN / "tiny_model.tnsr"),
+                         "--instance", str(GOLDEN / "blur_instance.json"),
+                         "--out", str(out)]) == 0
+        want = (GOLDEN / "blur_reconstruct.sha256").read_text().strip()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
     def test_uq_error_map(self, tmp_path, clean_image, tiny_ckpt):
         inst = self.simulate(tmp_path, clean_image)
@@ -397,9 +461,10 @@ FUZZ_TASKS = ("inpainting", "blur", "downsampling")
 
 # data file names that resolve to a directory or to another file of the example
 FILE_NAMES = st.sampled_from(["", ".", "..", "x.tnsr", "model.tnsr", "s.json"])
+# integers from 2**1024 on have no float64 value
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2 ** 40, 2 ** 40) | st.floats() | st.text(max_size=4)
-    | FILE_NAMES,
+    st.none() | st.booleans() | st.integers(-2 ** 40, 2 ** 40) | st.integers(2 ** 1024, 2 ** 1100)
+    | st.floats() | st.text(max_size=4) | FILE_NAMES,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                  max_size=3),
     max_leaves=6)
@@ -427,7 +492,7 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(v, prefix + (k,))
 
 
-def _mutate_manifest(path, data):
+def _mutate_json(path, data):
     doc = json.loads(path.read_text())
     where = data.draw(st.sampled_from(list(_json_paths(doc))))
     if not where:
@@ -454,20 +519,35 @@ def _mutate_bytes(path, data):
     path.write_bytes(bytes(raw))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(task=st.sampled_from(FUZZ_TASKS),
-       target=st.sampled_from(["manifest", "data_name", "data", "image"]), data=st.data())
+       target=st.sampled_from(["manifest", "data_name", "data", "image", "task_file",
+                               "checkpoint"]), data=st.data())
 def test_fuzzed_inputs_exit_cleanly(fuzz_inputs, task, target, data):
     """simulate, reconstruct, eval and uq on a mutated manifest (any field,
-    or the data file name), TNSR data file or image exit 0, 2 or 3, and every failure prints an error line;
-    an exception escaping ``cli.main`` fails the test."""
+    or the data file name), TNSR data file, image, task file (simulate
+    ``--task``) or checkpoint config entry exit 0, 2 or 3, and every failure
+    prints an error line; an exception escaping ``cli.main`` fails the test."""
     with tempfile.TemporaryDirectory() as tmp:
         work = os.path.join(tmp, "w")
         shutil.copytree(fuzz_inputs, work)
         image = os.path.join(work, "x.tnsr")
         inst = os.path.join(work, f"{task}.json")
+        task_arg = task
         if target == "manifest":
-            _mutate_manifest(pathlib.Path(inst), data)
+            _mutate_json(pathlib.Path(inst), data)
+        elif target == "task_file":
+            task_arg = os.path.join(work, "task.json")
+            params = dict(tr.TASK_KINDS[task][0])
+            pathlib.Path(task_arg).write_text(json.dumps(
+                {"kind": task, "sigma_range": [0.01, 0.05], "gamma_range": 0.01, "params": params}))
+            _mutate_json(pathlib.Path(task_arg), data)
+        elif target == "checkpoint":
+            entries = tnsr.load_tensors(os.path.join(work, "model.tnsr"))
+            name = data.draw(st.sampled_from(sorted(k for k in entries if k.startswith("config."))))
+            entries[name] = data.draw(hnp.arrays(np.float64, hnp.array_shapes(
+                min_dims=0, max_dims=2, min_side=0, max_side=3)))
+            tnsr.save_tensors(os.path.join(work, "model.tnsr"), entries)
         elif target == "data_name":
             doc = json.loads(pathlib.Path(inst).read_text())
             doc["data"] = data.draw(FILE_NAMES)
@@ -476,7 +556,7 @@ def test_fuzzed_inputs_exit_cleanly(fuzz_inputs, task, target, data):
             _mutate_bytes(pathlib.Path(work, f"{task}.tnsr" if target == "data" else "x.tnsr"), data)
         xhat = os.path.join(work, "xhat.tnsr")
         commands = [
-            ["simulate", "--task", task, "--in", image, "--out", os.path.join(work, "s.json")],
+            ["simulate", "--task", task_arg, "--in", image, "--out", os.path.join(work, "s.json")],
             ["reconstruct", "--model", os.path.join(work, "model.tnsr"), "--instance", inst,
              "--out", xhat],
             ["eval", "--pred", xhat, "--ref", image],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reconkit.config import config_dict, read_config
 from reconkit.noise import NoiseParams, sample_noise, sample_params
 
 
@@ -17,7 +18,7 @@ class TestNoiseParams:
 
     def test_dict_round_trip(self):
         p = NoiseParams(sigma=0.05, gamma=0.2)
-        assert NoiseParams.from_dict(p.to_dict()) == p
+        assert read_config(NoiseParams, config_dict(p), "noise") == p
 
 
 class TestSampleNoise:

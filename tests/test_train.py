@@ -229,7 +229,7 @@ class TestTrainLoop:
     def test_task_round_trip_dicts(self):
         task = tr.TaskSpec("inp", "inpainting", channels=3, sigma_range=(0.01, 0.2),
                            params={"p_range": [0.3, 0.9]})
-        assert tr.TaskSpec.from_dict(task.to_dict()) == task
+        assert tr.TaskSpec.from_dict(config_dict(task)) == task
         cfg = tr.TrainConfig(steps=7, lr=3e-4)
         assert read_config(tr.TrainConfig, config_dict(cfg), "train config") == \
             tr.TrainConfig(steps=7, lr=3e-4)
