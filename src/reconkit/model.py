@@ -244,14 +244,19 @@ class RamModel:
         stored = {k: v for k, v in entries.items() if not k.startswith("config.")}
         # match the stored weights before allocating any: a config may claim
         # any size, and the walk stops at the first weight the file lacks
-        names = {"eta"}
+        shapes = {}
         for name, shape, _ in _layout(config):
             if name not in stored or stored[name].size != math.prod(shape):
                 raise ValueError(f"checkpoint weight {name} does not match its config's {shape}")
-            names.add(name)
-        if set(stored) != names:
+            shapes[name] = shape
+        shapes["eta"] = (1,)
+        if set(stored) != set(shapes):
             raise ValueError("checkpoint parameter names do not match the architecture")
-        model = cls(config)
-        for name, p in model._params.items():
-            p.data = np.asarray(stored[name].reshape(p.data.shape), dtype=np.float64)
+        # wrap the stored arrays in __init__'s order, drawing no initial
+        # weights; a non-finite weight is left for the output check to report
+        model = cls.__new__(cls)
+        model.config, model.eval_count, model._params = config, 0, {}
+        for name, shape in shapes.items():
+            p = model._params[name] = T.Parameter(name, 0.0)
+            p.data = np.asarray(stored[name].reshape(shape), dtype=np.float64)
         return model

@@ -95,12 +95,14 @@ class TransformGroup:
 
 
 def mc_divergence(fn, y: np.ndarray, eps: float | None = None, probes: int = 1,
-                  seed: int = 0) -> T.Tensor:
+                  seed: int = 0, base: T.Tensor | None = None) -> T.Tensor:
     """Monte-Carlo divergence of ``fn`` at ``y`` with Rademacher probes.
 
     ``fn`` maps a numpy array to a graph tensor of the same shape; the
     estimate (1/N) sum b^T (fn(y + eps b) - fn(y)) / eps stays
-    differentiable through every ``fn`` evaluation.
+    differentiable through every ``fn`` evaluation.  ``base`` is
+    ``fn(y)`` when the caller already holds it, which saves that
+    evaluation: the estimate then costs one ``fn`` call per probe.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
@@ -109,7 +111,8 @@ def mc_divergence(fn, y: np.ndarray, eps: float | None = None, probes: int = 1,
     if eps <= 0:
         raise ValueError("probe step must be positive")
     rng = np.random.default_rng(seed)
-    base = fn(y)
+    if base is None:
+        base = fn(y)
     total = None
     for _ in range(probes):
         b = rng.choice([-1.0, 1.0], size=y.shape)
@@ -124,20 +127,28 @@ def _apply_op(op: OperatorHandle, x4: T.Tensor) -> T.Tensor:
     return T.apply_linear(x4, lambda a: op.apply(a[0]), lambda g: op.adjoint(g)[None])
 
 
-def sure_loss(model, inst: ProblemInstance, probes: int = 1, seed: int = 0) -> T.Tensor:
-    """Stein estimate of the measurement-consistency risk for Gaussian
-    noise: ||A R(y) - y||^2 + 2 sigma^2 div(A o R)(y)."""
-    if inst.noise.gamma > 0:
+def _require_gaussian(noise) -> None:
+    if noise.gamma > 0:
         raise ValueError("SURE here assumes pure Gaussian noise (gamma == 0)")
+
+
+def sure_loss(model, inst: ProblemInstance, probes: int = 1, seed: int = 0,
+              xhat: T.Tensor | None = None) -> T.Tensor:
+    """Stein estimate of the measurement-consistency risk for Gaussian
+    noise: ||A R(y) - y||^2 + 2 sigma^2 div(A o R)(y).  ``xhat`` is
+    ``model.forward(inst.y, inst.op, inst.noise)`` when the caller
+    already holds it; the residual and the divergence base share it."""
+    _require_gaussian(inst.noise)
     op, sigma = inst.op, inst.noise.sigma
 
     def ar(yv):
         return _apply_op(op, model.forward(yv, op, inst.noise))
 
-    resid = ar(inst.y) - T.constant(inst.y)
+    axhat = ar(inst.y) if xhat is None else _apply_op(op, xhat)
+    resid = axhat - T.constant(inst.y)
     loss = T.sum_all(T.square(resid))
     if sigma > 0:
-        div = mc_divergence(ar, inst.y, probes=probes, seed=seed)
+        div = mc_divergence(ar, inst.y, probes=probes, seed=seed, base=axhat)
         loss = loss + T.constant(2.0 * sigma ** 2) * div
     return loss
 
@@ -165,11 +176,14 @@ def split_loss(model, inst: ProblemInstance, keep_prob: float = 0.9,
 
 
 def ei_loss(model, inst: ProblemInstance, group: TransformGroup,
-            seed: int = 0) -> T.Tensor:
+            seed: int = 0, xhat: T.Tensor | None = None) -> T.Tensor:
     """Equivariant imaging: || T x_hat - R(A T x_hat, A) ||^2 for one
-    sampled group element, differentiable through both model passes."""
+    sampled group element, differentiable through both model passes.
+    ``xhat`` is ``model.forward(inst.y, inst.op, inst.noise)`` when the
+    caller already holds it."""
     op = inst.op
-    xhat = model.forward(inst.y, op, inst.noise)
+    if xhat is None:
+        xhat = model.forward(inst.y, op, inst.noise)
     t = group.sample(op.domain_shape, seed)
     tx = t.apply(xhat)
     y2 = _apply_op(op, tx)
@@ -178,14 +192,17 @@ def ei_loss(model, inst: ProblemInstance, group: TransformGroup,
 
 
 def moi_loss(model, inst: ProblemInstance, operator_family: list,
-             seed: int = 0) -> T.Tensor:
+             seed: int = 0, xhat: T.Tensor | None = None) -> T.Tensor:
     """Multi-operator consistency: || x_hat - R(A_r x_hat, A_r) ||^2 for
-    one operator sampled from the family."""
+    one operator sampled from the family.  ``xhat`` is
+    ``model.forward(inst.y, inst.op, inst.noise)`` when the caller
+    already holds it."""
     if not operator_family:
         raise ValueError("operator family is empty")
     rng = np.random.default_rng(seed)
     other = operator_family[int(rng.integers(len(operator_family)))]
-    xhat = model.forward(inst.y, inst.op, inst.noise)
+    if xhat is None:
+        xhat = model.forward(inst.y, inst.op, inst.noise)
     y2 = _apply_op(other, xhat)
     x2 = model.forward(y2, other, inst.noise)
     return T.sum_all(T.square(xhat - x2))
@@ -223,28 +240,44 @@ def finetune(model, instances: list, cfg: FinetuneConfig) -> dict:
     """Adapt the model on measurements alone: per step, L_MC + omega
     L_NULL summed over the instances, one Adam step, and best-checkpoint
     tracking by the self-supervised loss.  MOI draws its operators from
-    the instances'; ground truths are never read."""
+    the instances'; ground truths are never read.
+
+    Each instance's reconstruction x_hat = R(y) is computed once per step
+    and shared by the SURE residual, its divergence base and the EI or
+    MOI term, so a SURE+EI step with one probe is 3 model forwards per
+    instance (x_hat, the probe, the EI pass) and one backward.  Split
+    keeps its own forward, from the masked measurement.  The returned
+    ``forwards_per_step`` is the model's ``eval_count`` over the call
+    divided by the steps."""
     if not instances:
         raise ValueError("no finetuning measurements")
+    if cfg.mc_loss == "sure":
+        for inst in instances:
+            _require_gaussian(inst.noise)
     group = TransformGroup("composite", cfg.max_shift_frac)
     operator_family = [inst.op for inst in instances]
     opt = T.AdamOptimizer(model.parameters(), lr=cfg.lr)
     history = []
     best = {"score": np.inf, "step": -1, "params": None}
+    evals = model.eval_count
     for step in range(cfg.steps):
         opt.zero_grad()
         total = 0.0
         for i, inst in enumerate(instances):
             sd = cfg.seed * 1000003 + step * 131 + i
+            xhat = None
+            if cfg.mc_loss == "sure" or cfg.null_loss != "none":
+                xhat = model.forward(inst.y, inst.op, inst.noise)
             if cfg.mc_loss == "sure":
-                loss = sure_loss(model, inst, probes=cfg.probes, seed=sd)
+                loss = sure_loss(model, inst, probes=cfg.probes, seed=sd, xhat=xhat)
             else:
                 loss = split_loss(model, inst, keep_prob=cfg.keep_prob, seed=sd)
             if cfg.null_loss == "ei":
-                loss = loss + T.constant(cfg.omega) * ei_loss(model, inst, group, seed=sd + 7)
+                loss = loss + T.constant(cfg.omega) * ei_loss(
+                    model, inst, group, seed=sd + 7, xhat=xhat)
             elif cfg.null_loss == "moi":
                 loss = loss + T.constant(cfg.omega) * moi_loss(
-                    model, inst, operator_family, seed=sd + 7)
+                    model, inst, operator_family, seed=sd + 7, xhat=xhat)
             loss.backward()
             total += loss.item()
         if not np.isfinite(total):
@@ -258,4 +291,5 @@ def finetune(model, instances: list, cfg: FinetuneConfig) -> dict:
         for p in model.parameters():
             p.data = best["params"][p.name]
     return {"steps": cfg.steps, "loss_history": history,
-            "best_step": best["step"], "best_score": best["score"]}
+            "best_step": best["step"], "best_score": best["score"],
+            "forwards_per_step": (model.eval_count - evals) / cfg.steps}

@@ -396,6 +396,20 @@ class TestCheckpoint:
         assert np.array_equal(model.reconstruct(y, op, nz),
                               loaded.reconstruct(y, op, nz))
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        model = randomize(RamModel(SMALL), seed=25)
+        path, again = tmp_path / "model.tnsr", tmp_path / "again.tnsr"
+        model.save_checkpoint(path)
+
+        def no_draw(rng, shape):
+            raise AssertionError("load_checkpoint drew an initial weight")
+
+        monkeypatch.setattr("reconkit.model._he_init", no_draw)
+        loaded = RamModel.load_checkpoint(path)
+        assert loaded.eval_count == 0
+        loaded.save_checkpoint(again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_mismatched_names_rejected(self, tmp_path):
         model = RamModel(TINY)
         path = tmp_path / "model.tnsr"

@@ -108,6 +108,22 @@ class TestMcDivergence:
         # div == 36 c, so d div / d c == 36
         assert c.grad.item() == pytest.approx(36.0, abs=1e-9)
 
+    def test_precomputed_base(self):
+        c = T.Parameter("c", np.array(1.5))
+        y = np.random.default_rng(10).standard_normal((1, 6, 6))
+        calls = []
+
+        def fn(v):
+            calls.append(v)
+            return T.constant(np.sin(v)) * c
+
+        own = ss.mc_divergence(fn, y, probes=3, seed=11)
+        base = fn(y)
+        calls.clear()
+        given = ss.mc_divergence(fn, y, probes=3, seed=11, base=base)
+        assert given.item() == own.item()
+        assert len(calls) == 3  # one per probe, none for the base
+
 
 class TestSure:
     def make_inst(self, sigma=0.2, shape=(1, 8, 8), seed=0):
@@ -291,6 +307,63 @@ class TestMoi:
         assert ss.moi_loss(LinearModel(0.7), inst, [op2], seed=32).item() >= 0
 
 
+class TestSharedReconstruction:
+    """finetune hands one x_hat = R(y) to every loss of an instance."""
+
+    def make(self):
+        rng = np.random.default_rng(40)
+        op = ops.make_inpainting(ops.make_bernoulli_mask((1, 16, 16), 0.6, seed=41))
+        y = op.apply(rng.random((1, 16, 16))) + 0.05 * rng.standard_normal((1, 16, 16))
+        return RamModel(TINY), ProblemInstance(op=op, y=y, noise=NoiseParams(sigma=0.05))
+
+    @staticmethod
+    def loss_and_grads(model, make_loss):
+        model.zero_grad()
+        loss = make_loss()
+        loss.backward()
+        return loss.item(), {p.name: p.grad.copy() for p in model.parameters()}
+
+    @staticmethod
+    def assert_grads_close(got, ref):
+        for name, g in ref.items():
+            assert np.max(np.abs(got[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+    def losses(self, model, inst):
+        group = ss.TransformGroup("composite")
+        return {"sure": lambda **kw: ss.sure_loss(model, inst, probes=2, seed=42, **kw),
+                "ei": lambda **kw: ss.ei_loss(model, inst, group, seed=43, **kw),
+                "moi": lambda **kw: ss.moi_loss(model, inst, [inst.op], seed=44, **kw)}
+
+    @pytest.mark.parametrize("name", ["sure", "ei", "moi"])
+    def test_given_xhat_matches_own(self, name):
+        model, inst = self.make()
+        loss = self.losses(model, inst)[name]
+        ref, ref_g = self.loss_and_grads(model, loss)
+        got, got_g = self.loss_and_grads(
+            model, lambda: loss(xhat=model.forward(inst.y, inst.op, inst.noise)))
+        assert got == ref
+        self.assert_grads_close(got_g, ref_g)
+
+    @pytest.mark.parametrize("null", ["ei", "moi"])
+    def test_shared_sum_matches_separate(self, null):
+        # one backward through the shared x_hat node against the sum of
+        # the losses each running their own forwards
+        model, inst = self.make()
+        losses = self.losses(model, inst)
+        omega = T.constant(0.1)
+        ref, ref_g = self.loss_and_grads(model, lambda: losses["sure"]() + omega * losses[null]())
+
+        def shared():
+            xhat = model.forward(inst.y, inst.op, inst.noise)
+            return losses["sure"](xhat=xhat) + omega * losses[null](xhat=xhat)
+
+        evals = model.eval_count
+        got, got_g = self.loss_and_grads(model, shared)
+        assert model.eval_count - evals == 4  # x_hat, two probes, one null-space pass
+        assert got == ref
+        self.assert_grads_close(got_g, ref_g)
+
+
 class TestFinetune:
     def make_instances(self, n=1, sigma=0.05, seed=33):
         rng = np.random.default_rng(seed)
@@ -318,11 +391,25 @@ class TestFinetune:
         assert ra["loss_history"] == rb["loss_history"]
 
     def test_sure_with_poisson_rejected(self):
-        insts = self.make_instances()
-        insts[0].noise = NoiseParams(sigma=0.05, gamma=0.1)
+        # refused before any forward, whichever instance carries gamma > 0
         cfg = ss.FinetuneConfig(mc_loss="sure", steps=2)
-        with pytest.raises(ValueError):
-            ss.finetune(RamModel(TINY), insts, cfg)
+        for bad in range(2):
+            insts = self.make_instances(n=2)
+            insts[bad].noise = NoiseParams(sigma=0.05, gamma=0.1)
+            model = RamModel(TINY)
+            with pytest.raises(ValueError):
+                ss.finetune(model, insts, cfg)
+            assert model.eval_count == 0
+
+    @pytest.mark.parametrize("mc_loss,null_loss,forwards", [
+        ("sure", "ei", 3), ("sure", "moi", 3), ("sure", "none", 2),
+        ("split", "ei", 3), ("split", "moi", 3), ("split", "none", 1)])
+    def test_forwards_per_step(self, mc_loss, null_loss, forwards):
+        model = RamModel(TINY)
+        cfg = ss.FinetuneConfig(mc_loss=mc_loss, null_loss=null_loss, steps=2, seed=7)
+        report = ss.finetune(model, self.make_instances(), cfg)
+        assert report["forwards_per_step"] == forwards
+        assert model.eval_count == forwards * cfg.steps
 
     def test_best_checkpoint_restored(self):
         insts = self.make_instances()
