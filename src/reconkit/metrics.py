@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["psnr", "ssim"]
 
@@ -22,11 +22,20 @@ def psnr(ref: np.ndarray, test: np.ndarray, data_range: float = 1.0) -> float:
     return float(min(val, 99.0))
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def _gaussian_taps(size: int = 11, sigma: float = 1.5) -> np.ndarray:
     r = np.arange(size) - size // 2
     g = np.exp(-0.5 * (r / sigma) ** 2)
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
+
+
+def _gaussian_filter(img: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Correlate the last two axes of ``img`` with the separable window
+    ``g g^T``, extending the borders by half-sample symmetry (scipy.ndimage's
+    ``"reflect"``); one contraction per axis."""
+    h = g.size // 2
+    pad = np.pad(img, [(0, 0)] * (img.ndim - 2) + [(h, h), (h, h)], mode="symmetric")
+    rows = sliding_window_view(pad, g.size, axis=-1) @ g
+    return sliding_window_view(rows, g.size, axis=-2) @ g
 
 
 def ssim(ref: np.ndarray, test: np.ndarray, data_range: float = 1.0) -> float:
@@ -41,17 +50,13 @@ def ssim(ref: np.ndarray, test: np.ndarray, data_range: float = 1.0) -> float:
         ref, test = ref[None], test[None]
     if ref.ndim != 3:
         raise ValueError("expected (C, H, W) images")
-    win = _gaussian_window()
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
-    vals = []
-    for x, y in zip(ref, test):
-        mu_x = scipy.ndimage.correlate(x, win, mode="reflect")
-        mu_y = scipy.ndimage.correlate(y, win, mode="reflect")
-        var_x = scipy.ndimage.correlate(x * x, win, mode="reflect") - mu_x ** 2
-        var_y = scipy.ndimage.correlate(y * y, win, mode="reflect") - mu_y ** 2
-        cov = scipy.ndimage.correlate(x * y, win, mode="reflect") - mu_x * mu_y
-        num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
-        den = (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
-        vals.append(np.mean(num / den))
-    return float(np.mean(vals))
+    mu_x, mu_y, xx, yy, xy = _gaussian_filter(
+        np.stack([ref, test, ref * ref, test * test, ref * test]), _gaussian_taps())
+    var_x = xx - mu_x ** 2
+    var_y = yy - mu_y ** 2
+    cov = xy - mu_x * mu_y
+    num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
+    den = (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
+    return float(np.mean((num / den).mean(axis=(1, 2))))

@@ -50,7 +50,6 @@ from collections import OrderedDict
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "OperatorHandle",
@@ -708,6 +707,8 @@ def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
     so each projection conserves the total image mass exactly.  The
     adjoint is the transpose of the same sparse matrix.
     """
+    import scipy.sparse  # here, not at the top: it adds ~0.2 s to every start-up
+
     if num_angles < 1:
         raise ValueError("need at least one projection angle")
     c, h, w = image_shape

@@ -282,11 +282,11 @@ def finetune(model, instances: list, cfg: FinetuneConfig) -> dict:
             total += loss.item()
         if not np.isfinite(total):
             raise RuntimeError(f"finetuning diverged at step {step}")
-        opt.step()
         history.append(total)
-        if total < best["score"]:
+        if total < best["score"]:  # the parameters that scored it, before the update
             best = {"score": total, "step": step,
                     "params": {p.name: p.data.copy() for p in model.parameters()}}
+        opt.step()
     if best["params"] is not None:
         for p in model.parameters():
             p.data = best["params"][p.name]

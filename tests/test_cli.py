@@ -444,13 +444,41 @@ class TestSelftest:
 
 def test_cli_import_leaves_scipy_linalg_out():
     # importing scipy.linalg adds about a quarter second to every command's
-    # start-up; nothing the CLI reaches needs it
+    # start-up, and scipy.sparse and scipy.ndimage some 0.2 s each; only a CT
+    # operator needs scipy, and it imports scipy.sparse when it is built
     src = os.path.dirname(os.path.dirname(os.path.abspath(reconkit.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, reconkit.cli; print('scipy.linalg' in sys.modules)"],
+        [sys.executable, "-c", "import sys, reconkit.cli; print('scipy.linalg' in sys.modules); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["False", "[]"]
+
+
+def test_cli_commands_leave_scipy_out(tmp_path, clean_image):
+    # without a CT operator, no command imports scipy on its way
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reconkit.__file__)))
+    (tmp_path / "train.json").write_text(json.dumps(TRAIN_DOC))
+    (tmp_path / "ft.json").write_text(json.dumps({"mc_loss": "sure", "null_loss": "ei",
+                                                  "steps": 1}))
+    (tmp_path / "meas").mkdir()
+    commands = [
+        ["simulate", "--task", "inpainting", "--in", "x.tnsr", "--out", "meas/m.json"],
+        ["train", "--config", "train.json", "--out", "ckpt.tnsr"],
+        ["finetune", "--config", "ft.json", "--model", "ckpt.tnsr", "--data", "meas",
+         "--out", "ft.tnsr"],
+        ["reconstruct", "--model", "ft.tnsr", "--instance", "meas/m.json", "--out", "xhat.tnsr"],
+        ["uq", "--model", "ft.tnsr", "--instance", "meas/m.json", "--samples", "2",
+         "--out", "err.tnsr"],
+        ["eval", "--pred", "xhat.tnsr", "--ref", "x.tnsr"]]
+    script = ("import json, sys; from reconkit import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -192,15 +192,24 @@ class TestSsim:
         # average extracted from the implementation's windowed statistics
         import scipy.ndimage as ndi
 
-        mu_x = ndi.correlate(x, win, mode="reflect")
-        mu_y = ndi.correlate(y, win, mode="reflect")
-        var_x = ndi.correlate(x * x, win, mode="reflect") - mu_x ** 2
-        var_y = ndi.correlate(y * y, win, mode="reflect") - mu_y ** 2
-        cov = ndi.correlate(x * y, win, mode="reflect") - mu_x * mu_y
-        impl_map = ((2 * mu_x * mu_y + c1) * (2 * cov + c2) /
+        def ssim_map(x, y):
+            mu_x = ndi.correlate(x, win, mode="reflect")
+            mu_y = ndi.correlate(y, win, mode="reflect")
+            var_x = ndi.correlate(x * x, win, mode="reflect") - mu_x ** 2
+            var_y = ndi.correlate(y * y, win, mode="reflect") - mu_y ** 2
+            cov = ndi.correlate(x * y, win, mode="reflect") - mu_x * mu_y
+            return ((2 * mu_x * mu_y + c1) * (2 * cov + c2) /
                     ((mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)))
+
+        impl_map = ssim_map(x, y)
         assert np.allclose(vals[5:19, 5:19], impl_map[5:19, 5:19], atol=1e-10)
         assert ssim(x, y) == pytest.approx(float(impl_map.mean()), abs=1e-12)
+        # images smaller than the window are where border conventions part
+        for shape in [(1, 5, 7), (1, 3, 3), (1, 1, 9), (2, 16, 16)]:
+            a = rng.random(shape)
+            b = np.clip(a + 0.2 * rng.standard_normal(shape), 0, 1)
+            ref = np.mean([ssim_map(ca, cb).mean() for ca, cb in zip(a, b)])
+            assert ssim(a, b) == pytest.approx(float(ref), abs=1e-12), shape
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -419,6 +419,17 @@ class TestFinetune:
         assert 0 <= report["best_step"] < cfg.steps
         assert report["best_score"] == min(report["loss_history"])
 
+    def test_best_checkpoint_is_the_scored_one(self):
+        # a step scores the parameters before its update; with one step,
+        # the restored best checkpoint is the initial model
+        model = RamModel(TINY)
+        initial = {p.name: p.data.copy() for p in model.parameters()}
+        cfg = ss.FinetuneConfig(mc_loss="split", null_loss="none", steps=1, lr=1e-2, seed=4)
+        report = ss.finetune(model, self.make_instances(), cfg)
+        assert report["best_step"] == 0
+        for p in model.parameters():
+            assert np.array_equal(p.data, initial[p.name]), p.name
+
     @pytest.mark.parametrize("mc_loss,null_loss", [("sure", "ei"), ("split", "moi")])
     def test_reads_no_ground_truth(self, mc_loss, null_loss):
         insts = self.make_instances(n=2)
