@@ -21,8 +21,8 @@ from . import train as tr
 from .config import read_config, read_fields
 from .metrics import psnr, ssim
 from .model import RamConfig, RamModel
-from .noise import NoiseParams, sample_noise, sample_params
-from .problem import ProblemInstance, load_instance, save_instance
+from .noise import NoiseParams
+from .problem import load_instance, save_instance
 from .selfsup import FinetuneConfig, TransformGroup, finetune
 from .solvers import conjugate_gradient, lambda_schedule, prox_estimate
 from .uq import equivariant_bootstrap, pixelwise_errors
@@ -105,14 +105,9 @@ def cmd_simulate(args) -> int:
         x = x[None]
     if x.ndim != 3:
         raise DataError("input image must be (C, H, W)")
-    rng = np.random.default_rng(args.seed)
-    op = task.draw_operator(x.shape, rng)
-    noise = sample_params(task.sigma_range, task.gamma_range,
-                          seed=int(rng.integers(2 ** 31)))
-    y, _ = sample_noise(op.apply(x), noise, seed=int(rng.integers(2 ** 31)))
-    _check_finite(y, "simulated measurement")
-    save_instance(args.out, ProblemInstance(op=op, y=y, noise=noise, x=x,
-                                            seed=args.seed))
+    inst = task.simulate(x, np.random.default_rng(args.seed), args.seed)
+    _check_finite(inst.y, "simulated measurement")
+    save_instance(args.out, inst)
     return EXIT_OK
 
 

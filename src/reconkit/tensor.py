@@ -27,7 +27,13 @@ gradient of a convolution) has no loop over kernel taps: when taps do
 not overlap (kernel equal to the stride) it is one ``matmul`` for all
 taps and a depth-to-space reshape; otherwise it is the forward
 convolution of the zero-inserted, (k - 1)-padded input with the flipped
-kernel.  Reflect padding is one gather through a memoised index map.
+kernel.
+
+Every single-input linear op (padding, cropping, channel slicing, sum and
+mean) is one :func:`apply_linear` node: its backward applies the op's
+adjoint.  Each padding mode's map and adjoint are written once, in
+``_padding_maps``; ``conv2d`` pads with them too and stays one node.
+Reflect padding is one gather through a memoised index map.
 """
 
 from __future__ import annotations
@@ -315,22 +321,12 @@ def square(x: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = np.array([x.data.sum()])
-
-    def bw(g):
-        return (np.full_like(x.data, g.reshape(-1)[0]),)
-
-    return Tensor(out, (x,), bw)
+    return apply_linear(x, lambda a: np.array([a.sum()]), lambda g: np.full_like(x.data, g[0]))
 
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
-    out = np.array([x.data.mean()])
-
-    def bw(g):
-        return (np.full_like(x.data, g.reshape(-1)[0] / n),)
-
-    return Tensor(out, (x,), bw)
+    return apply_linear(x, lambda a: np.array([a.mean()]), lambda g: np.full_like(x.data, g[0] / n))
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -363,15 +359,6 @@ def _reflect_index_map(h, w, pads):
     return out
 
 
-def _reflect_pad_array(x: np.ndarray, pads) -> np.ndarray:
-    """Reflect-pad the trailing spatial axes of a NCHW array by ``pads`` =
-    (top, bottom, left, right): one gather, C-contiguous output."""
-    n, c, h, w = x.shape
-    pt, pb, pl, pr = pads
-    idx_flat = _reflect_index_map(h, w, pads)
-    return np.take(x.reshape(n, c, -1), idx_flat, axis=2).reshape(n, c, h + pt + pb, w + pl + pr)
-
-
 def _scatter_adjoint(g: np.ndarray, idx_flat: np.ndarray, h: int, w: int) -> np.ndarray:
     """Adjoint of an index-gather pad: accumulate padded grads onto sources."""
     n, c = g.shape[0], g.shape[1]
@@ -380,64 +367,59 @@ def _scatter_adjoint(g: np.ndarray, idx_flat: np.ndarray, h: int, w: int) -> np.
     return out.reshape(n, c, h, w)
 
 
+def _pads(pad) -> tuple:
+    """(top, bottom, left, right) of an int pad (the same on all sides) or of those four widths."""
+    pt, pb, pl, pr = (pad,) * 4 if isinstance(pad, int) else pad
+    return pt, pb, pl, pr
+
+
+def _padding_maps(padding: str, pads, h: int, w: int):
+    """``(pad, unpad)``: the map padding the trailing (h, w) axes of a NCHW
+    array by ``pads`` = (top, bottom, left, right) in ``padding`` mode
+    ("valid" and zero widths pad nothing), and its adjoint."""
+    if padding not in ("valid", "zero", "reflect"):
+        raise ValueError(f"unknown padding mode {padding!r}")
+    pt, pb, pl, pr = pads
+    if padding == "valid" or not any(pads):
+        return (lambda a: a), (lambda g: g)
+    if padding == "zero":
+        return (lambda a: np.pad(a, ((0, 0), (0, 0), (pt, pb), (pl, pr))),
+                lambda g: g[:, :, pt:pt + h, pl:pl + w])
+    idx_flat = _reflect_index_map(h, w, pads)
+    hw = (h + pt + pb, w + pl + pr)
+    return (lambda a: np.take(a.reshape(*a.shape[:2], -1), idx_flat, axis=2).reshape(a.shape[:2] + hw),
+            lambda g: _scatter_adjoint(g, idx_flat, h, w))
+
+
 def pad_reflect(x: Tensor, pad) -> Tensor:
-    """Reflect-pad the two trailing spatial axes of a NCHW tensor.
-
-    ``pad`` is either an int (same on all sides) or (top, bottom, left,
-    right).
-    """
-    if isinstance(pad, int):
-        pt = pb = pl = pr = pad
-    else:
-        pt, pb, pl, pr = pad
-    h, w = x.shape[2], x.shape[3]
-    pads = (pt, pb, pl, pr)
-    out = _reflect_pad_array(x.data, pads)
-
-    def bw(g):
-        return (_scatter_adjoint(g, _reflect_index_map(h, w, pads), h, w),)
-
-    return Tensor(out, (x,), bw)
+    """Reflect-pad the two trailing spatial axes of a NCHW tensor; ``pad``
+    is an int (same on all sides) or (top, bottom, left, right)."""
+    return apply_linear(x, *_padding_maps("reflect", _pads(pad), x.shape[2], x.shape[3]))
 
 
 def pad_zero(x: Tensor, pad) -> Tensor:
-    if isinstance(pad, int):
-        pt = pb = pl = pr = pad
-    else:
-        pt, pb, pl, pr = pad
-    out = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-
-    def bw(g):
-        h, w = x.shape[2], x.shape[3]
-        return (g[:, :, pt:pt + h, pl:pl + w],)
-
-    return Tensor(out, (x,), bw)
+    return apply_linear(x, *_padding_maps("zero", _pads(pad), x.shape[2], x.shape[3]))
 
 
 def crop2d(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
-    out = x.data[:, :, top:top + height, left:left + width]
+    index = np.s_[:, :, top:top + height, left:left + width]
+    return apply_linear(x, lambda a: a[index].copy(), _embed(x.data, index))
 
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[:, :, top:top + height, left:left + width] = g
-        return (gx,)
 
-    return Tensor(out.copy(), (x,), bw)
+def _embed(like: np.ndarray, index):
+    """Adjoint of reading ``like[index]``: the gradient put back at
+    ``index`` in zeros shaped as ``like``."""
+    def embed(g):
+        gx = np.zeros_like(like)
+        gx[index] = g
+        return gx
+
+    return embed
 
 
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
-
-
-def _pad_numpy(x: np.ndarray, padding: str, pad: int) -> np.ndarray:
-    if padding == "valid" or pad == 0:
-        return x
-    if padding == "zero":
-        return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    if padding == "reflect":
-        return _reflect_pad_array(x, (pad,) * 4)
-    raise ValueError(f"unknown padding mode {padding!r}")
 
 
 # Bytes one row strip's transients may take: its column patches, halo rows
@@ -583,22 +565,15 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: str = "valid", p
     oc, ic, kh, kw = weight.shape
     if ic != c:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {ic}")
-    xp = _pad_numpy(x.data, padding, pad)
+    pad_map, unpad = _padding_maps(padding, _pads(pad), h, w_)
+    xp = pad_map(x.data)
     if kh > xp.shape[2] or kw > xp.shape[3]:
         raise ValueError("kernel larger than (padded) input")
     out = _conv_forward(xp, weight.data, stride)
 
     def bw(g):
         gw = _conv_weight_grad(xp, g, kh, kw, stride)
-        gxp = _conv_transpose(g, weight.data, stride, xp.shape[2:])
-        if padding == "valid" or pad == 0:
-            gx = gxp
-        elif padding == "zero":
-            gx = gxp[:, :, pad:pad + h, pad:pad + w_]
-        else:  # reflect
-            idx_flat = _reflect_index_map(h, w_, (pad,) * 4)
-            gx = _scatter_adjoint(gxp, idx_flat, h, w_)
-        return gx, gw
+        return unpad(_conv_transpose(g, weight.data, stride, xp.shape[2:])), gw
 
     return Tensor(out, (x, weight), bw)
 
@@ -658,14 +633,8 @@ def concat_channels(inputs) -> Tensor:
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    out = x.data[:, start:stop].copy()
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return Tensor(out, (x,), bw)
+    index = np.s_[:, start:stop]
+    return apply_linear(x, lambda a: a[index].copy(), _embed(x.data, index))
 
 
 def apply_linear(x: Tensor, forward_fn, adjoint_fn) -> Tensor:

@@ -85,6 +85,14 @@ class TaskSpec:
             raise ValueError("kernel must be smaller than the image")
         return draw(shape, rng, **params)
 
+    def simulate(self, x: np.ndarray, rng, seed: int) -> ProblemInstance:
+        """A problem instance for clean image ``x``: an operator, noise
+        levels and noise drawn from ``rng``, in that order."""
+        op = self.draw_operator(x.shape, rng)
+        noise = sample_params(self.sigma_range, self.gamma_range, seed=int(rng.integers(2 ** 31)))
+        y, _ = sample_noise(op.apply(x), noise, seed=int(rng.integers(2 ** 31)))
+        return ProblemInstance(op=op, y=y, noise=noise, x=x, seed=seed)
+
 
 @dataclass
 class TrainConfig:
@@ -93,7 +101,6 @@ class TrainConfig:
     lr: float = 1e-4
     lr_decay_step: int = 1800
     patch_size: int = 32
-    sigma_floor: float = 1e-3
     seed: int = 0
     log_every: int = 50
     # output paths: set by the caller, never read from a config file
@@ -103,9 +110,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if min(self.steps, self.batch_size, self.patch_size,
-               self.lr_decay_step, self.log_every, self.checkpoint_every) < 1:
-            raise ValueError("config values must be positive")
-        if self.lr <= 0 or self.sigma_floor <= 0:
+               self.lr_decay_step, self.log_every, self.checkpoint_every) < 1 or self.lr <= 0:
             raise ValueError("config values must be positive")
 
 
@@ -182,15 +187,8 @@ def sample_batch(task: TaskSpec, dataset: list, batch: int, patch: int,
     if not dataset:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(batch):
-        x = _random_patch(dataset[int(rng.integers(len(dataset)))], patch, rng)
-        op = task.draw_operator(x.shape, rng)
-        nz = sample_params(task.sigma_range, task.gamma_range,
-                           seed=int(rng.integers(2 ** 31)))
-        y, _ = sample_noise(op.apply(x), nz, seed=int(rng.integers(2 ** 31)))
-        out.append(ProblemInstance(op=op, y=y, noise=nz, x=x, seed=seed))
-    return out
+    return [task.simulate(_random_patch(dataset[int(rng.integers(len(dataset)))], patch, rng),
+                          rng, seed) for _ in range(batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +196,22 @@ def sample_batch(task: TaskSpec, dataset: list, batch: int, patch: int,
 # ---------------------------------------------------------------------------
 
 
-def snr_weight(op, y, sigma, sigma_floor=1e-3) -> float:
-    """omega = ||A^T y||_2 / max(sigma, floor), balancing tasks and noise
+# the noise level below which the SNR weight stops growing
+_SIGMA_FLOOR = 1e-3
+
+
+def snr_weight(op, y, sigma) -> float:
+    """omega = ||A^T y||_2 / max(sigma, 1e-3), balancing tasks and noise
     levels."""
-    return float(np.linalg.norm(op.adjoint(y))) / max(sigma, sigma_floor)
+    return float(np.linalg.norm(op.adjoint(y))) / max(sigma, _SIGMA_FLOOR)
 
 
-def task_loss(model, inst: ProblemInstance, sigma_floor: float = 1e-3) -> T.Tensor:
+def task_loss(model, inst: ProblemInstance) -> T.Tensor:
     """Weighted L1 reconstruction loss, differentiable in the model."""
     if inst.x is None:
         raise ValueError("supervised loss needs a ground truth")
     out = model.forward(inst.y, inst.op, inst.noise)
-    omega = snr_weight(inst.op, inst.y, inst.noise.sigma, sigma_floor)
+    omega = snr_weight(inst.op, inst.y, inst.noise.sigma)
     return T.constant(omega) * T.sum_all(T.abs_val(out - T.constant(inst.x[None])))
 
 
@@ -237,7 +239,7 @@ def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
                                  cfg.patch_size, seed=cfg.seed * 1000003 + step * 131 + ti)
             task_total = None
             for inst in batch:
-                loss = task_loss(model, inst, cfg.sigma_floor)
+                loss = task_loss(model, inst)
                 task_total = loss if task_total is None else task_total + loss
             task_total.backward()
             per_task[task.name] = task_total.item()

@@ -276,6 +276,24 @@ class TestReconstructAndUq:
         want = (GOLDEN / "blur_reconstruct.sha256").read_text().strip()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
+    def test_train_golden(self, tmp_path):
+        """Two training steps (2 scales; a blur task, so the prox and its
+        implicit backward run; 17x17 patches, so the model reflect-pads and
+        crops) give the checkpoint and log bytes an earlier version wrote."""
+        cfg = {"model": {"num_scales": 2, "base_width": 4, "blocks": 1, "krylov_depth": 1,
+                         "head_channels": [1], "seed": 3},
+               "tasks": [{"name": "blur", "kind": "blur", "sigma_range": 0.05}],
+               "train": {"steps": 2, "batch_size": 2, "patch_size": 17, "log_every": 1, "seed": 4},
+               "dataset": {"kind": "piecewise-constant", "count": 3, "shape": [1, 20, 20],
+                           "seed": 5}}
+        (tmp_path / "train.json").write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(tmp_path / "train.json"),
+                         "--out", str(tmp_path / "model.tnsr"),
+                         "--log", str(tmp_path / "log.csv")]) == 0
+        for line in (GOLDEN / "blur_train.sha256").read_text().splitlines():
+            want, name = line.split()
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
     def test_uq_error_map(self, tmp_path, clean_image, tiny_ckpt):
         inst = self.simulate(tmp_path, clean_image)
         out = tmp_path / "err.tnsr"
@@ -394,6 +412,7 @@ class TestConfigFiles:
         ("train", "steps", "1"),
         ("train", "lr", True),
         ("train", "log_path", "log.csv"),
+        ("train", "sigma_floor", 1e-3),
         (None, None, [TRAIN_DOC]),
         ("datset", None, {}),
         ("tasks", None, [1]),
@@ -411,7 +430,8 @@ class TestConfigFiles:
         ("dataset", "sead", 3),
     ], ids=["model_unknown_key", "model_scales_string", "model_head_bool", "model_tol_huge",
             "model_cg_iters_zero", "model_cg_tol_negative",
-            "train_steps_string", "train_lr_bool", "train_log_path", "top_level_list",
+            "train_steps_string", "train_lr_bool", "train_log_path", "train_sigma_floor",
+            "top_level_list",
             "unknown_section", "tasks_number", "tasks_object", "task_params_typo",
             "task_params_list", "task_unknown_key", "task_unknown_kind", "task_channels_float",
             "task_name_number", "task_range_string", "dataset_list", "dataset_shape_string",

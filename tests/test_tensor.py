@@ -217,6 +217,13 @@ class TestConv2d:
         with pytest.raises(ValueError):
             T.conv2d(T.constant(np.zeros((1, 2, 4, 4))), T.constant(np.zeros((1, 3, 3, 3))))
 
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_unknown_padding_mode_refused(self, pad):
+        # refused whatever the pad width, also where nothing would be padded
+        with pytest.raises(ValueError, match="unknown padding mode"):
+            T.conv2d(T.constant(np.zeros((1, 1, 4, 4))), T.constant(np.zeros((1, 1, 3, 3))),
+                     padding="same", pad=pad)
+
     def test_kernel_too_large(self):
         with pytest.raises(ValueError):
             T.conv2d(T.constant(np.zeros((1, 1, 4, 4))), T.constant(np.zeros((1, 1, 5, 5))))
@@ -400,23 +407,23 @@ class TestConvParity:
         assert np.array_equal(out, ref.reshape(n, c, h, w))
 
 
-def _assert_adjoint(op, x, w):
-    """<op(x, w), y> equals <x, d/dx> and <w, d/dw> for a random y, to
-    1e-12 relative to the norms of both sides; op is linear in each
+def _assert_adjoint(op, *args):
+    """<op(*args), y> equals <arg, d/d arg> for every argument and a random
+    y, to 1e-12 relative to the norms of both sides; op is linear in each
     argument."""
-    xt = T.Parameter("x", x)
-    wt = T.Parameter("w", w)
-    out = op(xt, wt)
-    y = np.random.default_rng(x.size + w.size).standard_normal(out.shape)
+    leaves = [T.Parameter(f"a{i}", a) for i, a in enumerate(args)]
+    out = op(*leaves)
+    y = np.random.default_rng(sum(a.size for a in args)).standard_normal(out.shape)
     T.sum_all(T.mul(out, T.constant(y))).backward()
     lhs = np.vdot(out.data, y)
-    for arg, grad in ((x, xt.grad), (w, wt.grad)):
+    for arg, grad in zip(args, [leaf.grad for leaf in leaves]):
         scale = np.linalg.norm(out.data) * np.linalg.norm(y) + np.linalg.norm(arg) * np.linalg.norm(grad)
         assert abs(lhs - np.vdot(arg, grad)) <= 1e-12 * scale
 
 
 class TestConvProperties:
-    """Adjoint identities of the convolutions on random shapes."""
+    """Adjoint identities of the convolutions and the single-input linear
+    nodes on random shapes."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 2), c=st.integers(1, 3), o=st.integers(1, 3),
@@ -454,6 +461,24 @@ class TestConvProperties:
             ref = np.pad(x, ((0, 0), (0, 0), pads[:2], pads[2:]), mode="reflect")
             assert out.flags.c_contiguous
             assert np.array_equal(out, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 2), c=st.integers(1, 4), h=st.integers(1, 9), w=st.integers(1, 9),
+           data=st.data())
+    def test_single_input_linear_nodes_adjoint(self, n, c, h, w, data):
+        x = np.random.default_rng(data.draw(st.integers(0, 2 ** 16))).standard_normal((n, c, h, w))
+        # reflect pad widths up to and past the image size
+        reflect = tuple(data.draw(st.integers(0, 3 * ext)) for ext in (h, h, w, w))
+        width = data.draw(st.integers(0, 3 * min(h, w)))
+        zero = tuple(data.draw(st.integers(0, 4)) for _ in range(4))
+        top, left = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+        rows, cols = data.draw(st.integers(1, h - top)), data.draw(st.integers(1, w - left))
+        start = data.draw(st.integers(0, c - 1))
+        stop = data.draw(st.integers(start + 1, c))
+        for op in (lambda a: T.pad_reflect(a, reflect), lambda a: T.pad_reflect(a, width),
+                   lambda a: T.pad_zero(a, zero), lambda a: T.crop2d(a, top, left, rows, cols),
+                   lambda a: T.slice_channels(a, start, stop), T.sum_all, T.mean_all):
+            _assert_adjoint(op, x)
 
 
 class TestConcat:

@@ -99,6 +99,18 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             tr.sample_batch(task, [], 1, 32, seed=0)
 
+    def test_simulate_is_the_batch_draw(self):
+        # a batch element is its patch simulated with the rest of the stream
+        task = tr.TaskSpec("inp", "inpainting", sigma_range=(0.01, 0.1), gamma_range=0.02)
+        data = [np.random.default_rng(16).random((1, 24, 24))]
+        inst = tr.sample_batch(task, data, 1, 24, seed=17)[0]
+        rng = np.random.default_rng(17)
+        rng.integers(1), rng.integers(0, 1), rng.integers(0, 1)  # image index, patch corner
+        again = task.simulate(data[0], rng, 17)
+        assert np.array_equal(again.y, inst.y) and np.array_equal(again.x, inst.x)
+        assert again.noise == inst.noise and again.seed == 17
+        assert np.array_equal(again.op.arrays["mask"], inst.op.arrays["mask"])
+
 
 class TestTaskLoss:
     def test_perfect_reconstruction_zero(self):
