@@ -254,7 +254,7 @@ def cmd_selftest(args) -> int:
 
     def loss_value():
         out = model.forward(yv, inst_op, noise)
-        return T.sum_all(T.square(out - T.constant(target[None])))
+        return T.sum_all(T.square(out - T.constant(target)))
 
     model.zero_grad()
     loss_value().backward()

@@ -98,11 +98,11 @@ def _layout(config: RamConfig):
 class RamModel:
     """Reconstructor for linear inverse problems y = A x + noise.
 
-    ``forward`` returns a (1, C, H, W) graph tensor for training, SURE/EI
-    losses and gradient checks; ``reconstruct`` returns the same values
-    as a plain (C, H, W) array, runs ``forward`` under ``tensor.no_grad``
-    so no tape is kept, and is the entry point used by the bootstrap and
-    the evaluation tools.
+    ``forward`` returns a graph tensor of ``op.domain_shape`` (C, H, W)
+    for training, SURE/EI losses and gradient checks; ``reconstruct``
+    returns its array, runs ``forward`` under ``tensor.no_grad`` so no
+    tape is kept, and is the entry point used by the bootstrap and the
+    evaluation tools.
     """
 
     def __init__(self, config: RamConfig = RamConfig()):
@@ -138,16 +138,12 @@ class RamModel:
 
     def build_ksm_stack(self, x_img, aty, cop: OperatorHandle):
         """Interleaved Krylov features {(A^T A)^k x, (A^T A)^k A^T y}."""
-
-        def normal4(a):
-            return cop.normal(a[0])[None]
-
         feats = []
         u, v = x_img, aty
         for k in range(self.config.krylov_depth + 1):
             if k > 0:
-                u = T.apply_linear(u, normal4, normal4)
-                v = T.apply_linear(v, normal4, normal4)
+                u = T.apply_linear(u, cop.normal, cop.normal)
+                v = T.apply_linear(v, cop.normal, cop.normal)
             feats.extend([u, v])
         return T.concat_channels(feats)
 
@@ -193,21 +189,20 @@ class RamModel:
 
         # proximal input estimate with a learnable SNR weight
         lam = self._params["eta"] * T.constant(lambda_schedule(sigma, 1.0, yt.data))
-        aty = T.apply_linear(yt, lambda a: opn.adjoint(a)[None], lambda g: opn.apply(g[0]))
+        aty = T.apply_linear(yt, opn.adjoint, opn.apply)
         x0 = prox_estimate_graph(opn, aty, lam, cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol)
 
         pads, (hp, wp) = self._padding(h, w)
         xin = T.pad_reflect(x0, pads) if (hp, wp) != (h, w) else x0
-        smap = T.constant(np.full((1, 1, hp, wp), sigma))
-        gmap = T.constant(np.full((1, 1, hp, wp), gamma))
+        smap = T.constant(np.full((1, hp, wp), sigma))
+        gmap = T.constant(np.full((1, hp, wp), gamma))
 
         coarse = []
         aty_s = []
         for s in range(cfg.num_scales):
             cop = make_coarse(op, s, fine_shape=(c, hp, wp))
             coarse.append(cop)
-            aty_s.append(T.apply_linear(yt, lambda a, o=cop: o.adjoint(a)[None],
-                                        lambda g, o=cop: o.apply(g[0])))
+            aty_s.append(T.apply_linear(yt, cop.adjoint, cop.apply))
 
         f = T.relu(self._conv3(T.concat_channels([xin, smap, gmap]), f"head{c}.conv_in"))
         skips = []
@@ -226,10 +221,10 @@ class RamModel:
         return x0 + res
 
     def reconstruct(self, y, op: OperatorHandle, noise: NoiseParams) -> np.ndarray:
-        """``forward(y, op, noise).data[0]``, computed without a tape: use
+        """``forward(y, op, noise).data``, computed without a tape: use
         ``forward`` when gradients are needed."""
         with T.no_grad():
-            return self.forward(y, op, noise).data[0]
+            return self.forward(y, op, noise).data
 
     # -- persistence -----------------------------------------------------
     def save_checkpoint(self, path) -> None:

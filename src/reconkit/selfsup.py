@@ -117,14 +117,10 @@ def mc_divergence(fn, y: np.ndarray, eps: float | None = None, probes: int = 1,
     for _ in range(probes):
         b = rng.choice([-1.0, 1.0], size=y.shape)
         pert = fn(y + eps * b)
-        bt = T.constant(b.reshape(base.shape))
+        bt = T.constant(b)
         term = T.dot(pert - base, bt) * T.constant(1.0 / eps)
         total = term if total is None else total + term
     return total * T.constant(1.0 / probes)
-
-
-def _apply_op(op: OperatorHandle, x4: T.Tensor) -> T.Tensor:
-    return T.apply_linear(x4, lambda a: op.apply(a[0]), lambda g: op.adjoint(g)[None])
 
 
 def _require_gaussian(noise) -> None:
@@ -142,9 +138,9 @@ def sure_loss(model, inst: ProblemInstance, probes: int = 1, seed: int = 0,
     op, sigma = inst.op, inst.noise.sigma
 
     def ar(yv):
-        return _apply_op(op, model.forward(yv, op, inst.noise))
+        return T.apply_linear(model.forward(yv, op, inst.noise), op.apply, op.adjoint)
 
-    axhat = ar(inst.y) if xhat is None else _apply_op(op, xhat)
+    axhat = ar(inst.y) if xhat is None else T.apply_linear(xhat, op.apply, op.adjoint)
     resid = axhat - T.constant(inst.y)
     loss = T.sum_all(T.square(resid))
     if sigma > 0:
@@ -170,7 +166,7 @@ def split_loss(model, inst: ProblemInstance, keep_prob: float = 0.9,
         kind=f"split[{op.kind}]",
     )
     xhat = model.forward(m * inst.y, masked, inst.noise)
-    resid = _apply_op(op, xhat) - T.constant(inst.y)
+    resid = T.apply_linear(xhat, op.apply, op.adjoint) - T.constant(inst.y)
     held_out = T.mul(resid, T.constant(1.0 - m))
     return T.sum_all(T.square(held_out))
 
@@ -186,7 +182,7 @@ def ei_loss(model, inst: ProblemInstance, group: TransformGroup,
         xhat = model.forward(inst.y, op, inst.noise)
     t = group.sample(op.domain_shape, seed)
     tx = t.apply(xhat)
-    y2 = _apply_op(op, tx)
+    y2 = T.apply_linear(tx, op.apply, op.adjoint)
     x2 = model.forward(y2, op, inst.noise)
     return T.sum_all(T.square(tx - x2))
 
@@ -203,7 +199,7 @@ def moi_loss(model, inst: ProblemInstance, operator_family: list,
     other = operator_family[int(rng.integers(len(operator_family)))]
     if xhat is None:
         xhat = model.forward(inst.y, inst.op, inst.noise)
-    y2 = _apply_op(other, xhat)
+    y2 = T.apply_linear(xhat, other.apply, other.adjoint)
     x2 = model.forward(y2, other, inst.noise)
     return T.sum_all(T.square(xhat - x2))
 

@@ -98,13 +98,13 @@ def prox_estimate(op: OperatorHandle, y: np.ndarray, lam: float,
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     with T.no_grad():
-        return prox_estimate_graph(op, T.constant(op.adjoint(y)[None]), T.constant(lam),
-                                   cg_iters, cg_tol).data[0]
+        return prox_estimate_graph(op, T.constant(op.adjoint(y)), T.constant(lam),
+                                   cg_iters, cg_tol).data
 
 
 def prox_estimate_graph(op: OperatorHandle, aty: "T.Tensor", lam: "T.Tensor",
                         cg_iters: int = 10, cg_tol: float = 1e-6) -> "T.Tensor":
-    """Differentiable prox estimate on 4-D (1, C, H, W) tensors.
+    """Differentiable prox estimate on tensors of ``op.domain_shape``.
 
     ``aty`` is A^T y already in the graph; ``lam`` is a scalar tensor.  The
     result is one tape node: with M = lam A^T A + I symmetric and
@@ -115,7 +115,7 @@ def prox_estimate_graph(op: OperatorHandle, aty: "T.Tensor", lam: "T.Tensor",
     lam_val = lam.item()
     if lam_val == 0:
         return aty
-    b = aty.data[0]
+    b = aty.data
 
     def system(v):  # M v = lam A^T A v + v, symmetric positive definite
         return lam_val * op.normal(v) + v
@@ -123,13 +123,13 @@ def prox_estimate_graph(op: OperatorHandle, aty: "T.Tensor", lam: "T.Tensor",
     u, _ = conjugate_gradient(system, (1.0 + lam_val) * b, max_iters=cg_iters, tol=cg_tol)
 
     def bw(g):
-        w, _ = conjugate_gradient(system, g[0], max_iters=cg_iters, tol=cg_tol)
+        w, _ = conjugate_gradient(system, g, max_iters=cg_iters, tol=cg_tol)
         # one normal apply, not (u - A^T y) / lam: that would divide the CG
         # residual by the model's ~1e-4 lam
         g_lam = np.vdot(w, b - op.normal(u))
-        return ((1.0 + lam_val) * w)[None], np.full(lam.shape, g_lam)
+        return (1.0 + lam_val) * w, np.full(lam.shape, g_lam)
 
-    return T.Tensor(u[None], (aty, lam), bw)
+    return T.Tensor(u, (aty, lam), bw)
 
 
 def pseudo_inverse_apply(op: OperatorHandle, y: np.ndarray, ridge: float = 1e-6,

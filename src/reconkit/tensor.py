@@ -1,8 +1,9 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Tensors hold float64 numpy arrays with up to 4 axes (batch, channel,
-height, width).  Every differentiable operation records its parents and a
-backward closure on a dynamic tape; ``backward`` walks the tape in reverse
+Tensors hold float64 numpy arrays with up to 4 axes: images are (C, H, W)
+like the operators' arrays, with no batch axis, and convolution weights
+4-D.  Every differentiable operation records its parents and a backward
+closure on a dynamic tape; ``backward`` walks the tape in reverse
 topological order and accumulates gradients into leaves.  Gradients of
 :class:`Parameter` leaves persist across backward calls until explicitly
 zeroed, so repeated backward passes accumulate additively.
@@ -31,9 +32,11 @@ kernel.
 
 Every single-input linear op (padding, cropping, channel slicing, sum and
 mean) is one :func:`apply_linear` node: its backward applies the op's
-adjoint.  Each padding mode's map and adjoint are written once, in
+adjoint; an operator enters as ``apply_linear(x, op.apply, op.adjoint)``.
+Each padding mode's map and adjoint are written once, in
 ``_padding_maps``; ``conv2d`` pads with them too and stays one node.
-Reflect padding is one gather through a memoised index map.
+Reflect padding is one gather through a memoised index map.  A window or
+width that leaves the input raises ``ValueError``; none is clamped.
 """
 
 from __future__ import annotations
@@ -361,48 +364,56 @@ def _reflect_index_map(h, w, pads):
 
 def _scatter_adjoint(g: np.ndarray, idx_flat: np.ndarray, h: int, w: int) -> np.ndarray:
     """Adjoint of an index-gather pad: accumulate padded grads onto sources."""
-    n, c = g.shape[0], g.shape[1]
-    bins = (np.arange(n * c)[:, None] * (h * w) + idx_flat[None, :]).ravel()
-    out = np.bincount(bins, weights=g.ravel(), minlength=n * c * h * w)
-    return out.reshape(n, c, h, w)
+    c = g.shape[0]
+    bins = (np.arange(c)[:, None] * (h * w) + idx_flat[None, :]).ravel()
+    out = np.bincount(bins, weights=g.ravel(), minlength=c * h * w)
+    return out.reshape(c, h, w)
 
 
-def _pads(pad) -> tuple:
-    """(top, bottom, left, right) of an int pad (the same on all sides) or of those four widths."""
-    pt, pb, pl, pr = (pad,) * 4 if isinstance(pad, int) else pad
-    return pt, pb, pl, pr
-
-
-def _padding_maps(padding: str, pads, h: int, w: int):
-    """``(pad, unpad)``: the map padding the trailing (h, w) axes of a NCHW
-    array by ``pads`` = (top, bottom, left, right) in ``padding`` mode
-    ("valid" and zero widths pad nothing), and its adjoint."""
+def _padding_maps(padding: str, pad, h: int, w: int):
+    """``(pad, unpad)``: the map padding the (h, w) axes of a (C, h, w)
+    array in ``padding`` mode by ``pad``, an int (the same on all sides) or
+    (top, bottom, left, right), and its adjoint.  Zero widths pad nothing;
+    "valid" takes no width."""
     if padding not in ("valid", "zero", "reflect"):
         raise ValueError(f"unknown padding mode {padding!r}")
-    pt, pb, pl, pr = pads
-    if padding == "valid" or not any(pads):
+    pt, pb, pl, pr = pads = (pad,) * 4 if isinstance(pad, int) else tuple(pad)
+    if min(pads) < 0 or (padding == "valid" and any(pads)):
+        raise ValueError(f"invalid pad widths {pads} for {padding!r} padding")
+    if not any(pads):
         return (lambda a: a), (lambda g: g)
     if padding == "zero":
-        return (lambda a: np.pad(a, ((0, 0), (0, 0), (pt, pb), (pl, pr))),
-                lambda g: g[:, :, pt:pt + h, pl:pl + w])
+        return (lambda a: np.pad(a, ((0, 0), (pt, pb), (pl, pr))),
+                lambda g: g[:, pt:pt + h, pl:pl + w])
     idx_flat = _reflect_index_map(h, w, pads)
     hw = (h + pt + pb, w + pl + pr)
-    return (lambda a: np.take(a.reshape(*a.shape[:2], -1), idx_flat, axis=2).reshape(a.shape[:2] + hw),
+    return (lambda a: np.take(a.reshape(a.shape[0], -1), idx_flat, axis=1).reshape((a.shape[0],) + hw),
             lambda g: _scatter_adjoint(g, idx_flat, h, w))
 
 
+def _chw(x: Tensor, name: str):
+    """The (C, H, W) shape of image tensor ``x``; any other layout is refused."""
+    if x.data.ndim != 3:
+        raise ValueError(f"{name} expects a (C, H, W) image, got shape {x.shape}")
+    return x.shape
+
+
 def pad_reflect(x: Tensor, pad) -> Tensor:
-    """Reflect-pad the two trailing spatial axes of a NCHW tensor; ``pad``
-    is an int (same on all sides) or (top, bottom, left, right)."""
-    return apply_linear(x, *_padding_maps("reflect", _pads(pad), x.shape[2], x.shape[3]))
+    """Reflect-pad the spatial axes of a (C, H, W) tensor; ``pad`` is an
+    int (same on all sides) or (top, bottom, left, right), each >= 0."""
+    return apply_linear(x, *_padding_maps("reflect", pad, *_chw(x, "pad_reflect")[1:]))
 
 
 def pad_zero(x: Tensor, pad) -> Tensor:
-    return apply_linear(x, *_padding_maps("zero", _pads(pad), x.shape[2], x.shape[3]))
+    return apply_linear(x, *_padding_maps("zero", pad, *_chw(x, "pad_zero")[1:]))
 
 
 def crop2d(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
-    index = np.s_[:, :, top:top + height, left:left + width]
+    """The ``height`` x ``width`` window at (top, left), which must lie in the image."""
+    _, h, w = _chw(x, "crop2d")
+    if min(top, left) < 0 or min(height, width) < 1 or top + height > h or left + width > w:
+        raise ValueError(f"crop window {(top, left, height, width)} leaves the {h}x{w} image")
+    index = np.s_[:, top:top + height, left:left + width]
     return apply_linear(x, lambda a: a[index].copy(), _embed(x.data, index))
 
 
@@ -433,20 +444,20 @@ _PATCH_BYTES = 8 << 20
 
 def _row_strips(xp: np.ndarray, kh: int, kw: int, stride: int, o: int):
     """Yield ``(positions, patches)`` for each strip of output rows of a
-    padded NCHW input convolved with ``o`` output channels: the slice of
-    flattened output positions the strip covers, and its column patches,
-    an (N, K, extent, WO) array of input rows, each with its KW
+    padded (C, H, W) input convolved with ``o`` output channels: the slice
+    of flattened output positions the strip covers, and its column
+    patches, a (K, extent, WO) array of input rows, each with its KW
     horizontally shifted (strided) copies.
 
     When kernel rows overlap (kh > stride) the patches hold every input
     row the strip reads once, K = C*KW, and kernel row ``i`` reads rows i,
     i + stride, ... of them.  Otherwise every input row belongs to at most
     one kernel row, and K = C*KH*KW holds each kernel row's rows.  A
-    strip's patches and an (N, O, rows*WO) temporary take at most
+    strip's patches and an (O, rows*WO) temporary take at most
     ``_PATCH_BYTES`` together (one output row at least).  Callers drop
     each strip's patches before asking for the next, so one strip's
     patches are alive at a time."""
-    n, c, hp, wp = xp.shape
+    c, hp, wp = xp.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     if kh > stride:
@@ -456,17 +467,17 @@ def _row_strips(xp: np.ndarray, kh: int, kw: int, stride: int, o: int):
     else:
         phases, row_step, per_row, halo = kh, stride, 1, 0
     k = c * phases * kw
-    row_budget = _PATCH_BYTES // (n * wo * xp.itemsize) - k * halo
+    row_budget = _PATCH_BYTES // (wo * xp.itemsize) - k * halo
     strips = -(-ho // max(1, row_budget // (k * per_row + o)))
     rows = -(-ho // strips)
-    sn, sc, sh, sw = xp.strides
+    sc, sh, sw = xp.strides
     for r0 in range(0, ho, rows):
         r1 = min(r0 + rows, ho)
         extent = (r1 - r0) * per_row + halo
         win = np.lib.stride_tricks.as_strided(
-            xp[:, :, r0 * stride:], (n, c, phases, kw, extent, wo),
-            (sn, sc, sh, sw, sh * row_step, sw * stride), writeable=False)
-        yield slice(r0 * wo, r1 * wo), win.reshape(n, k, extent, wo)
+            xp[:, r0 * stride:], (c, phases, kw, extent, wo),
+            (sc, sh, sw, sh * row_step, sw * stride), writeable=False)
+        yield slice(r0 * wo, r1 * wo), win.reshape(k, extent, wo)
 
 
 def _row_groups(kh: int, stride: int):
@@ -478,48 +489,45 @@ def _row_groups(kh: int, stride: int):
 
 
 def _group_patches(patches: np.ndarray, g: int, step: int, rows: int) -> np.ndarray:
-    """(N, K, rows*WO) patch matrix of row group ``g``."""
-    n, k, _, wo = patches.shape
-    return patches[:, :, g:g + (rows - 1) * step + 1:step].reshape(n, k, rows * wo)
+    """(K, rows*WO) patch matrix of row group ``g``."""
+    k, _, wo = patches.shape
+    return patches[:, g:g + (rows - 1) * step + 1:step].reshape(k, rows * wo)
 
 
 def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """Valid cross-correlation of a padded NCHW input with OIKK weights:
-    one (O, K) @ (N, K, rows*WO) product per row group and strip."""
+    """Valid cross-correlation of a padded (C, H, W) input with OIKK
+    weights: one (O, K) @ (K, rows*WO) product per row group and strip."""
     o, c, kh, kw = w.shape
-    n = xp.shape[0]
-    ho = (xp.shape[2] - kh) // stride + 1
-    wo = (xp.shape[3] - kw) // stride + 1
+    ho = (xp.shape[1] - kh) // stride + 1
+    wo = (xp.shape[2] - kw) // stride + 1
     groups, step = _row_groups(kh, stride)
     # (groups, O, K), K ordered as the patches: (channel, column) of each
     # kernel row, or (channel, kernel row, column) for a single group
     w_groups = (w.transpose(2, 0, 1, 3) if groups > 1 else w).reshape(groups, o, -1)
-    out = np.empty((n, o, ho * wo))
+    out = np.empty((o, ho * wo))
     for pos, patches in _row_strips(xp, kh, kw, stride, o):
         rows = (pos.stop - pos.start) // wo
-        acc = out[:, :, pos]
+        acc = out[:, pos]
         np.matmul(w_groups[0], _group_patches(patches, 0, step, rows), out=acc)
         for g in range(1, groups):
             acc += w_groups[g] @ _group_patches(patches, g, step, rows)
         del patches
-    return out.reshape(n, o, ho, wo)
+    return out.reshape(o, ho, wo)
 
 
 def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Gradient of ``_conv_forward(xp, w, stride)`` in ``w`` for output
     gradient ``g``, shaped (O, C, KH, KW): one product per row group and
     strip against the column patches the forward reads."""
-    n, o = g.shape[0], g.shape[1]
-    c = xp.shape[1]
-    wo = g.shape[3]
-    g = g.reshape(n, o, -1)
+    o, _, wo = g.shape
+    c = xp.shape[0]
+    g = g.reshape(o, -1)
     groups, step = _row_groups(kh, stride)
     gw = np.zeros((groups, o, c * kh * kw // groups))
     for pos, patches in _row_strips(xp, kh, kw, stride, o):
         rows = (pos.stop - pos.start) // wo
         for r in range(groups):
-            gw[r] += np.matmul(g[:, :, pos],
-                               _group_patches(patches, r, step, rows).transpose(0, 2, 1)).sum(axis=0)
+            gw[r] += g[:, pos] @ _group_patches(patches, r, step, rows).T
         del patches
     if groups > 1:
         return gw.reshape(kh, o, c, kw).transpose(1, 2, 0, 3)
@@ -530,50 +538,52 @@ def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.nda
     """Adjoint of ``_conv_forward`` in its input: every pixel of ``x``
     spread through the (in, out, kh, kw) taps of ``w`` onto an ``out_hw``
     canvas."""
-    n, c, h, w_ = x.shape
+    c, h, w_ = x.shape
     _, o, kh, kw = w.shape
     oh, ow = out_hw
     if kh == kw == stride:
         # Taps do not overlap: every tap's contribution in one product,
-        # (O*KH*KW, C) @ (N, C, H*W), then depth-to-space.
-        taps = (w.reshape(c, -1).T @ x.reshape(n, c, -1)).reshape(n, o, kh, kw, h, w_)
-        tiles = taps.transpose(0, 1, 4, 2, 5, 3).reshape(n, o, h * kh, w_ * kw)
-        if tiles.shape[2:] == (oh, ow):
+        # (O*KH*KW, C) @ (C, H*W), then depth-to-space.
+        taps = (w.reshape(c, -1).T @ x.reshape(c, -1)).reshape(o, kh, kw, h, w_)
+        tiles = taps.transpose(0, 3, 1, 4, 2).reshape(o, h * kh, w_ * kw)
+        if tiles.shape[1:] == (oh, ow):
             return tiles
-        out = np.zeros((n, o, oh, ow))
-        out[:, :, :h * kh, :w_ * kw] = tiles
+        out = np.zeros((o, oh, ow))
+        out[:, :h * kh, :w_ * kw] = tiles
         return out
     # Overlapping taps (Dumoulin & Visin, arXiv 1603.07285): insert
     # stride - 1 zeros between pixels, pad by k - 1 and correlate at stride
     # 1 with the flipped, in/out-swapped kernel.
-    canvas = np.zeros((n, c, oh + kh - 1, ow + kw - 1))
-    canvas[:, :, kh - 1:kh - 1 + stride * h:stride, kw - 1:kw - 1 + stride * w_:stride] = x
+    canvas = np.zeros((c, oh + kh - 1, ow + kw - 1))
+    canvas[:, kh - 1:kh - 1 + stride * h:stride, kw - 1:kw - 1 + stride * w_:stride] = x
     return _conv_forward(canvas, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: str = "valid", pad: int = 0) -> Tensor:
     """Bias-free 2-D cross-correlation, differentiable in input and weight.
 
-    ``padding`` is one of "valid", "zero", "reflect"; ``pad`` gives the
-    border width for the two padded modes.
+    ``x`` is (C, H, W) and ``weight`` (O, C, KH, KW).  ``padding`` is one
+    of "valid", "zero", "reflect"; ``pad`` gives the border width for the
+    two padded modes (an int or (top, bottom, left, right)) and must be 0
+    for "valid".
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if x.data.ndim != 4 or weight.data.ndim != 4:
-        raise ValueError("conv2d expects NCHW input and OIKK weight")
-    n, c, h, w_ = x.shape
+    c, h, w_ = _chw(x, "conv2d")
+    if weight.data.ndim != 4:
+        raise ValueError("conv2d expects an OIKK weight")
     oc, ic, kh, kw = weight.shape
     if ic != c:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {ic}")
-    pad_map, unpad = _padding_maps(padding, _pads(pad), h, w_)
+    pad_map, unpad = _padding_maps(padding, pad, h, w_)
     xp = pad_map(x.data)
-    if kh > xp.shape[2] or kw > xp.shape[3]:
+    if kh > xp.shape[1] or kw > xp.shape[2]:
         raise ValueError("kernel larger than (padded) input")
     out = _conv_forward(xp, weight.data, stride)
 
     def bw(g):
         gw = _conv_weight_grad(xp, g, kh, kw, stride)
-        return unpad(_conv_transpose(g, weight.data, stride, xp.shape[2:])), gw
+        return unpad(_conv_transpose(g, weight.data, stride, xp.shape[1:])), gw
 
     return Tensor(out, (x, weight), bw)
 
@@ -581,12 +591,12 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: str = "valid", p
 def conv_transpose2d(x: Tensor, weight: Tensor, stride: int = 2) -> Tensor:
     """Transposed convolution (exact adjoint of a valid strided conv2d).
 
-    ``weight`` has shape (in_ch, out_ch, kh, kw); output spatial size is
-    ``stride * (n - 1) + k``.
+    ``x`` is (C, H, W) and ``weight`` (C, out_ch, kh, kw); output spatial
+    size is ``stride * (n - 1) + k``.
     """
-    if x.data.ndim != 4 or weight.data.ndim != 4:
-        raise ValueError("conv_transpose2d expects NCHW input and IOKK weight")
-    c, h, w_ = x.shape[1:]
+    c, h, w_ = _chw(x, "conv_transpose2d")
+    if weight.data.ndim != 4:
+        raise ValueError("conv_transpose2d expects an IOKK weight")
     ic, _, kh, kw = weight.shape
     if ic != c:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {ic}")
@@ -601,7 +611,8 @@ def conv_transpose2d(x: Tensor, weight: Tensor, stride: int = 2) -> Tensor:
 
 def downsample2(x: Tensor, weight: Tensor) -> Tensor:
     """Learned stride-2 downsampling; spatial extents must be even."""
-    if x.shape[2] % 2 or x.shape[3] % 2:
+    _, h, w = _chw(x, "downsample2")
+    if h % 2 or w % 2:
         raise ValueError("downsample2 requires even spatial extents (pad first)")
     if weight.shape[2] != 2 or weight.shape[3] != 2:
         raise ValueError("downsample2 uses a 2x2 kernel")
@@ -619,21 +630,23 @@ def concat_channels(inputs) -> Tensor:
     inputs = list(inputs)
     if not inputs:
         raise ValueError("concat_channels needs at least one input")
-    ref = inputs[0]
-    for t in inputs[1:]:
-        if t.shape[0] != ref.shape[0] or t.shape[2:] != ref.shape[2:]:
-            raise ValueError("concat_channels: batch/spatial extents must match")
-    out = np.concatenate([t.data for t in inputs], axis=1)
-    splits = np.cumsum([t.shape[1] for t in inputs])[:-1]
+    if len({_chw(t, "concat_channels")[1:] for t in inputs}) > 1:
+        raise ValueError("concat_channels: spatial extents must match")
+    out = np.concatenate([t.data for t in inputs], axis=0)
+    splits = np.cumsum([t.shape[0] for t in inputs])[:-1]
 
     def bw(g):
-        return tuple(np.split(g, splits, axis=1))
+        return tuple(np.split(g, splits, axis=0))
 
     return Tensor(out, tuple(inputs), bw)
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    index = np.s_[:, start:stop]
+    """Channels ``start`` to ``stop`` - 1, which must exist."""
+    c = _chw(x, "slice_channels")[0]
+    if not 0 <= start < stop <= c:
+        raise ValueError(f"channel slice [{start}, {stop}) leaves the {c} channels")
+    index = np.s_[start:stop]
     return apply_linear(x, lambda a: a[index].copy(), _embed(x.data, index))
 
 

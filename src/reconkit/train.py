@@ -212,7 +212,7 @@ def task_loss(model, inst: ProblemInstance) -> T.Tensor:
         raise ValueError("supervised loss needs a ground truth")
     out = model.forward(inst.y, inst.op, inst.noise)
     omega = snr_weight(inst.op, inst.y, inst.noise.sigma)
-    return T.constant(omega) * T.sum_all(T.abs_val(out - T.constant(inst.x[None])))
+    return T.constant(omega) * T.sum_all(T.abs_val(out - T.constant(inst.x)))
 
 
 def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
@@ -252,7 +252,7 @@ def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
             for task in tasks:
                 log_rows.append({"step": step + 1, "task": task.name,
                                  "loss": per_task[task.name],
-                                 "psnr": _train_psnr(model, task, datasets[task.name], cfg)})
+                                 "psnr": _eval_task(model, task, datasets[task.name], cfg, 4)[0]})
         if cfg.checkpoint_path and ((step + 1) % cfg.checkpoint_every == 0
                                     or step == cfg.steps - 1):
             model.save_checkpoint(cfg.checkpoint_path)
@@ -264,25 +264,17 @@ def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
     report = {"steps": cfg.steps, "loss_history": loss_history, "log": log_rows,
               "task_psnr": {}, "baseline_psnr": {}}
     for task in tasks:
-        model_db, base_db = _eval_task(model, task, datasets[task.name], cfg)
+        model_db, base_db = _eval_task(model, task, datasets[task.name], cfg, 16)
         report["task_psnr"][task.name] = model_db
         report["baseline_psnr"][task.name] = base_db
     return report
 
 
-def _eval_batch(task: TaskSpec, dataset, cfg: TrainConfig, n=8):
-    return sample_batch(task, dataset, n, cfg.patch_size, seed=cfg.seed * 7 + 999331)
-
-
-def _train_psnr(model, task, dataset, cfg) -> float:
-    vals = [psnr(inst.x, model.reconstruct(inst.y, inst.op, inst.noise))
-            for inst in _eval_batch(task, dataset, cfg, n=4)]
-    return float(np.mean(vals))
-
-
-def _eval_task(model, task, dataset, cfg):
+def _eval_task(model, task: TaskSpec, dataset, cfg: TrainConfig, n: int):
+    """Mean PSNR of the model's reconstructions and of A^T y on the first
+    ``n`` instances of a fixed draw of ``task``."""
     model_vals, base_vals = [], []
-    for inst in _eval_batch(task, dataset, cfg, n=16):
+    for inst in sample_batch(task, dataset, n, cfg.patch_size, seed=cfg.seed * 7 + 999331):
         model_vals.append(psnr(inst.x, model.reconstruct(inst.y, inst.op, inst.noise)))
         base_vals.append(psnr(inst.x, inst.op.adjoint(inst.y)))
     return float(np.mean(model_vals)), float(np.mean(base_vals))

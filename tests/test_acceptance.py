@@ -162,7 +162,7 @@ class TestCriterion04:
         w33 = T.Parameter("w33", rng.standard_normal((3, 2, 3, 3)) * 0.3)
         w22 = T.Parameter("w22", rng.standard_normal((2, 3, 2, 2)) * 0.3)
         wt = T.Parameter("wt", rng.standard_normal((3, 2, 3, 3)) * 0.3)
-        x = T.Parameter("x", rng.standard_normal((1, 2, 8, 8)) * 0.5 + 1.0)
+        x = T.Parameter("x", rng.standard_normal((2, 8, 8)) * 0.5 + 1.0)
 
         def composite():
             f = T.conv2d(x, w33, padding="reflect", pad=1)
@@ -191,7 +191,7 @@ class TestCriterion04:
 
         def model_loss():
             out = model.forward(y, blur, noise)
-            return T.sum_all(T.square(out - T.constant(target[None])))
+            return T.sum_all(T.square(out - T.constant(target)))
 
         model_worst = _fd_check(model.parameters(), model_loss, picks=1, seed=7)
         elapsed = time.time() - t0
@@ -254,18 +254,18 @@ class TestCriterion06:
         # recurrence equals independent recomputation bit-exactly
         model = RamModel(RamConfig(num_scales=1, base_width=4, blocks=1,
                                    krylov_depth=3, head_channels=(1,), seed=15))
-        x_img = T.constant(rng.standard_normal((1, 1, 12, 12)))
-        aty = T.constant(rng.standard_normal((1, 1, 12, 12)))
+        x_img = T.constant(rng.standard_normal((1, 12, 12)))
+        aty = T.constant(rng.standard_normal((1, 12, 12)))
         stack = model.build_ksm_stack(x_img, aty, opn).data
         exact = True
         for k in range(4):
-            u = x_img.data[0].copy()
-            v = aty.data[0].copy()
+            u = x_img.data.copy()
+            v = aty.data.copy()
             for _ in range(k):
                 u = opn.normal(u)
                 v = opn.normal(v)
-            exact &= np.array_equal(stack[0, 2 * k], u[0])
-            exact &= np.array_equal(stack[0, 2 * k + 1], v[0])
+            exact &= np.array_equal(stack[2 * k], u[0])
+            exact &= np.array_equal(stack[2 * k + 1], v[0])
 
         # 1x1 diagnostic mode: each channel of the module's residual output
         # lies in the span of the Krylov features
@@ -274,14 +274,14 @@ class TestCriterion06:
                                   ksm_kernel_size=1, seed=16))
         for p in diag.parameters():
             p.data = rng.standard_normal(p.data.shape) * 0.2
-        f = T.constant(rng.standard_normal((1, 4, 12, 12)))
+        f = T.constant(rng.standard_normal((4, 12, 12)))
         out = diag._ksm(0, 1, f, aty, opn)
         g = out.data - f.data
         x_img = T.conv2d(f, diag.param("head1.ksm0.decode"))
-        feats = diag.build_ksm_stack(x_img, aty, opn).data[0].reshape(8, -1)
+        feats = diag.build_ksm_stack(x_img, aty, opn).data.reshape(8, -1)
         resid = 0.0
         for ch in range(4):
-            v = g[0, ch].ravel()
+            v = g[ch].ravel()
             coef, *_ = np.linalg.lstsq(feats.T, v, rcond=None)
             resid = max(resid, np.linalg.norm(feats.T @ coef - v)
                         / max(np.linalg.norm(v), 1e-300))
@@ -298,7 +298,7 @@ class TestCriterion07:
 
         def fn(yv):
             flat = w @ yv.reshape(-1)
-            return T.constant(flat.reshape(1, 1, 8, 8))
+            return T.constant(flat.reshape(1, 8, 8))
 
         div = mc_divergence(fn, img, eps=1e-5, probes=300, seed=18).item()
         trace = float(np.trace(w))
@@ -310,7 +310,7 @@ class TestCriterion07:
 
         class Shrink:
             def forward(self, yv, op, noise):
-                return T.constant(c * yv[None])
+                return T.constant(c * yv)
 
         op = ops.identity_operator((1, 8, 8))
         draws = 10 ** 4

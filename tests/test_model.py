@@ -75,7 +75,7 @@ class TestForwardShapes:
         model = RamModel(SMALL)
         op, y, nz = make_problem((1, 16, 16), seed=0)
         out = model.forward(y, op, nz)
-        assert out.shape == (1, 1, 16, 16)
+        assert out.shape == (1, 16, 16)
 
     def test_mri_shape(self):
         model = RamModel(SMALL)
@@ -83,7 +83,7 @@ class TestForwardShapes:
         op = ops.make_mri(ops.make_mri_mask(shape, 2, seed=1), shape)
         y = op.apply(np.random.default_rng(2).standard_normal(shape))
         out = model.forward(y, op, NoiseParams(sigma=0.01))
-        assert out.shape == (1, 2, 16, 16)
+        assert out.shape == (2, 16, 16)
 
     def test_sr_shape_with_padding(self):
         # odd-ish extents exercise the pad-then-crop path
@@ -92,7 +92,7 @@ class TestForwardShapes:
         op = ops.make_downsampling(2, "bicubic", shape)
         y = op.apply(np.random.default_rng(3).random(shape))
         out = model.forward(y, op, NoiseParams(sigma=0.02))
-        assert out.shape == (1, 3, 12, 12)
+        assert out.shape == (3, 12, 12)
 
     def test_blur_shape(self):
         model = RamModel(SMALL)
@@ -100,7 +100,19 @@ class TestForwardShapes:
         op = ops.make_blur(ops.make_gaussian_kernel(1.0, 5), shape)
         y = op.apply(np.random.default_rng(4).random(shape))
         out = model.forward(y, op, NoiseParams(sigma=0.03))
-        assert out.shape == (1, 1, 18, 18)
+        assert out.shape == (1, 18, 18)
+
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (2, 16, 16), (3, 12, 12)])
+    def test_forward_returns_domain_shape(self, shape):
+        # the tape holds images as (C, H, W), the operators' layout: no
+        # batch axis is added or taken off between an operator and the model
+        ops_for = {1: lambda: ops.make_ct_radon(6, shape),
+                   2: lambda: ops.make_mri(ops.make_mri_mask(shape, 2, seed=1), shape),
+                   3: lambda: ops.make_downsampling(2, "bicubic", shape)}
+        op = ops_for[shape[0]]()
+        y = op.apply(np.random.default_rng(5).random(shape))
+        out = RamModel(SMALL).forward(y, op, NoiseParams(sigma=0.02))
+        assert out.shape == op.domain_shape
 
     def test_measurement_shape_checked(self):
         model = RamModel(SMALL)
@@ -171,16 +183,16 @@ class TestKrylovModule:
         op = ops.make_inpainting(ops.make_bernoulli_mask((1, 16, 16), 0.5, seed=12))
         cop = ops.make_coarse(op, 1, fine_shape=(1, 16, 16))
         rng = np.random.default_rng(13)
-        x = T.constant(rng.standard_normal((1, 1, 8, 8)))
-        aty = T.constant(rng.standard_normal((1, 1, 8, 8)))
+        x = T.constant(rng.standard_normal((1, 8, 8)))
+        aty = T.constant(rng.standard_normal((1, 8, 8)))
         stack = model.build_ksm_stack(x, aty, cop).data
         k1 = SMALL.krylov_depth + 1
         # channels interleave as [u_0, v_0, u_1, v_1, ...]
         for k in range(1, k1):
-            u_prev = stack[:, 2 * (k - 1):2 * (k - 1) + 1]
-            v_prev = stack[:, 2 * (k - 1) + 1:2 * (k - 1) + 2]
-            assert np.array_equal(stack[0, 2 * k], cop.normal(u_prev[0])[0])
-            assert np.array_equal(stack[0, 2 * k + 1], cop.normal(v_prev[0])[0])
+            u_prev = stack[2 * (k - 1):2 * (k - 1) + 1]
+            v_prev = stack[2 * (k - 1) + 1:2 * (k - 1) + 2]
+            assert np.array_equal(stack[2 * k], cop.normal(u_prev)[0])
+            assert np.array_equal(stack[2 * k + 1], cop.normal(v_prev)[0])
 
     def test_diagnostic_output_in_krylov_span(self):
         cfg = RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=2,
@@ -189,16 +201,16 @@ class TestKrylovModule:
         op = ops.make_inpainting(ops.make_bernoulli_mask((1, 8, 8), 0.6, seed=15))
         cop = ops.make_coarse(op, 0)
         rng = np.random.default_rng(16)
-        f = T.constant(rng.standard_normal((1, 4, 8, 8)))
-        aty = T.constant(rng.standard_normal((1, 1, 8, 8)))
+        f = T.constant(rng.standard_normal((4, 8, 8)))
+        aty = T.constant(rng.standard_normal((1, 8, 8)))
         out = model._ksm(0, 1, f, aty, cop)
         g = out.data - f.data  # the module's residual contribution
         # rebuild the span the 1x1 combine mixes over
         x_img = T.conv2d(f, model.param("head1.ksm0.decode"))
-        stack = model.build_ksm_stack(x_img, aty, cop).data[0].reshape(6, -1)
+        stack = model.build_ksm_stack(x_img, aty, cop).data.reshape(6, -1)
         enc = model.param("head1.ksm0.encode").data  # (4, 1, 1, 1)
         for ch in range(4):
-            v = g[0, ch].ravel()
+            v = g[ch].ravel()
             coef, *_ = np.linalg.lstsq(stack.T, v, rcond=None)
             resid = np.linalg.norm(stack.T @ coef - v) / max(np.linalg.norm(v), 1e-30)
             assert resid < 1e-8
@@ -222,7 +234,7 @@ class TestGradients:
         rng = np.random.default_rng(19)
         nz = NoiseParams(sigma=0.1)
         y = op.apply(rng.random((1, 8, 8))) + nz.sigma * rng.standard_normal(op.range_shape)
-        target = np.random.default_rng(20).random((1, 1, 8, 8))
+        target = np.random.default_rng(20).random((1, 8, 8))
 
         def loss_value():
             out = model.forward(y, op, nz)
@@ -356,7 +368,7 @@ class TestReconstructNoTape:
         y = op.apply(rng.random(op.domain_shape)) + 0.05 * rng.standard_normal(op.range_shape)
         nz = NoiseParams(sigma=0.05)
         out = model.reconstruct(y, op, nz)
-        assert np.array_equal(out, model.forward(y, op, nz).data[0])
+        assert np.array_equal(out, model.forward(y, op, nz).data)
 
     def test_memory_default_config_64(self):
         op = ops.make_blur(ops.make_gaussian_kernel(1.0, 7), (1, 64, 64))
@@ -377,7 +389,7 @@ class TestReconstructNoTape:
 
         out, kept, peak = traced(lambda: model.reconstruct(y, op, nz))
         taped, fwd_kept, fwd_peak = traced(lambda: model.forward(y, op, nz))
-        assert np.array_equal(out, taped.data[0])
+        assert np.array_equal(out, taped.data)
         assert kept < 1.0, f"reconstruct keeps {kept:.1f} MB"
         assert peak <= 0.5 * fwd_peak, f"peaks {peak:.1f} MB vs forward {fwd_peak:.1f} MB"
 

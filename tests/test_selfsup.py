@@ -23,16 +23,16 @@ class LinearModel:
 
     def forward(self, y, op, noise):
         yt = y if isinstance(y, T.Tensor) else T.constant(np.asarray(y, dtype=np.float64))
-        img = T.apply_linear(yt, lambda a: op.adjoint(a)[None], lambda g: op.apply(g[0]))
+        img = T.apply_linear(yt, op.adjoint, op.apply)
         return img * T.constant(self.c)
 
     def reconstruct(self, y, op, noise):
-        return self.forward(y, op, noise).data[0]
+        return self.forward(y, op, noise).data
 
 
 class ZeroModel:
     def forward(self, y, op, noise):
-        return T.constant(np.zeros((1,) + op.domain_shape))
+        return T.constant(np.zeros(op.domain_shape))
 
 
 class TestTransforms:
@@ -54,7 +54,7 @@ class TestTransforms:
     def test_tensor_apply_adjoint_is_inverse(self):
         t = ss.Transform(shift=(2, -1), rot=1, flip_h=True)
         rng = np.random.default_rng(1)
-        x = T.constant(rng.standard_normal((1, 1, 8, 8)))
+        x = T.constant(rng.standard_normal((1, 8, 8)))
         y = t.apply(x)
         assert np.array_equal(t.invert(y).data, x.data)
 
@@ -194,7 +194,7 @@ class SmoothingModel:
         arr = y.data if isinstance(y, T.Tensor) else np.asarray(y, dtype=np.float64)
         sm = np.stack([scipy.ndimage.correlate(ch, self._kernel, mode="wrap")
                        for ch in arr]) / self.keep_prob
-        return T.constant(self.c * sm[None])
+        return T.constant(self.c * sm)
 
 
 class TestSplit:

@@ -134,13 +134,13 @@ class TestGraphSolvers:
         y = np.random.default_rng(11).standard_normal((1, 8, 8))
         lam = 0.9
         ref = solvers.prox_estimate(op, y, lam, cg_iters=40, cg_tol=1e-12)
-        aty = T.constant(op.adjoint(y)[None])
+        aty = T.constant(op.adjoint(y))
         u = solvers.prox_estimate_graph(op, aty, T.constant(lam), cg_iters=40, cg_tol=1e-12)
-        assert np.array_equal(u.data[0], ref)
+        assert np.array_equal(u.data, ref)
 
     def test_single_node_on_inputs(self):
         op = ops.make_blur(ops.make_gaussian_kernel(1.0, 3), (1, 8, 8))
-        aty = T.constant(op.adjoint(np.ones(op.range_shape))[None])
+        aty = T.constant(op.adjoint(np.ones(op.range_shape)))
         lam = T.constant(0.4)
         u = solvers.prox_estimate_graph(op, aty, lam)
         assert len(u._parents) == 2
@@ -161,7 +161,7 @@ class TestGraphSolvers:
         u_ref = np.linalg.solve(m, (1 + lam_val) * b)
         g_aty_ref = (1 + lam_val) * np.linalg.solve(m, g)
         g_lam_ref = g @ np.linalg.solve(m, b - a.T @ a @ u_ref)
-        return op, b.reshape(1, 1, 8, 8), g.reshape(1, 1, 8, 8), u_ref, g_aty_ref, g_lam_ref
+        return op, b.reshape(1, 8, 8), g.reshape(1, 8, 8), u_ref, g_aty_ref, g_lam_ref
 
     def test_implicit_vjp_matches_dense_closed_form(self):
         op, b, g, u_ref, g_aty_ref, g_lam_ref = self._dense_vjp(0.4, seed=16)
@@ -189,7 +189,7 @@ class TestGraphSolvers:
         # (inpainting would not: its prox is lam-independent on kept pixels)
         op = ops.make_blur(ops.make_gaussian_kernel(1.0, 3), (1, 6, 6))
         y = np.random.default_rng(12).standard_normal(op.range_shape)
-        aty_np = op.adjoint(y)[None]
+        aty_np = op.adjoint(y)
 
         def loss_at(lam_val):
             u = solvers.prox_estimate_graph(
@@ -206,8 +206,8 @@ class TestGraphSolvers:
     def test_gradient_through_input(self):
         op = ops.make_inpainting(ops.make_bernoulli_mask((1, 5, 5), 0.6, seed=4))
         rng = np.random.default_rng(13)
-        aty_np = rng.standard_normal((1, 1, 5, 5))
-        w = T.Parameter("w", np.ones((1, 1, 5, 5)))
+        aty_np = rng.standard_normal((1, 5, 5))
+        w = T.Parameter("w", np.ones((1, 5, 5)))
 
         def forward(wdata):
             aty = T.mul(T.constant(aty_np), T.constant(wdata))
@@ -219,7 +219,7 @@ class TestGraphSolvers:
         T.sum_all(T.square(u)).backward()
         eps = 1e-6
         g = np.zeros_like(aty_np)
-        for idx in [(0, 0, 0, 0), (0, 0, 2, 3), (0, 0, 4, 4)]:
+        for idx in [(0, 0, 0), (0, 2, 3), (0, 4, 4)]:
             wp = np.ones_like(aty_np)
             wp[idx] += eps
             wm = np.ones_like(aty_np)
