@@ -170,7 +170,12 @@ class RamModel:
         return (pt, hp - h - pt, pl, wp - w - pl), (hp, wp)
 
     def forward(self, y, op: OperatorHandle, noise: NoiseParams) -> T.Tensor:
-        """Reconstruct from measurement ``y`` (array or graph tensor)."""
+        """Reconstruct from measurement ``y`` (array or graph tensor).
+
+        The encoder keeps a skip of each scale but the coarsest, and the
+        decoder pops each one into its add, so under ``tensor.no_grad`` a
+        skip is freed as soon as it is added; on the tape the add node
+        holds it for the backward anyway."""
         self.eval_count += 1
         cfg = self.config
         c, h, w = op.domain_shape
@@ -209,11 +214,11 @@ class RamModel:
         for s in range(cfg.num_scales):
             f = self._blocks(f, f"enc{s}")
             f = self._ksm(s, c, f, aty_s[s], coarse[s])
-            skips.append(f)
             if s < cfg.num_scales - 1:
+                skips.append(f)
                 f = T.downsample2(f, self._params[f"down{s}.conv"])
         for s in range(cfg.num_scales - 2, -1, -1):
-            f = T.upsample2(f, self._params[f"up{s}.conv"]) + skips[s]
+            f = T.upsample2(f, self._params[f"up{s}.conv"]) + skips.pop()
             f = self._blocks(f, f"dec{s}")
         res = self._conv3(f, f"head{c}.conv_out")
         if (hp, wp) != (h, w):

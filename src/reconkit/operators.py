@@ -36,9 +36,12 @@ Caches.  Norms of keyed handles live in a bounded process-wide LRU cache
 keyed by ``key``, and ``make_coarse`` keeps coarse operators in another,
 keyed by ``(key, scale, fine_shape)``; both are guarded by one lock, so
 redrawing the same blur kernel, identity or downsampler costs no normal
-applies.  Derived handles cache nothing across objects.
-:func:`cache_stats` reports hits, misses and sizes of both caches and the
-Lanczos runs and the normal applies they have made.
+applies.  Derived handles cache nothing across objects.  CT handles of
+one angle count and image size share one sparse projector through a
+weak-value map, so it lives exactly as long as some handle, or a coarse
+operator cached from one, still uses it.  :func:`cache_stats` reports
+hits, misses and sizes of both caches and the Lanczos runs and the
+normal applies they have made.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Callable, NamedTuple
 
@@ -173,12 +177,15 @@ class BlurKernel:
 class OperatorKind(NamedTuple):
     """How one factory-built kind is defined: its scalar spec fields, each
     with a default of its JSON type, and its defining arrays (serialized,
-    and read by the content key), and a builder ``(domain_shape, spec,
-    arrays) -> OperatorHandle``."""
+    and read by the content key), a builder ``(domain_shape, spec, arrays)
+    -> OperatorHandle``, and ``range_shape`` with the same arguments, the
+    builder's range computed without building anything (a ValueError for
+    a spec it cannot take)."""
 
     spec_fields: dict
     array_names: tuple
     build: Callable
+    range_shape: Callable
 
 
 def _owned(a) -> np.ndarray:
@@ -472,6 +479,12 @@ def _band_matrices(vecs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _valid_range(image_shape, ks: int) -> tuple:
+    """(C, H - ks + 1, W - ks + 1): the valid part of a ks x ks correlation."""
+    c, h, w = image_shape
+    return c, h - ks + 1, w - ks + 1
+
+
 def make_blur(kernel: BlurKernel, image_shape) -> OperatorHandle:
     """Per-channel valid cross-correlation with the kernel (no padding).
 
@@ -486,7 +499,7 @@ def make_blur(kernel: BlurKernel, image_shape) -> OperatorHandle:
     ks = k.shape[0]
     if ks >= h or ks >= w:
         raise ValueError("kernel must be smaller than the image")
-    hout, wout = h - ks + 1, w - ks + 1
+    _, hout, wout = range_shape = _valid_range(image_shape, ks)
     u, sv, vt = np.linalg.svd(k)
     rank = int(np.sum(sv > ks * np.finfo(float).eps * sv[0]))
     bh = _band_matrices((u[:, :rank] * sv[:rank]).T, h)  # (R, HO, H)
@@ -505,7 +518,7 @@ def make_blur(kernel: BlurKernel, image_shape) -> OperatorHandle:
         return b_tall_t @ t.reshape(c, rank * hout, w)
 
     return _keyed(OperatorHandle(
-        image_shape, (c, hout, wout), apply_fn, adjoint_fn,
+        image_shape, range_shape, apply_fn, adjoint_fn,
         kind="blur", arrays={"kernel": k},
         factors=(lambda: (b_tall_t.T, cw[0])) if rank == 1 else None,
     ))
@@ -539,6 +552,11 @@ def make_inpainting(mask: np.ndarray) -> OperatorHandle:
     ))
 
 
+def _mosaic_range(image_shape) -> tuple:
+    """(1, H, W): one colour sample per pixel."""
+    return (1,) + tuple(image_shape[1:])
+
+
 def make_demosaic(image_shape) -> OperatorHandle:
     """RGGB Bayer selection: one color channel kept per pixel."""
     c, h, w = image_shape
@@ -561,7 +579,7 @@ def make_demosaic(image_shape) -> OperatorHandle:
 
     # each pixel keeps exactly one channel, so A A^T = I
     return _keyed(OperatorHandle(
-        image_shape, (1, h, w), apply_fn, adjoint_fn,
+        image_shape, _mosaic_range(image_shape), apply_fn, adjoint_fn,
         kind="demosaic", arrays={"selector": sel}, exact_norm=lambda: 1.0,
     ))
 
@@ -647,12 +665,21 @@ def make_sensitivity_maps(num_coils: int, image_shape, seed: int = 0) -> np.ndar
     return np.stack([maps.real, maps.imag], axis=1)
 
 
+def _multicoil_range(smaps_shape, image_shape) -> tuple:
+    """(2 * coils, H, W): each coil's (real, imag) k-space."""
+    _, h, w = image_shape
+    if len(smaps_shape) != 4 or tuple(smaps_shape[1:]) != (2, h, w):
+        raise ValueError(f"sensitivity maps must be (coils, 2, {h}, {w}), got {tuple(smaps_shape)}")
+    return 2 * smaps_shape[0], h, w
+
+
 def make_multicoil_mri(mask: np.ndarray, smaps: np.ndarray, image_shape) -> OperatorHandle:
     """Multi-coil MRI: y_l = diag(m) F diag(s_l) x, stacked per coil."""
     c, h, w = image_shape
     if c != 2:
         raise ValueError("multi-coil MRI expects a 2-channel image")
     smaps = _owned(smaps)
+    range_shape = _multicoil_range(smaps.shape, image_shape)
     num_coils = smaps.shape[0]
     smaps_c = smaps[:, 0] + 1j * smaps[:, 1]
     ssq = (np.abs(smaps_c) ** 2).sum(axis=0)
@@ -674,7 +701,7 @@ def make_multicoil_mri(mask: np.ndarray, smaps: np.ndarray, image_shape) -> Oper
 
     line_mask = bool(np.all(mask == mask[:, :1]))
     return _keyed(OperatorHandle(
-        image_shape, (2 * num_coils, h, w), apply_fn, adjoint_fn,
+        image_shape, range_shape, apply_fn, adjoint_fn,
         kind="multicoil_mri", arrays={"mask": mask, "smaps": smaps},
         exact_norm=(lambda: _line_mask_multicoil_norm(mask[:, 0], smaps_c)) if line_mask else None,
     ))
@@ -699,49 +726,88 @@ def _line_mask_multicoil_norm(lines: np.ndarray, smaps_c: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _ct_range(num_angles: int, image_shape) -> tuple:
+    """(C, angles, detector bins) of CT on ``image_shape``: the detector
+    spans the image diagonal."""
+    if num_angles < 1:
+        raise ValueError("need at least one projection angle")
+    c, h, _ = image_shape
+    return c, num_angles, int(np.ceil(np.sqrt(2.0) * h))
+
+
+class _Projector:
+    """The CT system matrix of one (angles, H, W) grid, in CSR both ways:
+    ``back`` maps sinograms to pixels and ``forward``, its transpose
+    converted once (each row summing its products in pixel order), pixels
+    to sinograms; the CSC view of ``back`` applies slower."""
+
+    def __init__(self, back):
+        self.back = back
+        self.forward = back.T.tocsr()
+
+
+# every live CT handle of a (num_angles, H, W), and the coarse operators
+# cached from it, share one projector; it is freed with the last of them
+_PROJECTORS = weakref.WeakValueDictionary()
+
+
+def _ct_projector(num_angles: int, h: int, w: int, det: int) -> _Projector:
+    """Build the projector directly in its final layout.  Pixel ``j`` has
+    exactly two entries per angle ``a``, at sinogram columns ``a*det + b``
+    and ``a*det + b + 1`` with weights ``1 - f`` and ``f``, so the rows of
+    ``back`` come sorted with ``2 * num_angles`` entries each: no triplets,
+    no sort."""
+    import scipy.sparse  # here, not at the top: it adds ~0.2 s to every start-up
+
+    angles = np.arange(num_angles) * np.pi / num_angles
+    jj, ii = np.meshgrid(np.arange(w), np.arange(h))
+    uc = (jj - (w - 1) / 2.0).ravel()
+    vc = (ii - (h - 1) / 2.0).ravel()
+    # (pixels, angles) detector positions
+    s = np.clip(np.outer(uc, np.cos(angles)) + np.outer(vc, np.sin(angles)) + (det - 1) / 2.0,
+                0, det - 1 - 1e-9)
+    bins = s.astype(np.int32)
+    f = s - bins
+    cols = bins + det * np.arange(num_angles, dtype=np.int32)
+    # scipy narrows the int64 indptr to int32 where it fits
+    back = scipy.sparse.csr_matrix(
+        (np.stack([1.0 - f, f], axis=2).ravel(), np.stack([cols, cols + 1], axis=2).ravel(),
+         2 * num_angles * np.arange(h * w + 1)), shape=(h * w, num_angles * det))
+    del s, bins, f, cols
+    return _Projector(back)
+
+
 def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
     """Parallel-beam Radon transform with pixel-driven linear splatting.
 
     Each pixel center is projected onto the detector axis at every angle
     and its value is split linearly between the two nearest detector bins,
     so each projection conserves the total image mass exactly.  The
-    adjoint is the transpose of the same sparse matrix.
+    adjoint is the transpose of the same sparse matrix.  Handles of one
+    ``(num_angles, H, W)`` share one projector for as long as any of them,
+    or a coarse operator cached from one, is alive: a repeated definition
+    builds nothing.
     """
-    import scipy.sparse  # here, not at the top: it adds ~0.2 s to every start-up
-
-    if num_angles < 1:
-        raise ValueError("need at least one projection angle")
     c, h, w = image_shape
     if h != w:
         raise ValueError("CT expects a square image")
-    det = int(np.ceil(np.sqrt(2.0) * h))
-    angles = (np.arange(num_angles) * np.pi / num_angles)[:, None]
-    jj, ii = np.meshgrid(np.arange(w), np.arange(h))
-    uc = (jj - (w - 1) / 2.0).ravel()
-    vc = (ii - (h - 1) / 2.0).ravel()
+    range_shape = _ct_range(num_angles, image_shape)
+    det = range_shape[2]
     n = h * w
-    s = np.clip(uc * np.cos(angles) + vc * np.sin(angles) + (det - 1) / 2.0, 0, det - 1 - 1e-9)
-    bins = s.astype(int)
-    f = s - bins
-    b0 = bins + det * np.arange(num_angles)[:, None]  # (A, n) matrix rows
-    # per angle, the lower bins of all pixels, then the upper bins; the CSR
-    # conversion sorts each row by pixel (a pixel's two bins differ, so no
-    # entry repeats), and each row sums its products in pixel order
-    mat = scipy.sparse.csr_matrix(
-        (np.stack([1.0 - f, f], axis=1).ravel(),
-         (np.stack([b0, b0 + 1], axis=1).ravel(), np.tile(np.arange(n), 2 * num_angles))),
-        shape=(num_angles * det, n),
-    )
-    mat_t = mat.T.tocsr()
+    proj = _PROJECTORS.get((num_angles, h, w))
+    if proj is None:
+        # threads that miss together build equal projectors; the last one
+        # stored is shared from then on
+        proj = _PROJECTORS[num_angles, h, w] = _ct_projector(num_angles, h, w, det)
 
     def apply_fn(x):
-        return (mat @ x.reshape(c, n).T).T.reshape(c, num_angles, det)
+        return (proj.forward @ x.reshape(c, n).T).T.reshape(range_shape)
 
     def adjoint_fn(y):
-        return (mat_t @ y.reshape(c, num_angles * det).T).T.reshape(c, h, w)
+        return (proj.back @ y.reshape(c, num_angles * det).T).T.reshape(c, h, w)
 
     return _keyed(OperatorHandle(
-        image_shape, (c, num_angles, det), apply_fn, adjoint_fn,
+        image_shape, range_shape, apply_fn, adjoint_fn,
         kind="ct", spec={"kind": "ct", "num_angles": num_angles},
     ))
 
@@ -776,9 +842,16 @@ def _decimation_matrix(n: int, factor: int, filt: str) -> np.ndarray:
     return mat
 
 
-def make_downsampling(factor: int, filt: str, image_shape) -> OperatorHandle:
+def _downsampled(factor: int, image_shape) -> tuple:
+    """(C, H / factor, W / factor)."""
     if factor not in (2, 4):
         raise ValueError("downsampling factor must be 2 or 4")
+    c, h, w = image_shape
+    return c, h // factor, w // factor
+
+
+def make_downsampling(factor: int, filt: str, image_shape) -> OperatorHandle:
+    range_shape = _downsampled(factor, image_shape)
     if filt not in ("bicubic", "bilinear"):
         raise ValueError("filter must be 'bicubic' or 'bilinear'")
     c, h, w = image_shape
@@ -794,7 +867,7 @@ def make_downsampling(factor: int, filt: str, image_shape) -> OperatorHandle:
         return dh.T @ y @ dw
 
     return _keyed(OperatorHandle(
-        image_shape, (c, h // factor, w // factor), apply_fn, adjoint_fn,
+        image_shape, range_shape, apply_fn, adjoint_fn,
         kind="downsampling", spec={"kind": "downsampling", "factor": int(factor), "filter": filt},
         factors=lambda: (dh, dw),
     ))
@@ -819,6 +892,11 @@ def _dst_matrix(n: int) -> np.ndarray:
     return mat
 
 
+def _cs_range(image_shape, keep_indices) -> tuple:
+    """(C, kept coefficients)."""
+    return image_shape[0], np.size(keep_indices)
+
+
 def make_compressed_sensing(sign_mask: np.ndarray, keep_indices: np.ndarray,
                             image_shape) -> OperatorHandle:
     """A = S diag(m): orthonormal DST-II of the sign-flipped image, with
@@ -830,6 +908,8 @@ def make_compressed_sensing(sign_mask: np.ndarray, keep_indices: np.ndarray,
     if sign_mask.shape != (h, w) or not np.all(np.abs(sign_mask) == 1):
         raise ValueError("sign mask must be (H, W) with values in {-1, +1}")
     keep = np.array(keep_indices, dtype=np.int64)
+    if keep.ndim != 1:
+        raise ValueError("keep indices must be a 1-D list")
     if len(np.unique(keep)) != len(keep):
         raise ValueError("keep indices must be distinct")
     if keep.size and (keep.min() < 0 or keep.max() >= h * w):
@@ -848,7 +928,7 @@ def make_compressed_sensing(sign_mask: np.ndarray, keep_indices: np.ndarray,
 
     # S has orthonormal rows and diag(m) is orthogonal
     return _keyed(OperatorHandle(
-        image_shape, (c, m), apply_fn, adjoint_fn,
+        image_shape, _cs_range(image_shape, keep), apply_fn, adjoint_fn,
         kind="compressed_sensing",
         arrays={"sign_mask": sign_mask, "keep_indices": _owned(keep)},
         exact_norm=lambda: float(m > 0),
@@ -963,29 +1043,44 @@ def _crop_op(fine_shape, target_shape) -> OperatorHandle:
 # ---------------------------------------------------------------------------
 
 
+def _domain_range(shape, spec, arrays) -> tuple:
+    """The range of identity, inpainting and MRI: the image's own shape."""
+    return shape
+
+
 KINDS = {
-    "identity": OperatorKind({}, (), lambda shape, spec, arrays: identity_operator(shape)),
+    "identity": OperatorKind(
+        {}, (), lambda shape, spec, arrays: identity_operator(shape), _domain_range),
     "blur": OperatorKind(
         {}, ("kernel",),
-        lambda shape, spec, arrays: make_blur(BlurKernel(arrays["kernel"]), shape)),
+        lambda shape, spec, arrays: make_blur(BlurKernel(arrays["kernel"]), shape),
+        lambda shape, spec, arrays: _valid_range(shape, BlurKernel(arrays["kernel"]).size)),
     "inpainting": OperatorKind(
-        {}, ("mask",), lambda shape, spec, arrays: make_inpainting(arrays["mask"])),
+        {}, ("mask",), lambda shape, spec, arrays: make_inpainting(arrays["mask"]),
+        _domain_range),
     "mri": OperatorKind(
-        {}, ("mask",), lambda shape, spec, arrays: make_mri(arrays["mask"], shape)),
+        {}, ("mask",), lambda shape, spec, arrays: make_mri(arrays["mask"], shape),
+        _domain_range),
     "multicoil_mri": OperatorKind(
         {}, ("mask", "smaps"),
-        lambda shape, spec, arrays: make_multicoil_mri(arrays["mask"], arrays["smaps"], shape)),
+        lambda shape, spec, arrays: make_multicoil_mri(arrays["mask"], arrays["smaps"], shape),
+        lambda shape, spec, arrays: _multicoil_range(np.shape(arrays["smaps"]), shape)),
     "ct": OperatorKind(
         {"num_angles": 0}, (),
-        lambda shape, spec, arrays: make_ct_radon(spec["num_angles"], shape)),
+        lambda shape, spec, arrays: make_ct_radon(spec["num_angles"], shape),
+        lambda shape, spec, arrays: _ct_range(spec["num_angles"], shape)),
     "downsampling": OperatorKind(
         {"factor": 0, "filter": ""}, (),
-        lambda shape, spec, arrays: make_downsampling(spec["factor"], spec["filter"], shape)),
+        lambda shape, spec, arrays: make_downsampling(spec["factor"], spec["filter"], shape),
+        lambda shape, spec, arrays: _downsampled(spec["factor"], shape)),
     "compressed_sensing": OperatorKind(
         {}, ("sign_mask", "keep_indices"),
         lambda shape, spec, arrays: make_compressed_sensing(
-            arrays["sign_mask"], np.asarray(arrays["keep_indices"], dtype=np.int64), shape)),
-    "demosaic": OperatorKind({}, (), lambda shape, spec, arrays: make_demosaic(shape)),
+            arrays["sign_mask"], np.asarray(arrays["keep_indices"], dtype=np.int64), shape),
+        lambda shape, spec, arrays: _cs_range(shape, arrays["keep_indices"])),
+    "demosaic": OperatorKind(
+        {}, (), lambda shape, spec, arrays: make_demosaic(shape),
+        lambda shape, spec, arrays: _mosaic_range(shape)),
 }
 
 

@@ -46,12 +46,14 @@ def operator_to_spec(op: ops.OperatorHandle) -> tuple[dict, dict]:
     return spec, arrays
 
 
-def operator_from_spec(spec: dict, arrays: dict | None = None) -> ops.OperatorHandle:
+def operator_from_spec(spec: dict, arrays: dict, range_shape) -> ops.OperatorHandle:
     """Build the operator a spec and its arrays define.  The spec holds
     exactly ``kind`` (a name in :data:`operators.KINDS`), ``domain_shape``
     (three positive integers, matching the shape the arrays give) and that
-    kind's spec fields, each of its type; anything else is a ValueError."""
-    arrays = arrays or {}
+    kind's spec fields, each of its type; anything else is a ValueError.
+    The kind's range is checked against ``range_shape``, the shape of the
+    measurement, before anything is built: a spec claiming a large domain
+    for a small measurement costs nothing."""
     kind_name = spec.get("kind")
     if not (isinstance(kind_name, str) and kind_name in ops.KINDS):
         raise ValueError(f"unknown operator kind {kind_name!r}")
@@ -62,7 +64,10 @@ def operator_from_spec(spec: dict, arrays: dict | None = None) -> ops.OperatorHa
     shape = spec["domain_shape"]
     if not (len(shape) == 3 and min(shape) > 0):
         raise ValueError(f"domain_shape must be three positive integers, got {list(shape)}")
-    op = kind.build(shape, spec, {name: arrays[f"op.{name}"] for name in kind.array_names})
+    arrays = {name: arrays[f"op.{name}"] for name in kind.array_names}
+    if kind.range_shape(shape, spec, arrays) != tuple(range_shape):
+        raise ValueError("measurement shape inconsistent with operator spec")
+    op = kind.build(shape, spec, arrays)
     if op.domain_shape != shape:
         raise ValueError(f"domain_shape {list(shape)} does not match the operator's "
                          f"{list(op.domain_shape)}")
@@ -97,10 +102,8 @@ def load_instance(path) -> ProblemInstance:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     entries = tnsr.load_tensors(os.path.join(os.path.dirname(path) or ".", manifest["data"]))
-    op = operator_from_spec(manifest["operator"], entries)
     y = entries["y"]
-    if y.shape != op.range_shape:
-        raise ValueError("measurement shape inconsistent with operator spec")
+    op = operator_from_spec(manifest["operator"], entries, y.shape)
     x = entries.get("x")
     if x is not None and x.shape != op.domain_shape:
         raise ValueError("ground-truth shape inconsistent with operator spec")

@@ -438,7 +438,10 @@ def _embed(like: np.ndarray, index):
 # are convolved in output row strips.  glibc maps a block at or above its
 # dynamic mmap threshold (at most 32 MB) afresh on every call and faults
 # every page in again; at 8 MB the strips of a 128x128 default-config
-# forward come from the heap.
+# forward come from the heap.  Smaller strips would bound the working set
+# further but split a 64x64 default-config convolution into more, smaller
+# GEMMs (2 MB: ~18% slower), and a weight gradient, which sums over the
+# strips, would change in its last bits.
 _PATCH_BYTES = 8 << 20
 
 

@@ -228,6 +228,7 @@ def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
     opt = T.AdamOptimizer(model.parameters(), lr=cfg.lr)
     log_rows = []
     loss_history = []
+    evals = {}  # task name -> its latest _eval_task
     for step in range(cfg.steps):
         if step == cfg.lr_decay_step:
             opt.lr = cfg.lr / 10.0
@@ -250,9 +251,12 @@ def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
         loss_history.append(total)
         if (step + 1) % cfg.log_every == 0 or step == cfg.steps - 1:
             for task in tasks:
-                log_rows.append({"step": step + 1, "task": task.name,
-                                 "loss": per_task[task.name],
-                                 "psnr": _eval_task(model, task, datasets[task.name], cfg, 4)[0]})
+                # a log row scores 4 instances; the last step draws the
+                # report's 16, which start with the same 4
+                n = 16 if step == cfg.steps - 1 else 4
+                evals[task.name] = _eval_task(model, task, datasets[task.name], cfg, n)
+                log_rows.append({"step": step + 1, "task": task.name, "loss": per_task[task.name],
+                                 "psnr": float(np.mean(evals[task.name][0][:4]))})
         if cfg.checkpoint_path and ((step + 1) % cfg.checkpoint_every == 0
                                     or step == cfg.steps - 1):
             model.save_checkpoint(cfg.checkpoint_path)
@@ -264,17 +268,18 @@ def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
     report = {"steps": cfg.steps, "loss_history": loss_history, "log": log_rows,
               "task_psnr": {}, "baseline_psnr": {}}
     for task in tasks:
-        model_db, base_db = _eval_task(model, task, datasets[task.name], cfg, 16)
-        report["task_psnr"][task.name] = model_db
-        report["baseline_psnr"][task.name] = base_db
+        model_db, base_db = evals[task.name]
+        report["task_psnr"][task.name] = float(np.mean(model_db))
+        report["baseline_psnr"][task.name] = float(np.mean(base_db))
     return report
 
 
 def _eval_task(model, task: TaskSpec, dataset, cfg: TrainConfig, n: int):
-    """Mean PSNR of the model's reconstructions and of A^T y on the first
-    ``n`` instances of a fixed draw of ``task``."""
+    """PSNRs of the model's reconstructions and of A^T y on the first ``n``
+    instances of a fixed draw of ``task`` (a larger ``n`` draws the same
+    first instances)."""
     model_vals, base_vals = [], []
     for inst in sample_batch(task, dataset, n, cfg.patch_size, seed=cfg.seed * 7 + 999331):
         model_vals.append(psnr(inst.x, model.reconstruct(inst.y, inst.op, inst.noise)))
         base_vals.append(psnr(inst.x, inst.op.adjoint(inst.y)))
-    return float(np.mean(model_vals)), float(np.mean(base_vals))
+    return model_vals, base_vals

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,27 @@ class TestReconstructAndUq:
                          "--out", str(tmp_path / "x.tnsr")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_large_domain_claim_refused_before_build(self, tmp_path, clean_image, tiny_ckpt,
+                                                     capsys):
+        # a 16x16 downsampling instance whose manifest claims a 4096x4096
+        # domain is refused on its measurement's shape before any
+        # decimation matrix is built (tracemalloc, not ru_maxrss: a
+        # process's high-water mark may already lie above what a build adds)
+        inst = self.simulate(tmp_path, clean_image, "downsampling")
+        manifest = json.loads(inst.read_text())
+        manifest["operator"]["domain_shape"] = [1, 4096, 4096]
+        inst.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = cli.main(["reconstruct", "--model", str(tiny_ckpt), "--instance", str(inst),
+                             "--out", str(tmp_path / "x.tnsr")])
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "measurement shape" in capsys.readouterr().err
+        assert peak < 5, f"refusing the claim allocated {peak:.1f} MB"
 
     # larger_model: a 2^20-wide config is refused from the stored weights,
     # before the model is allocated

@@ -221,7 +221,7 @@ class TestOperatorSpecs:
 
     def roundtrip(self, op):
         spec, arrays = operator_to_spec(op)
-        return operator_from_spec(spec, arrays)
+        return operator_from_spec(spec, arrays, op.range_shape)
 
     def check_same_action(self, a, b):
         rng = np.random.default_rng(7)
@@ -269,9 +269,49 @@ class TestOperatorSpecs:
         op = ops.make_demosaic((3, 16, 16))
         self.check_same_action(op, self.roundtrip(op))
 
+    def test_registry_range_shapes(self):
+        # each kind's range_shape, which load_instance checks before it
+        # builds anything, is the range of the operator it builds
+        sign, keep = ops.make_cs_pattern((2, 9, 7), 3, seed=14)
+        for op in (ops.identity_operator((2, 9, 7)),
+                   ops.make_blur(ops.make_gaussian_kernel(1.0, size=5), (3, 13, 11)),
+                   ops.make_inpainting(ops.make_bernoulli_mask((1, 9, 7), 0.5, seed=15)),
+                   ops.make_mri(ops.make_mri_mask((2, 9, 7), 3, seed=16), (2, 9, 7)),
+                   ops.make_multicoil_mri(ops.make_mri_mask((2, 9, 7), 3, seed=17),
+                                          ops.make_sensitivity_maps(3, (2, 9, 7), seed=18),
+                                          (2, 9, 7)),
+                   ops.make_ct_radon(5, (2, 9, 9)),
+                   ops.make_downsampling(4, "bilinear", (1, 12, 8)),
+                   ops.make_compressed_sensing(sign, keep, (2, 9, 7)),
+                   ops.make_demosaic((3, 10, 8))):
+            spec, arrays = operator_to_spec(op)
+            kind = ops.KINDS[op.kind]
+            assert kind.range_shape(op.domain_shape, op.spec, op.arrays) == op.range_shape, op.kind
+            assert operator_from_spec(spec, arrays, op.range_shape).key == op.key
+            wrong = op.range_shape[:-1] + (op.range_shape[-1] + 1,)
+            with pytest.raises(ValueError, match="measurement shape"):
+                operator_from_spec(spec, arrays, wrong)
+
+    @pytest.mark.parametrize("kind,shape,arrays", [
+        ("multicoil_mri", [2, 8, 8], {"op.mask": np.ones((8, 8)), "op.smaps": np.array(1.0)}),
+        ("multicoil_mri", [2, 8, 8], {"op.mask": np.ones((8, 8)),
+                                      "op.smaps": np.ones((2, 2, 8, 6))}),
+        ("compressed_sensing", [1, 8, 8], {"op.sign_mask": np.ones((8, 8)),
+                                           "op.keep_indices": np.array(3.0)}),
+        ("compressed_sensing", [1, 8, 8], {"op.sign_mask": np.ones((8, 8)),
+                                           "op.keep_indices": np.arange(4.0).reshape(2, 2)}),
+    ], ids=["smaps_scalar", "smaps_shape", "keep_scalar", "keep_2d"])
+    def test_malformed_arrays_refused(self, kind, shape, arrays):
+        # whether the measurement's shape fails the range check or passes it
+        # and reaches the builder, a ValueError, which the CLI reports as
+        # exit 2, not an IndexError or TypeError traceback
+        for range_shape in ((1, 1), (1, 4)):
+            with pytest.raises(ValueError):
+                operator_from_spec({"kind": kind, "domain_shape": shape}, arrays, range_shape)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            operator_from_spec({"kind": "warp", "domain_shape": [1, 8, 8]})
+            operator_from_spec({"kind": "warp", "domain_shape": [1, 8, 8]}, {}, (1, 8, 8))
 
     def test_round_trip_keeps_key(self):
         sign, keep = ops.make_cs_pattern(self.SHAPE, 4, seed=12)

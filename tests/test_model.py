@@ -393,6 +393,26 @@ class TestReconstructNoTape:
         assert kept < 1.0, f"reconstruct keeps {kept:.1f} MB"
         assert peak <= 0.5 * fwd_peak, f"peaks {peak:.1f} MB vs forward {fwd_peak:.1f} MB"
 
+    def test_memory_default_config_128(self):
+        # a skip is freed once the decoder adds it, so a 128x128 forward's
+        # transient working set is about one scale's features, their
+        # padded copy and one 8 MB convolution strip
+        shape = (2, 128, 128)
+        op = ops.make_mri(ops.make_mri_mask(shape, 4, seed=34), shape)
+        model = randomize(RamModel(RamConfig()), seed=35)
+        y = op.apply(np.random.default_rng(36).random(shape))
+        nz = NoiseParams(sigma=0.05)
+        model.reconstruct(y, op, nz)  # norm and coarse operators cached
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = model.reconstruct(y, op, nz)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24.0, f"a 128x128 reconstruct peaks at {peak:.1f} MB"
+        assert np.array_equal(out, model.forward(y, op, nz).data)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

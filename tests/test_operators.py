@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -401,6 +402,25 @@ class TestRadon:
         assert np.array_equal(op3.apply(x), np.concatenate([op1.apply(x[i:i + 1]) for i in range(3)]))
         assert np.array_equal(op3.adjoint(y),
                               np.concatenate([op1.adjoint(y[i:i + 1]) for i in range(3)]))
+
+    def test_one_projector_per_definition(self, monkeypatch):
+        # handles of one (angles, H, W), whatever their channel count, build
+        # one projector and share it; it is freed with the last of them
+        builds = []
+        build = ops._ct_projector
+        monkeypatch.setattr(ops, "_ct_projector", lambda *a: builds.append(a) or build(*a))
+        a = ops.make_ct_radon(5, (1, 11, 11))
+        b = ops.make_ct_radon(5, (3, 11, 11))
+        assert len(builds) == 1
+        proj = weakref.ref(ops._PROJECTORS[(5, 11, 11)])
+        x = np.random.default_rng(13).standard_normal(b.domain_shape)
+        assert np.array_equal(b.apply(x)[1:2], a.apply(x[1:2]))
+        del a
+        assert proj() is not None
+        del b
+        assert proj() is None and (5, 11, 11) not in ops._PROJECTORS
+        ops.make_ct_radon(5, (1, 11, 11))
+        assert len(builds) == 2
 
 
 class TestDownsampling:
@@ -981,15 +1001,17 @@ class TestLoopReferences:
             assert op.exact_norm() == norm
 
     @pytest.mark.parametrize("c", [1, 3])
-    @pytest.mark.parametrize("n", [16, 33])
+    @pytest.mark.parametrize("n", [16, 33, 32, 64, 128])
     def test_ct(self, c, n):
-        op = ops.make_ct_radon(n // 4, (c, n, n))
+        # the projector built directly in CSR acts as the triplet-built one
         rng = np.random.default_rng(n)
-        x = rng.standard_normal(op.domain_shape)
-        y = rng.standard_normal(op.range_shape)
-        apply, adjoint = loop_ct(n // 4, c, n, x, y)
-        assert bitwise_equal(op.apply(x), apply)
-        assert bitwise_equal(op.adjoint(y), adjoint)
+        for num_angles in (1, 7, n // 4, n):
+            op = ops.make_ct_radon(num_angles, (c, n, n))
+            x = rng.standard_normal(op.domain_shape)
+            y = rng.standard_normal(op.range_shape)
+            apply, adjoint = loop_ct(num_angles, c, n, x, y)
+            assert bitwise_equal(op.apply(x), apply), num_angles
+            assert bitwise_equal(op.adjoint(y), adjoint), num_angles
 
     def test_decimation_matrices(self):
         for n in [*range(8, 65), 127, 128, 255, 256]:

@@ -1,3 +1,6 @@
+import hashlib
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -10,6 +13,8 @@ from reconkit.model import RamConfig, RamModel
 from reconkit.noise import NoiseParams
 from reconkit.problem import ProblemInstance
 
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
 
 TINY = RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=1,
                  head_channels=(1,), seed=5)
@@ -440,6 +445,28 @@ class TestFinetune:
         assert len(report["loss_history"]) == cfg.steps
         assert np.all(np.isfinite(report["loss_history"]))
         assert 0 <= report["best_step"] < cfg.steps
+
+    @pytest.mark.parametrize("n", [64, 96])
+    def test_default_config_golden(self, n):
+        """A SURE+EI step of the default config gives the loss and the
+        weight gradients an earlier version computed.  A weight gradient
+        sums over the convolution's row strips, so its last bits move with
+        the strip partition; they must move only on purpose.  At 96x96 the
+        32-channel convolutions already run in two strips."""
+        rng = np.random.default_rng(41)
+        op = ops.make_inpainting(ops.make_bernoulli_mask((1, n, n), 0.6, seed=42))
+        x = rng.random((1, n, n))
+        inst = ProblemInstance(op=op, y=op.apply(x) + 0.05 * rng.standard_normal(x.shape),
+                               noise=NoiseParams(sigma=0.05))
+        model = RamModel(RamConfig())
+        report = ss.finetune(model, [inst], ss.FinetuneConfig(steps=1, seed=5))
+        # after its one step the model holds that step's gradients
+        digest = hashlib.sha256(np.asarray(report["loss_history"]).tobytes())
+        for p in model.parameters():
+            digest.update(p.grad.tobytes())
+        golden = dict(line.split()[::-1] for line in
+                      (GOLDEN / "finetune_default.sha256").read_text().splitlines())
+        assert digest.hexdigest() == golden[str(n)]
 
     def test_config_round_trip(self):
         cfg = ss.FinetuneConfig(mc_loss="split", null_loss="moi", omega=0.3, steps=11)
