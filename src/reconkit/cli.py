@@ -54,12 +54,11 @@ def _load_single(path, preferred=("x", "xhat", "y")) -> np.ndarray:
 
 
 def _export_image(path, img: np.ndarray) -> None:
-    img = np.clip(img, 0.0, 1.0)
     if img.ndim == 2:
         img = img[None]
     if img.shape[0] == 2:  # complex-valued pair: export the magnitude
         img = np.sqrt(img[0] ** 2 + img[1] ** 2)[None]
-        img = np.clip(img, 0.0, 1.0)
+    img = np.clip(img, 0.0, 1.0)
     if img.shape[0] == 1:
         tnsr.write_pgm(path, img)
     elif img.shape[0] == 3:

@@ -198,7 +198,7 @@ class RamModel:
         x0 = prox_estimate_graph(opn, aty, lam, cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol)
 
         pads, (hp, wp) = self._padding(h, w)
-        xin = T.pad_reflect(x0, pads) if (hp, wp) != (h, w) else x0
+        xin = T.pad_reflect(x0, pads)
         smap = T.constant(np.full((1, hp, wp), sigma))
         gmap = T.constant(np.full((1, hp, wp), gamma))
 
@@ -221,9 +221,7 @@ class RamModel:
             f = T.upsample2(f, self._params[f"up{s}.conv"]) + skips.pop()
             f = self._blocks(f, f"dec{s}")
         res = self._conv3(f, f"head{c}.conv_out")
-        if (hp, wp) != (h, w):
-            res = T.crop2d(res, pads[0], pads[2], h, w)
-        return x0 + res
+        return x0 + T.crop2d(res, pads[0], pads[2], h, w)
 
     def reconstruct(self, y, op: OperatorHandle, noise: NoiseParams) -> np.ndarray:
         """``forward(y, op, noise).data``, computed without a tape: use

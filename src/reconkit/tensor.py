@@ -14,21 +14,22 @@ the arrays an operation keeps for its backward are freed when it
 returns.  Values are computed exactly as with the tape.
 
 All convolutions are bias-free by construction: there is no bias term
-anywhere in this module.  Each convolution lowers its padded input along
-the width only (MEC; Cho & Brand, ICML 2017): the column patches hold
-every input row with its KW horizontally shifted copies, so each pixel
-is copied KW times, not KH*KW times as in im2col.  Kernel row ``i``
-reads rows i, i + stride, ... of them (at stride 1 a view) and is one
-BLAS ``matmul`` accumulated into the output; kernel rows that do not
-overlap (kernel height <= stride) read disjoint rows, held side by side,
-and are one ``matmul`` together.  The work runs in output row strips
-whose column patches and accumulation temporary together stay below
-``_PATCH_BYTES``.  The transposed convolution (also the input
-gradient of a convolution) has no loop over kernel taps: when taps do
-not overlap (kernel equal to the stride) it is one ``matmul`` for all
-taps and a depth-to-space reshape; otherwise it is the forward
-convolution of the zero-inserted, (k - 1)-padded input with the flipped
-kernel.
+anywhere in this module.  Every convolution, forward, weight gradient
+and transposed, follows one rule.  A kernel that tiles its input
+(KH = KW = stride: the 2x2 stride-2 resampling and every 1x1 conv) is
+one BLAS ``matmul`` for all taps, against the space-to-depth tiles of
+the input (a view for 1x1) or, transposed, followed by the
+depth-to-space reshape.  Any other kernel overlaps or skips rows and
+runs kernel-row strips: the padded input is lowered along the width
+only (MEC; Cho & Brand, ICML 2017), its column patches holding every
+input row with its KW horizontally shifted copies, so each pixel is
+copied KW times, not KH*KW times as in im2col.  Kernel row ``i`` reads
+rows i, i + stride, ... of them (at stride 1 a view) and is one
+``matmul`` accumulated into the output, in output row strips whose
+column patches and accumulation temporary together stay below
+``_PATCH_BYTES``.  The transposed convolution of such a kernel (also
+the input gradient of a convolution) is the forward convolution of the
+zero-inserted, (k - 1)-padded input with the flipped kernel.
 
 Every single-input linear op (padding, cropping, channel slicing, sum and
 mean) is one :func:`apply_linear` node: its backward applies the op's
@@ -55,7 +56,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "relu",
     "abs_val",
     "square",
@@ -151,19 +151,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _wrap(other))
 
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __neg__(self):
-        return mul(self, constant(-1.0))
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -283,16 +274,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return Tensor(a.data * b.data, (a, b), bw)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b)
-
-    def bw(g):
-        return (_unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return Tensor(a.data / b.data, (a, b), bw)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -435,13 +416,14 @@ def _embed(like: np.ndarray, index):
 
 # Bytes one row strip's transients may take: its column patches, halo rows
 # included, plus the accumulation temporary of its output.  Larger inputs
-# are convolved in output row strips.  glibc maps a block at or above its
-# dynamic mmap threshold (at most 32 MB) afresh on every call and faults
-# every page in again; at 8 MB the strips of a 128x128 default-config
-# forward come from the heap.  Smaller strips would bound the working set
-# further but split a 64x64 default-config convolution into more, smaller
-# GEMMs (2 MB: ~18% slower), and a weight gradient, which sums over the
-# strips, would change in its last bits.
+# are convolved in output row strips; a tiling kernel copies its input
+# once (1x1: not at all) and runs no strips.  glibc maps a block at or
+# above its dynamic mmap threshold (at most 32 MB) afresh on every call
+# and faults every page in again; at 8 MB the strips of a 128x128
+# default-config forward come from the heap.  Smaller strips would bound
+# the working set further but split a 64x64 default-config convolution
+# into more, smaller GEMMs (2 MB: ~18% slower), and a weight gradient,
+# which sums over the strips, would change in its last bits.
 _PATCH_BYTES = 8 << 20
 
 
@@ -449,13 +431,9 @@ def _row_strips(xp: np.ndarray, kh: int, kw: int, stride: int, o: int):
     """Yield ``(positions, patches)`` for each strip of output rows of a
     padded (C, H, W) input convolved with ``o`` output channels: the slice
     of flattened output positions the strip covers, and its column
-    patches, a (K, extent, WO) array of input rows, each with its KW
-    horizontally shifted (strided) copies.
-
-    When kernel rows overlap (kh > stride) the patches hold every input
-    row the strip reads once, K = C*KW, and kernel row ``i`` reads rows i,
-    i + stride, ... of them.  Otherwise every input row belongs to at most
-    one kernel row, and K = C*KH*KW holds each kernel row's rows.  A
+    patches, a (C*KW, extent, WO) array holding every input row the strip
+    reads, each with its KW horizontally shifted (strided) copies.  Kernel
+    row ``i`` reads patch rows i, i + stride, ... (``_kernel_row``).  A
     strip's patches and an (O, rows*WO) temporary take at most
     ``_PATCH_BYTES`` together (one output row at least).  Callers drop
     each strip's patches before asking for the next, so one strip's
@@ -463,78 +441,74 @@ def _row_strips(xp: np.ndarray, kh: int, kw: int, stride: int, o: int):
     c, hp, wp = xp.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    if kh > stride:
-        # kernel rows held side by side in K, the input-row step between
-        # patch rows, patch rows per output row, extra patch rows per strip
-        phases, row_step, per_row, halo = 1, 1, stride, kh - stride
-    else:
-        phases, row_step, per_row, halo = kh, stride, 1, 0
-    k = c * phases * kw
-    row_budget = _PATCH_BYTES // (wo * xp.itemsize) - k * halo
-    strips = -(-ho // max(1, row_budget // (k * per_row + o)))
+    k = c * kw
+    row_budget = _PATCH_BYTES // (wo * xp.itemsize) - k * (kh - stride)
+    strips = -(-ho // max(1, row_budget // (k * stride + o)))
     rows = -(-ho // strips)
     sc, sh, sw = xp.strides
     for r0 in range(0, ho, rows):
         r1 = min(r0 + rows, ho)
-        extent = (r1 - r0) * per_row + halo
+        extent = (r1 - r0 - 1) * stride + kh
         win = np.lib.stride_tricks.as_strided(
-            xp[:, r0 * stride:], (c, phases, kw, extent, wo),
-            (sc, sh, sw, sh * row_step, sw * stride), writeable=False)
+            xp[:, r0 * stride:], (c, kw, extent, wo), (sc, sw, sh, sw * stride), writeable=False)
         yield slice(r0 * wo, r1 * wo), win.reshape(k, extent, wo)
 
 
-def _row_groups(kh: int, stride: int):
-    """``(groups, step)``: the kernel rows that share one product and the
-    patch-row step between a group's rows.  Overlapping kernel rows are a
-    group each, read every ``stride`` patch rows (at stride 1 a contiguous
-    slice, so a view); otherwise one group holds them all."""
-    return (kh, stride) if kh > stride else (1, 1)
+def _kernel_row(patches: np.ndarray, i: int, stride: int, rows: int) -> np.ndarray:
+    """(C*KW, rows*WO) patch matrix of kernel row ``i``: a view at stride 1."""
+    return patches[:, i:i + (rows - 1) * stride + 1:stride].reshape(patches.shape[0], -1)
 
 
-def _group_patches(patches: np.ndarray, g: int, step: int, rows: int) -> np.ndarray:
-    """(K, rows*WO) patch matrix of row group ``g``."""
-    k, _, wo = patches.shape
-    return patches[:, g:g + (rows - 1) * step + 1:step].reshape(k, rows * wo)
+def _tiles(x: np.ndarray, s: int) -> np.ndarray:
+    """(C*s*s, HO*WO) space-to-depth matrix of a (C, H, W) input cut into
+    s x s tiles (trailing rows and columns that fill no tile dropped), K
+    ordered (channel, row, column) like ``w.reshape(O, -1)`` of an OIKK
+    weight; a view when s = 1 and ``x`` is contiguous."""
+    c, h, w = x.shape
+    ho, wo = h // s, w // s
+    tiles = x[:, :ho * s, :wo * s].reshape(c, ho, s, wo, s)
+    return tiles.transpose(0, 2, 4, 1, 3).reshape(c * s * s, ho * wo)
 
 
 def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Valid cross-correlation of a padded (C, H, W) input with OIKK
-    weights: one (O, K) @ (K, rows*WO) product per row group and strip."""
+    weights.  Tiling kernels (KH = KW = stride) are one (O, C*KH*KW)
+    product with the tiles; any other kernel is one (O, C*KW) product per
+    kernel row and row strip, accumulated."""
     o, c, kh, kw = w.shape
     ho = (xp.shape[1] - kh) // stride + 1
     wo = (xp.shape[2] - kw) // stride + 1
-    groups, step = _row_groups(kh, stride)
-    # (groups, O, K), K ordered as the patches: (channel, column) of each
-    # kernel row, or (channel, kernel row, column) for a single group
-    w_groups = (w.transpose(2, 0, 1, 3) if groups > 1 else w).reshape(groups, o, -1)
+    if kh == kw == stride:
+        return (w.reshape(o, -1) @ _tiles(xp, stride)).reshape(o, ho, wo)
+    # (KH, O, C*KW), K ordered (channel, column) as the patches
+    w_rows = w.transpose(2, 0, 1, 3).reshape(kh, o, -1)
     out = np.empty((o, ho * wo))
     for pos, patches in _row_strips(xp, kh, kw, stride, o):
         rows = (pos.stop - pos.start) // wo
         acc = out[:, pos]
-        np.matmul(w_groups[0], _group_patches(patches, 0, step, rows), out=acc)
-        for g in range(1, groups):
-            acc += w_groups[g] @ _group_patches(patches, g, step, rows)
+        np.matmul(w_rows[0], _kernel_row(patches, 0, stride, rows), out=acc)
+        for i in range(1, kh):
+            acc += w_rows[i] @ _kernel_row(patches, i, stride, rows)
         del patches
     return out.reshape(o, ho, wo)
 
 
 def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Gradient of ``_conv_forward(xp, w, stride)`` in ``w`` for output
-    gradient ``g``, shaped (O, C, KH, KW): one product per row group and
-    strip against the column patches the forward reads."""
+    gradient ``g``, shaped (O, C, KH, KW): the forward's products against
+    the same tiles or kernel-row patches."""
     o, _, wo = g.shape
     c = xp.shape[0]
     g = g.reshape(o, -1)
-    groups, step = _row_groups(kh, stride)
-    gw = np.zeros((groups, o, c * kh * kw // groups))
+    if kh == kw == stride:
+        return (g @ _tiles(xp, stride).T).reshape(o, c, kh, kw)
+    gw = np.zeros((kh, o, c * kw))
     for pos, patches in _row_strips(xp, kh, kw, stride, o):
         rows = (pos.stop - pos.start) // wo
-        for r in range(groups):
-            gw[r] += g[:, pos] @ _group_patches(patches, r, step, rows).T
+        for i in range(kh):
+            gw[i] += g[:, pos] @ _kernel_row(patches, i, stride, rows).T
         del patches
-    if groups > 1:
-        return gw.reshape(kh, o, c, kw).transpose(1, 2, 0, 3)
-    return gw.reshape(o, c, kh, kw)
+    return gw.reshape(kh, o, c, kw).transpose(1, 2, 0, 3)
 
 
 def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.ndarray:
@@ -554,7 +528,7 @@ def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.nda
         out = np.zeros((o, oh, ow))
         out[:, :h * kh, :w_ * kw] = tiles
         return out
-    # Overlapping taps (Dumoulin & Visin, arXiv 1603.07285): insert
+    # Any other kernel (Dumoulin & Visin, arXiv 1603.07285): insert
     # stride - 1 zeros between pixels, pad by k - 1 and correlate at stride
     # 1 with the flipped, in/out-swapped kernel.
     canvas = np.zeros((c, oh + kh - 1, ow + kw - 1))

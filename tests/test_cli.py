@@ -63,6 +63,23 @@ class TestEval:
         assert out[1] == "psnr,99.0"
         assert out[2] == "ssim,1.0"
 
+    def test_single_entry_container(self, tmp_path, capsys):
+        # no preferred entry name: the only entry is the image
+        a = np.random.default_rng(1).random((1, 16, 16))
+        pa, pb = tmp_path / "a.tnsr", tmp_path / "b.tnsr"
+        tnsr.save_tensors(pa, {"recon": a})
+        tnsr.save_tensors(pb, {"x": a})
+        assert cli.main(["eval", "--pred", str(pa), "--ref", str(pb), "--metrics", "psnr"]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[1] == "psnr,99.0"
+
+    def test_ambiguous_container_exit_2(self, tmp_path, capsys):
+        a = np.zeros((1, 8, 8))
+        tnsr.save_tensors(tmp_path / "a.tnsr", {"recon": a, "ref": a})
+        tnsr.save_tensors(tmp_path / "b.tnsr", {"x": a})
+        assert cli.main(["eval", "--pred", str(tmp_path / "a.tnsr"),
+                         "--ref", str(tmp_path / "b.tnsr")]) == 2
+        assert "ambiguous container" in capsys.readouterr().err
+
     def test_shape_mismatch_exit_2(self, tmp_path):
         tnsr.save_tensors(tmp_path / "a.tnsr", {"x": np.zeros((1, 8, 8))})
         tnsr.save_tensors(tmp_path / "b.tnsr", {"x": np.zeros((1, 9, 9))})
@@ -288,17 +305,56 @@ class TestReconstructAndUq:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_golden_files_load(self, tmp_path):
+    def export(self, tmp_path, op, x):
+        """Exit code, reconstruction and image file of ``reconstruct
+        --export-pgm`` on a noiseless instance of ``op`` for ``x``."""
+        ckpt, inst = tmp_path / "heads.tnsr", tmp_path / "inst.json"
+        RamModel(RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=1,
+                           head_channels=(2, 3, 4), seed=0)).save_checkpoint(ckpt)
+        save_instance(inst, ProblemInstance(op=op, y=op.apply(x), noise=NoiseParams(0.01)))
+        out, img = tmp_path / "xhat.tnsr", tmp_path / "xhat.pgm"
+        code = cli.main(["reconstruct", "--model", str(ckpt), "--instance", str(inst),
+                         "--out", str(out), "--export-pgm", str(img)])
+        return code, tnsr.load_tensors(out)["xhat"], img
+
+    def test_export_complex_magnitude(self, tmp_path):
+        # a (real, imag) pair exports its magnitude, clipped once it is
+        # taken, so negative parts count: (-0.5, 0) is 128, not 0
+        x = np.random.default_rng(0).random((2, 16, 16)) - 0.5
+        op = ops.make_mri(ops.make_mri_mask((2, 16, 16), 4, seed=0), (2, 16, 16))
+        code, xhat, pgm = self.export(tmp_path, op, x)
+        assert code == 0
+        want = np.round(np.clip(np.hypot(xhat[0], xhat[1]), 0, 1) * 255).astype(np.uint8)
+        assert pgm.read_bytes() == b"P5\n16 16\n255\n" + want.tobytes()
+        # clipping each part first would lose the negative ones
+        clipped = np.clip(xhat, 0, 1)
+        assert not np.array_equal(want, np.round(np.hypot(*clipped) * 255).astype(np.uint8))
+
+    def test_export_three_channels_as_ppm(self, tmp_path):
+        x = np.random.default_rng(1).random((3, 16, 16))
+        op = ops.make_inpainting(ops.make_bernoulli_mask((3, 16, 16), 0.7, seed=1))
+        code, xhat, ppm = self.export(tmp_path, op, x)
+        assert code == 0
+        want = np.round(np.clip(np.moveaxis(xhat, 0, 2), 0, 1) * 255).astype(np.uint8)
+        assert ppm.read_bytes() == b"P6\n16 16\n255\n" + want.tobytes()
+
+    def test_export_other_channel_counts_exit_2(self, tmp_path, capsys):
+        x = np.random.default_rng(2).random((4, 16, 16))
+        op = ops.make_inpainting(ops.make_bernoulli_mask((4, 16, 16), 0.7, seed=2))
+        code, _, img = self.export(tmp_path, op, x)
+        assert code == 2 and not img.exists()
+        assert "cannot export a 4-channel image" in capsys.readouterr().err
+
+    def test_golden_files_load(self, tmp_path, golden_python):
         """A checkpoint, manifest and data file written by an earlier
         version still load, and reconstruct to the same bytes."""
         out = tmp_path / "xhat.tnsr"
-        assert cli.main(["reconstruct", "--model", str(GOLDEN / "tiny_model.tnsr"),
-                         "--instance", str(GOLDEN / "blur_instance.json"),
-                         "--out", str(out)]) == 0
+        golden_python("-m", "reconkit.cli", "reconstruct", "--model", GOLDEN / "tiny_model.tnsr",
+                      "--instance", GOLDEN / "blur_instance.json", "--out", out)
         want = (GOLDEN / "blur_reconstruct.sha256").read_text().strip()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
-    def test_train_golden(self, tmp_path):
+    def test_train_golden(self, tmp_path, golden_python):
         """Two training steps (2 scales; a blur task, so the prox and its
         implicit backward run; 17x17 patches, so the model reflect-pads and
         crops) give the checkpoint and log bytes an earlier version wrote."""
@@ -309,9 +365,8 @@ class TestReconstructAndUq:
                "dataset": {"kind": "piecewise-constant", "count": 3, "shape": [1, 20, 20],
                            "seed": 5}}
         (tmp_path / "train.json").write_text(json.dumps(cfg))
-        assert cli.main(["train", "--config", str(tmp_path / "train.json"),
-                         "--out", str(tmp_path / "model.tnsr"),
-                         "--log", str(tmp_path / "log.csv")]) == 0
+        golden_python("-m", "reconkit.cli", "train", "--config", tmp_path / "train.json",
+                      "--out", tmp_path / "model.tnsr", "--log", tmp_path / "log.csv")
         for line in (GOLDEN / "blur_train.sha256").read_text().splitlines():
             want, name = line.split()
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name

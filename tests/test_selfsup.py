@@ -20,6 +20,23 @@ TINY = RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=1,
                  head_channels=(1,), seed=5)
 
 
+def default_config_step_digest(n: int) -> str:
+    """sha256 of the loss and the weight gradients of one SURE+EI finetune
+    step of the default config on an n x n inpainting instance."""
+    rng = np.random.default_rng(41)
+    op = ops.make_inpainting(ops.make_bernoulli_mask((1, n, n), 0.6, seed=42))
+    x = rng.random((1, n, n))
+    inst = ProblemInstance(op=op, y=op.apply(x) + 0.05 * rng.standard_normal(x.shape),
+                           noise=NoiseParams(sigma=0.05))
+    model = RamModel(RamConfig())
+    report = ss.finetune(model, [inst], ss.FinetuneConfig(steps=1, seed=5))
+    # after its one step the model holds that step's gradients
+    digest = hashlib.sha256(np.asarray(report["loss_history"]).tobytes())
+    for p in model.parameters():
+        digest.update(p.grad.tobytes())
+    return digest.hexdigest()
+
+
 class LinearModel:
     """R(y) = c * (input mapped to image domain); pointwise stub."""
 
@@ -447,26 +464,17 @@ class TestFinetune:
         assert 0 <= report["best_step"] < cfg.steps
 
     @pytest.mark.parametrize("n", [64, 96])
-    def test_default_config_golden(self, n):
+    def test_default_config_golden(self, n, golden_python):
         """A SURE+EI step of the default config gives the loss and the
         weight gradients an earlier version computed.  A weight gradient
         sums over the convolution's row strips, so its last bits move with
         the strip partition; they must move only on purpose.  At 96x96 the
         32-channel convolutions already run in two strips."""
-        rng = np.random.default_rng(41)
-        op = ops.make_inpainting(ops.make_bernoulli_mask((1, n, n), 0.6, seed=42))
-        x = rng.random((1, n, n))
-        inst = ProblemInstance(op=op, y=op.apply(x) + 0.05 * rng.standard_normal(x.shape),
-                               noise=NoiseParams(sigma=0.05))
-        model = RamModel(RamConfig())
-        report = ss.finetune(model, [inst], ss.FinetuneConfig(steps=1, seed=5))
-        # after its one step the model holds that step's gradients
-        digest = hashlib.sha256(np.asarray(report["loss_history"]).tobytes())
-        for p in model.parameters():
-            digest.update(p.grad.tobytes())
+        digest = golden_python("-c", "import test_selfsup as t; "
+                               f"print(t.default_config_step_digest({n}))").strip()
         golden = dict(line.split()[::-1] for line in
                       (GOLDEN / "finetune_default.sha256").read_text().splitlines())
-        assert digest.hexdigest() == golden[str(n)]
+        assert digest == golden[str(n)]
 
     def test_config_round_trip(self):
         cfg = ss.FinetuneConfig(mc_loss="split", null_loss="moi", omega=0.3, steps=11)

@@ -337,13 +337,15 @@ class TestConvParity:
 
     @pytest.mark.parametrize("cap", [1, 10000])
     @pytest.mark.parametrize("stride,padding,pad,k", [
-        (1, "reflect", 1, 3), (2, "zero", 1, 3), (2, "valid", 0, 2), (1, "valid", 0, 1),
+        (1, "reflect", 1, 3), (2, "zero", 1, 3), (3, "valid", 0, 2), (1, "valid", 0, 1),
     ])
     def test_row_strips_match_loops(self, monkeypatch, stride, padding, pad, k, cap):
         # a 1-byte cap builds every patch matrix one output row at a time;
         # 10000 bytes leaves a shorter last strip for the 3x3 stride-1 case.
-        # The cap was set for two images at once: one image gets half of it,
-        # so its strips are those the pair had
+        # The 2x2 stride-3 kernel skips input rows; the 1x1 kernel tiles
+        # its input and runs no strips, whatever the cap.  The cap was set
+        # for two images at once: one image gets half of it, so its strips
+        # are those the pair had
         monkeypatch.setattr(T, "_PATCH_BYTES", cap // 2)
         rng = np.random.default_rng(400 + 10 * stride + k)
         images = rng.standard_normal((2, 3, 9, 8))
@@ -354,28 +356,46 @@ class TestConvParity:
     @pytest.mark.parametrize("cap", [1, 2000])
     @pytest.mark.parametrize("stride,k", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)])
     def test_row_group_patches(self, monkeypatch, stride, k, cap):
-        # each row group's patch matrix holds the input rows its kernel
-        # rows read; at stride 1 every one is a view of the strip's patches.
-        # Half the cap per image, as in test_row_strips_match_loops
+        # each strip's kernel-row matrix holds the input rows that kernel
+        # row reads, each with its k column shifts; at stride 1 it is a view
+        # of the strip's patches.  Half the cap per image, as in
+        # test_row_strips_match_loops
         monkeypatch.setattr(T, "_PATCH_BYTES", cap // 2)
         wo = (9 - k) // stride + 1
-        groups, step = T._row_groups(k, stride)
         for xp in np.random.default_rng(500).standard_normal((2, 3, 11, 9)):
             strips = 0
             for pos, patches in T._row_strips(xp, k, k, stride, 4):
                 strips += 1
                 rows = (pos.stop - pos.start) // wo
                 r0 = pos.start // wo
-                for g in range(groups):
-                    mat = T._group_patches(patches, g, step, rows)
+                for i in range(k):
+                    mat = T._kernel_row(patches, i, stride, rows)
                     if stride == 1:
                         assert np.shares_memory(mat, patches)
-                    kernel_rows = [g] if groups > 1 else range(k)
-                    ref = np.stack([np.stack([xp[:, r0 * stride + i:(r0 + rows - 1) * stride + i + 1:stride,
-                                                 j:j + (wo - 1) * stride + 1:stride] for j in range(k)], axis=1)
-                                    for i in kernel_rows], axis=1)
+                    ref = np.stack([xp[:, r0 * stride + i:(r0 + rows - 1) * stride + i + 1:stride,
+                                       j:j + (wo - 1) * stride + 1:stride] for j in range(k)], axis=1)
                     assert np.array_equal(mat, ref.reshape(mat.shape))
             assert strips > 1
+
+    @pytest.mark.parametrize("c,h,w,s", [(3, 6, 8, 2), (2, 7, 9, 2), (2, 9, 7, 3), (3, 5, 4, 1)])
+    def test_tiles(self, c, h, w, s):
+        # the space-to-depth matrix of a tiling kernel: K ordered as an OIKK
+        # weight's reshape(O, -1), trailing rows and columns that fill no
+        # tile dropped, and a view of a contiguous input at s = 1
+        x = np.random.default_rng(502).standard_normal((c, h, w))
+        tiles = T._tiles(x, s)
+        ho, wo = h // s, w // s
+        ref = np.empty((c, s, s, ho, wo))
+        for i in range(s):
+            for j in range(s):
+                for r in range(ho):
+                    for q in range(wo):
+                        ref[:, i, j, r, q] = x[:, r * s + i, q * s + j]
+        assert np.array_equal(tiles, ref.reshape(c * s * s, ho * wo))
+        assert np.shares_memory(tiles, x) == (s == 1)
+        wt = np.random.default_rng(503).standard_normal((4, c, s, s))
+        out = np.einsum("ocij,cijrq->orq", wt, ref)
+        assert rel_err((wt.reshape(4, -1) @ tiles).reshape(out.shape), out) < 1e-12
 
     @pytest.mark.parametrize("cap", [None, 2 << 20])
     def test_forward_transients_within_patch_bytes(self, monkeypatch, cap):
