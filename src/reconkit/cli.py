@@ -264,11 +264,12 @@ def cmd_selftest(args) -> int:
         # the largest entry: a weight feeding a dead ReLU has gradient 0
         idx = np.unravel_index(np.argmax(np.abs(p.grad)), p.grad.shape)
         g = p.grad[idx]
-        p.data[idx] += eps
+        orig = p.data[idx]
+        p.data[idx] = orig + eps
         up = loss_value().item()
-        p.data[idx] -= 2 * eps
+        p.data[idx] = orig - eps
         dn = loss_value().item()
-        p.data[idx] += eps
+        p.data[idx] = orig  # exactly: x + eps - 2 eps + eps need not be x
         fd = (up - dn) / (2 * eps)
         worst = max(worst, abs(g - fd) / max(abs(fd), 1e-8))
     check("gradient-check", worst < 1e-4)

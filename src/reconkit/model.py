@@ -74,25 +74,25 @@ def _he_init(rng, shape):
 
 
 def _layout(config: RamConfig):
-    """Each convolution weight's name, shape and whether it starts at zero,
-    in the order the model draws them."""
+    """Each convolution weight's name, shape, the stride it runs at and
+    whether it starts at zero, in the order the model draws them."""
     w0, kk, nk = config.base_width, config.ksm_kernel_size, 2 * (config.krylov_depth + 1)
     for c in config.head_channels:
-        yield f"head{c}.conv_in", (w0, c + 2, 3, 3), False
-        yield f"head{c}.conv_out", (c, w0, 3, 3), True
+        yield f"head{c}.conv_in", (w0, c + 2, 3, 3), 1, False
+        yield f"head{c}.conv_out", (c, w0, 3, 3), 1, True
         for s in range(config.num_scales):
             ws = w0 * 2 ** s
-            yield f"head{c}.ksm{s}.decode", (c, ws, 1, 1), False
-            yield f"head{c}.ksm{s}.combine", (c, nk * c, kk, kk), False
-            yield f"head{c}.ksm{s}.encode", (ws, c, 1, 1), False
+            yield f"head{c}.ksm{s}.decode", (c, ws, 1, 1), 1, False
+            yield f"head{c}.ksm{s}.combine", (c, nk * c, kk, kk), 1, False
+            yield f"head{c}.ksm{s}.encode", (ws, c, 1, 1), 1, False
     for s in range(config.num_scales):
         ws = w0 * 2 ** s
         for b in range(config.blocks):
-            yield f"enc{s}.block{b}.conv", (ws, ws, 3, 3), False
-            yield f"dec{s}.block{b}.conv", (ws, ws, 3, 3), False
+            yield f"enc{s}.block{b}.conv", (ws, ws, 3, 3), 1, False
+            yield f"dec{s}.block{b}.conv", (ws, ws, 3, 3), 1, False
         if s < config.num_scales - 1:
-            yield f"down{s}.conv", (2 * ws, ws, 2, 2), False
-            yield f"up{s}.conv", (2 * ws, ws, 2, 2), False
+            yield f"down{s}.conv", (2 * ws, ws, 2, 2), 2, False
+            yield f"up{s}.conv", (2 * ws, ws, 2, 2), 2, False
 
 
 class RamModel:
@@ -103,14 +103,23 @@ class RamModel:
     returns its array, runs ``forward`` under ``tensor.no_grad`` so no
     tape is kept, and is the entry point used by the bootstrap and the
     evaluation tools.
+
+    Every convolution weight is stored through ``tensor.conv_weight`` at
+    the stride it runs at: the 3x3 weights kernel-row major, so their
+    forward copies nothing, and the 2x2 stride-2 and 1x1 weights in C
+    order.  Gradients and Adam steps keep
+    that order; a weight assigned in another order gives the same bits
+    and pays one reorder per forward.
     """
 
     def __init__(self, config: RamConfig = RamConfig()):
         self.config = config
         self.eval_count = 0
         rng = np.random.default_rng(config.seed)
-        self._params = {name: T.Parameter(name, np.zeros(shape) if zero else _he_init(rng, shape))
-                        for name, shape, zero in _layout(config)}
+        self._params = {}
+        for name, shape, stride, zero in _layout(config):
+            data = np.zeros(shape) if zero else _he_init(rng, shape)
+            self._params[name] = T.Parameter(name, T.conv_weight(data, stride))
         self._params["eta"] = T.Parameter("eta", np.array(config.eta_init))
 
     # -- parameter access ------------------------------------------------
@@ -243,18 +252,20 @@ class RamModel:
         # match the stored weights before allocating any: a config may claim
         # any size, and the walk stops at the first weight the file lacks
         shapes = {}
-        for name, shape, _ in _layout(config):
+        for name, shape, stride, _ in _layout(config):
             if name not in stored or stored[name].size != math.prod(shape):
                 raise ValueError(f"checkpoint weight {name} does not match its config's {shape}")
-            shapes[name] = shape
-        shapes["eta"] = (1,)
+            shapes[name] = shape, stride
+        shapes["eta"] = (1,), None
         if set(stored) != set(shapes):
             raise ValueError("checkpoint parameter names do not match the architecture")
-        # wrap the stored arrays in __init__'s order, drawing no initial
-        # weights; a non-finite weight is left for the output check to report
+        # wrap the stored arrays in __init__'s order and memory layout,
+        # drawing no initial weights; a non-finite weight is left for the
+        # output check to report
         model = cls.__new__(cls)
         model.config, model.eval_count, model._params = config, 0, {}
-        for name, shape in shapes.items():
+        for name, (shape, stride) in shapes.items():
             p = model._params[name] = T.Parameter(name, 0.0)
-            p.data = np.asarray(stored[name].reshape(shape), dtype=np.float64)
+            data = stored[name].reshape(shape)
+            p.data = np.asarray(data, dtype=np.float64) if stride is None else T.conv_weight(data, stride)
         return model

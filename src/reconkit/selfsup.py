@@ -280,8 +280,9 @@ def finetune(model, instances: list, cfg: FinetuneConfig) -> dict:
             raise RuntimeError(f"finetuning diverged at step {step}")
         history.append(total)
         if total < best["score"]:  # the parameters that scored it, before the update
+            # np.copy keeps each weight's memory order (ndarray.copy makes C order)
             best = {"score": total, "step": step,
-                    "params": {p.name: p.data.copy() for p in model.parameters()}}
+                    "params": {p.name: np.copy(p.data) for p in model.parameters()}}
         opt.step()
     if best["params"] is not None:
         for p in model.parameters():

@@ -31,6 +31,15 @@ column patches and accumulation temporary together stay below
 the input gradient of a convolution) is the forward convolution of the
 zero-inserted, (k - 1)-padded input with the flipped kernel.
 
+A weight is OIKK whatever its memory order, and every order gives the
+same bits.  The kernel-row product reads the weight as (KH, O, C*KW)
+matrices, so a weight stored kernel-row major (:func:`conv_weight`: the
+(KH, O, C, KW) array, C-contiguous, seen through an OIKK transpose) is
+read where it lies; a C-order weight is copied into that order on every
+call.  A tiling kernel reads C order.  Gradients of a kernel-row weight
+come back in its order, and numpy's elementwise ops and ``zeros_like``
+keep it, so an Adam step keeps it too.
+
 Every single-input linear op (padding, cropping, channel slicing, sum and
 mean) is one :func:`apply_linear` node: its backward applies the op's
 adjoint; an operator enters as ``apply_linear(x, op.apply, op.adjoint)``.
@@ -63,6 +72,7 @@ __all__ = [
     "mean_all",
     "dot",
     "conv2d",
+    "conv_weight",
     "conv_transpose2d",
     "downsample2",
     "upsample2",
@@ -480,7 +490,8 @@ def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     wo = (xp.shape[2] - kw) // stride + 1
     if kh == kw == stride:
         return (w.reshape(o, -1) @ _tiles(xp, stride)).reshape(o, ho, wo)
-    # (KH, O, C*KW), K ordered (channel, column) as the patches
+    # (KH, O, C*KW), K ordered (channel, column) as the patches: a view
+    # of a conv_weight layout, a copy of any other
     w_rows = w.transpose(2, 0, 1, 3).reshape(kh, o, -1)
     out = np.empty((o, ho * wo))
     for pos, patches in _row_strips(xp, kh, kw, stride, o):
@@ -536,13 +547,28 @@ def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.nda
     return _conv_forward(canvas, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
 
 
+def conv_weight(data, stride: int = 1) -> np.ndarray:
+    """The OIKK float64 array ``data``, same shape and values, in the
+    memory order ``conv2d`` reads at ``stride``: C order for a kernel that
+    tiles (KH = KW = stride), else kernel-row major, a C-contiguous
+    (KH, O, C, KW) array transposed back to OIKK."""
+    w = np.asarray(data, dtype=np.float64)
+    if w.ndim != 4:
+        raise ValueError(f"conv_weight expects an OIKK weight, got shape {w.shape}")
+    if w.shape[2] == w.shape[3] == stride:
+        return np.ascontiguousarray(w)
+    return np.ascontiguousarray(w.transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
+
+
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: str = "valid", pad: int = 0) -> Tensor:
     """Bias-free 2-D cross-correlation, differentiable in input and weight.
 
     ``x`` is (C, H, W) and ``weight`` (O, C, KH, KW).  ``padding`` is one
     of "valid", "zero", "reflect"; ``pad`` gives the border width for the
     two padded modes (an int or (top, bottom, left, right)) and must be 0
-    for "valid".
+    for "valid".  Any memory order of ``weight`` gives the same bits; one
+    laid out by ``conv_weight(w, stride)`` is read without a copy, and its
+    gradient comes back in that order.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")

@@ -354,6 +354,20 @@ class TestReconstructAndUq:
         want = (GOLDEN / "blur_reconstruct.sha256").read_text().strip()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
+    def test_golden_trunk(self, tmp_path, golden_python):
+        """A 2-scale checkpoint with a nonzero output head reconstructs to
+        the bytes an earlier version wrote, so the golden pins the network
+        trunk, not only the prox estimate (tiny_model.tnsr's head is zero).
+        tiny_model_head.tnsr is RamModel(RamConfig(num_scales=2,
+        base_width=4, blocks=1, krylov_depth=1, head_channels=(1,),
+        seed=11)) with head1.conv_out drawn as 0.1 * sqrt(2 / 36) *
+        default_rng(12).standard_normal."""
+        out = tmp_path / "xhat.tnsr"
+        golden_python("-m", "reconkit.cli", "reconstruct", "--model", GOLDEN / "tiny_model_head.tnsr",
+                      "--instance", GOLDEN / "blur_instance.json", "--out", out)
+        want = (GOLDEN / "blur_reconstruct_head.sha256").read_text().strip()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
     def test_train_golden(self, tmp_path, golden_python):
         """Two training steps (2 scales; a blur task, so the prox and its
         implicit backward run; 17x17 patches, so the model reflect-pads and

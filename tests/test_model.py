@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from reconkit import operators as ops
+from reconkit import selfsup as ss
 from reconkit import solvers
 from reconkit import tensor as T
 from reconkit.model import RamConfig, RamModel
 from reconkit.noise import NoiseParams
+from reconkit.problem import ProblemInstance
 
 
 SMALL = RamConfig(num_scales=2, base_width=8, blocks=1, krylov_depth=2,
@@ -452,3 +454,53 @@ class TestCheckpoint:
         tnsr.save_tensors(path, entries)
         with pytest.raises(ValueError):
             RamModel.load_checkpoint(path)
+
+
+def strip_run_weights(model):
+    """The weights ``conv2d`` runs in kernel-row strips (KH != stride):
+    every 3x3 one in this model."""
+    return [p for p in model.parameters() if p.data.ndim == 4 and p.shape[2] == 3]
+
+
+def assert_kernel_row_major(model):
+    names = {p.name for p in strip_run_weights(model)}
+    assert {"head1.conv_in", "head1.conv_out", "enc0.block0.conv"} <= names
+    for p in strip_run_weights(model):
+        o, _, kh, _ = p.shape
+        # the reshape _conv_forward does is a view of the stored weight
+        w_rows = p.data.transpose(2, 0, 1, 3).reshape(kh, o, -1)
+        assert np.shares_memory(w_rows, p.data), p.name
+    for p in model.parameters():
+        if p.data.ndim == 4 and p.shape[2] != 3:  # 2x2 stride 2 and 1x1: C order
+            assert p.data.flags.c_contiguous, p.name
+
+
+class TestWeightLayout:
+    """Strip-run weights are stored kernel-row major, so the forward reads
+    them without a copy, and every path that replaces them keeps it."""
+
+    def test_after_init(self):
+        assert_kernel_row_major(RamModel(SMALL))
+
+    def test_after_load_checkpoint(self, tmp_path):
+        path = tmp_path / "model.tnsr"
+        RamModel(SMALL).save_checkpoint(path)
+        assert_kernel_row_major(RamModel.load_checkpoint(path))
+
+    def test_after_adam_step(self):
+        model = RamModel(TINY)
+        op, y, nz = make_problem((1, 8, 8), seed=40)
+        opt = T.AdamOptimizer(model.parameters(), lr=1e-3)
+        for _ in range(2):
+            opt.zero_grad()
+            T.sum_all(T.square(model.forward(y, op, nz))).backward()
+            opt.step()
+        assert_kernel_row_major(model)
+
+    def test_after_finetune(self):
+        model = RamModel(TINY)
+        op, y, nz = make_problem((1, 16, 16), seed=41)
+        inst = ProblemInstance(op=op, y=y, noise=nz)
+        ss.finetune(model, [inst], ss.FinetuneConfig(mc_loss="sure", null_loss="ei",
+                                                     steps=3, seed=42))
+        assert_kernel_row_major(model)

@@ -443,6 +443,49 @@ def _assert_adjoint(op, *args):
         assert abs(lhs - np.vdot(arg, grad)) <= 1e-12 * scale
 
 
+def kernel_row_major(w):
+    return np.ascontiguousarray(w.transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
+
+
+class TestConvWeightLayout:
+    """``conv_weight`` changes a weight's memory order only, and conv2d
+    gives the same bits in every order."""
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (2, 2), (3, 1), (3, 2), (2, 1), (1, 3)])
+    def test_same_shape_and_values(self, k, stride):
+        w = np.random.default_rng(k).standard_normal((4, 3, k, k))
+        lw = T.conv_weight(w, stride)
+        assert lw.shape == w.shape and np.array_equal(lw, w)
+        if k == stride:  # tiles: C order
+            assert lw.flags.c_contiguous
+        else:  # kernel-row major: the forward's (KH, O, C*KW) matrices are a view
+            assert lw.transpose(2, 0, 1, 3).flags.c_contiguous
+            assert np.shares_memory(lw.transpose(2, 0, 1, 3).reshape(k, 4, -1), lw)
+
+    def test_refuses_other_ranks(self):
+        with pytest.raises(ValueError):
+            T.conv_weight(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("padding,pad", [("valid", 0), ("zero", 1), ("reflect", 1)])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_bitwise_equal_in_every_order(self, stride, padding, pad, k):
+        rng = np.random.default_rng(300 + 10 * stride + k)
+        x = rng.standard_normal((3, 9, 11))
+        w = rng.standard_normal((5, 3, k, k))
+        results = []
+        for lw in (w, kernel_row_major(w), T.conv_weight(w, stride)):
+            xt, wt = T.Parameter("x", x), T.Parameter("w", lw)
+            out = T.conv2d(xt, wt, stride=stride, padding=padding, pad=pad)
+            if not results:
+                g = rng.standard_normal(out.shape)
+            T.sum_all(T.mul(out, T.constant(g))).backward()
+            results.append((out.data, xt.grad, wt.grad))
+        for got in results[1:]:
+            for a, b in zip(results[0], got):
+                assert np.array_equal(a, b)
+
+
 class TestConvProperties:
     """Adjoint identities of the convolutions and the single-input linear
     nodes on random shapes."""
