@@ -13,6 +13,7 @@ R(a y, A, a sigma, a gamma) == a R(y, A, sigma, gamma) for a > 0.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class RamConfig:
     krylov_depth: int = 3
     head_channels: tuple = (1, 2, 3)
     cg_iters: int = 10
-    cg_tol: float = 1e-6
+    cg_tol: float = 1e-10
     eta_init: float = 1.0
     # 1x1 combine restricts each module output to the pixelwise span of
     # its Krylov stack (diagnostic mode); 3x3 is the working default
@@ -87,12 +88,23 @@ def _layout(config: RamConfig):
             yield f"head{c}.ksm{s}.encode", (ws, c, 1, 1), 1, False
     for s in range(config.num_scales):
         ws = w0 * 2 ** s
+        decoded = s < config.num_scales - 1  # the decoder skips the coarsest scale
         for b in range(config.blocks):
             yield f"enc{s}.block{b}.conv", (ws, ws, 3, 3), 1, False
-            yield f"dec{s}.block{b}.conv", (ws, ws, 3, 3), 1, False
-        if s < config.num_scales - 1:
+            if decoded:
+                yield f"dec{s}.block{b}.conv", (ws, ws, 3, 3), 1, False
+        if decoded:
             yield f"down{s}.conv", (2 * ws, ws, 2, 2), 2, False
             yield f"up{s}.conv", (2 * ws, ws, 2, 2), 2, False
+
+
+def _unread_decoder_weight(name: str, config: RamConfig) -> bool:
+    """Whether ``name`` is ``dec{S-1}.block{b}.conv`` with ``b < blocks``,
+    a coarsest-scale decoder weight that earlier checkpoints hold and no
+    forward reads.  Decided from the name alone, as the stored
+    ``config.blocks`` may claim any size."""
+    m = re.fullmatch(rf"dec{config.num_scales - 1}\.block(0|[1-9]\d{{0,17}})\.conv", name)
+    return m is not None and int(m[1]) < config.blocks
 
 
 class RamModel:
@@ -248,7 +260,8 @@ class RamModel:
     def load_checkpoint(cls, path) -> "RamModel":
         entries = tnsr.load_tensors(path)
         config = RamConfig.from_entries(entries)
-        stored = {k: v for k, v in entries.items() if not k.startswith("config.")}
+        stored = {k: v for k, v in entries.items()
+                  if not k.startswith("config.") and not _unread_decoder_weight(k, config)}
         # match the stored weights before allocating any: a config may claim
         # any size, and the walk stops at the first weight the file lacks
         shapes = {}

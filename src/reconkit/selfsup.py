@@ -54,9 +54,6 @@ class Transform:
     def apply(self, x: T.Tensor) -> T.Tensor:
         return T.apply_linear(x, self.forward_np, self.inverse_np)
 
-    def invert(self, x: T.Tensor) -> T.Tensor:
-        return T.apply_linear(x, self.inverse_np, self.forward_np)
-
 
 @dataclass(frozen=True)
 class TransformGroup:

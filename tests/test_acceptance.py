@@ -137,8 +137,8 @@ def _fd_check(params, loss_fn, eps=1e-6, picks=2, seed=0):
     worst = 0.0
     for p in params:
         flat = p.data.reshape(-1)
-        # structurally unused parameters (e.g. decoder convs at one scale)
-        # carry no grad; finite differences must then agree they are zero
+        # a parameter the loss never reaches (another head's weights, say)
+        # carries no grad; finite differences must then agree it is zero
         gflat = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
         for idx in rng.choice(flat.size, size=min(picks, flat.size), replace=False):
             keep = flat[idx]

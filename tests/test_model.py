@@ -8,6 +8,7 @@ from reconkit import operators as ops
 from reconkit import selfsup as ss
 from reconkit import solvers
 from reconkit import tensor as T
+from reconkit import tnsr
 from reconkit.model import RamConfig, RamModel
 from reconkit.noise import NoiseParams
 from reconkit.problem import ProblemInstance
@@ -49,6 +50,18 @@ class TestConfig:
             RamConfig(ksm_kernel_size=2)
 
 
+class ReadRecorder(dict):
+    """A parameter dict that records each name looked up in it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
 class TestArchitecture:
     def test_no_bias_parameters(self):
         model = RamModel(SMALL)
@@ -70,6 +83,18 @@ class TestArchitecture:
         names = [p.name for p in model.parameters()]
         assert names == sorted(names)
         assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("cfg", [
+        RamConfig(), TINY,
+        RamConfig(num_scales=2, base_width=4, blocks=1, krylov_depth=1, head_channels=(1, 2)),
+    ], ids=["default", "1-scale", "2-scale-1-block"])
+    def test_forward_reads_every_parameter(self, cfg):
+        model = RamModel(cfg)
+        model._params = params = ReadRecorder(model._params)
+        for c in cfg.head_channels:
+            op, y, nz = make_problem((c, 8, 8), seed=c)
+            model.reconstruct(y, op, nz)
+        assert set(params) - params.read == set()
 
 
 class TestForwardShapes:
@@ -444,15 +469,51 @@ class TestCheckpoint:
         loaded.save_checkpoint(again)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_loads_earlier_coarsest_decoder_weights(self, tmp_path):
+        """Checkpoints written before the coarsest scale lost its decoder
+        blocks hold dec{S-1}.block{b}.conv for every b < blocks: they load,
+        reconstruct to the same bits and save again without those weights."""
+        cfg = RamConfig(num_scales=2, base_width=4, blocks=2, krylov_depth=1,
+                        head_channels=(1,), seed=3)
+        model = randomize(RamModel(cfg), seed=26)
+        path, legacy, again = (tmp_path / f"{n}.tnsr" for n in ("model", "legacy", "again"))
+        model.save_checkpoint(path)
+        entries = tnsr.load_tensors(path)
+        rng = np.random.default_rng(27)
+        for b in range(cfg.blocks):
+            entries[f"dec1.block{b}.conv"] = rng.standard_normal((8, 8, 3, 3))
+        tnsr.save_tensors(legacy, entries)
+        loaded = RamModel.load_checkpoint(legacy)
+        op, y, nz = make_problem((1, 16, 16), seed=28)
+        assert np.array_equal(loaded.reconstruct(y, op, nz), model.reconstruct(y, op, nz))
+        loaded.save_checkpoint(again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_mismatched_names_rejected(self, tmp_path):
         model = RamModel(TINY)
         path = tmp_path / "model.tnsr"
         model.save_checkpoint(path)
-        from reconkit import tnsr
         entries = tnsr.load_tensors(path)
         del entries["eta"]
         tnsr.save_tensors(path, entries)
         with pytest.raises(ValueError):
+            RamModel.load_checkpoint(path)
+
+    # only dec{S-1}.block{b}.conv with b < blocks, written as the model
+    # names it, is dropped; every other extra name is refused
+    @pytest.mark.parametrize("name", [
+        "dec1.block2.conv", "dec1.block01.conv", "dec2.block0.conv", "dec1.block0.conv2",
+        "dec1.block" + "9" * 5000 + ".conv",
+    ], ids=["block-past-blocks", "leading-zero", "scale-past-scales", "suffix",
+            "long-block-number"])
+    def test_other_decoder_names_rejected(self, tmp_path, name):
+        path = tmp_path / "model.tnsr"
+        RamModel(RamConfig(num_scales=2, base_width=4, blocks=2, krylov_depth=1,
+                           head_channels=(1,))).save_checkpoint(path)
+        entries = tnsr.load_tensors(path)
+        entries[name] = np.zeros((8, 8, 3, 3))
+        tnsr.save_tensors(path, entries)
+        with pytest.raises(ValueError, match="parameter names"):
             RamModel.load_checkpoint(path)
 
 

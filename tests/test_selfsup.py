@@ -76,9 +76,12 @@ class TestTransforms:
     def test_tensor_apply_adjoint_is_inverse(self):
         t = ss.Transform(shift=(2, -1), rot=1, flip_h=True)
         rng = np.random.default_rng(1)
-        x = T.constant(rng.standard_normal((1, 8, 8)))
+        x = T.Tensor(rng.standard_normal((1, 8, 8)), requires_grad=True)
+        g = rng.standard_normal((1, 8, 8))
         y = t.apply(x)
-        assert np.array_equal(t.invert(y).data, x.data)
+        assert np.array_equal(y.data, t.forward_np(x.data))
+        T.dot(y, T.constant(g)).backward()
+        assert np.array_equal(x.grad, t.inverse_np(g))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
