@@ -19,17 +19,18 @@ op = ops.make_blur(ops.make_gaussian_kernel(1.2, 7), shape)
 noise = NoiseParams(sigma=0.05)
 y, _ = sample_noise(op.apply(x), noise, seed=1)
 
-## The network's input is a cheap data-fidelity prox, not A'y alone
+## The network's input is a cheap data-fidelity prox, not A'y alone,
+## solved as far as a small model's configuration asks
+cfg = RamConfig(num_scales=2, base_width=8, blocks=1, krylov_depth=2,
+                head_channels=(1,), seed=2)
 lam = lambda_schedule(noise.sigma, 1.0, y)
-x0 = prox_estimate(op, y, lam)
+x0 = prox_estimate(op, y, lam, cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol)
 print("lambda =", lam)
 print("||A'y - x||  =", np.linalg.norm(op.adjoint(y) - x))
 print("||prox - x|| =", np.linalg.norm(x0 - x))
 
-## A small model; the output conv starts at zero, so an untrained model
+## The model; the output conv starts at zero, so an untrained model
 ## passes its internal prox estimate straight through
-cfg = RamConfig(num_scales=2, base_width=8, blocks=1, krylov_depth=2,
-                head_channels=(1,), seed=2)
 model = RamModel(cfg)
 out = model.reconstruct(y, op, noise)
 print("untrained residual norm:",

@@ -250,17 +250,12 @@ def finetune(model, instances: list, cfg: FinetuneConfig) -> dict:
     group = TransformGroup("composite", cfg.max_shift_frac)
     operator_family = [inst.op for inst in instances]
     opt = T.AdamOptimizer(model.parameters(), lr=cfg.lr)
-    history = []
-    best = {"score": np.inf, "step": -1, "params": None}
-    evals = model.eval_count
-    for step in range(cfg.steps):
-        opt.zero_grad()
-        total = 0.0
+
+    def losses(step):  # per instance L_MC + omega L_NULL, one backward each
         for i, inst in enumerate(instances):
             sd = cfg.seed * 1000003 + step * 131 + i
-            xhat = None
-            if cfg.mc_loss == "sure" or cfg.null_loss != "none":
-                xhat = model.forward(inst.y, inst.op, inst.noise)
+            xhat = (model.forward(inst.y, inst.op, inst.noise)
+                    if cfg.mc_loss == "sure" or cfg.null_loss != "none" else None)
             if cfg.mc_loss == "sure":
                 loss = sure_loss(model, inst, probes=cfg.probes, seed=sd, xhat=xhat)
             else:
@@ -271,19 +266,19 @@ def finetune(model, instances: list, cfg: FinetuneConfig) -> dict:
             elif cfg.null_loss == "moi":
                 loss = loss + T.constant(cfg.omega) * moi_loss(
                     model, inst, operator_family, seed=sd + 7, xhat=xhat)
-            loss.backward()
-            total += loss.item()
-        if not np.isfinite(total):
-            raise RuntimeError(f"finetuning diverged at step {step}")
-        history.append(total)
-        if total < best["score"]:  # the parameters that scored it, before the update
-            # np.copy keeps each weight's memory order (ndarray.copy makes C order)
-            best = {"score": total, "step": step,
-                    "params": {p.name: np.copy(p.data) for p in model.parameters()}}
-        opt.step()
-    if best["params"] is not None:
-        for p in model.parameters():
-            p.data = best["params"][p.name]
+            yield loss
+            del xhat, loss  # their tape dies before the next instance's forwards
+
+    history = []
+    best_score, best_step = np.inf, -1
+    evals = model.eval_count
+    for step in range(cfg.steps):
+        held = [p.data for p in opt.params]  # Adam rebinds each p.data, never writes to it
+        history.append(opt.descend(losses(step), "finetuning"))
+        if history[-1] < best_score:  # the parameters that scored it, before the update
+            best_score, best_step, best = history[-1], step, held
+    for p, data in zip(opt.params, best):
+        p.data = data
     return {"steps": cfg.steps, "loss_history": history,
-            "best_step": best["step"], "best_score": best["score"],
+            "best_step": best_step, "best_score": best_score,
             "forwards_per_step": (model.eval_count - evals) / cfg.steps}

@@ -89,8 +89,8 @@ def lambda_schedule(sigma: float, eta, y) -> float:
     return sigma * eta_val / l1
 
 
-def prox_estimate(op: OperatorHandle, y: np.ndarray, lam: float,
-                  cg_iters: int = 10, cg_tol: float = 1e-6) -> np.ndarray:
+def prox_estimate(op: OperatorHandle, y: np.ndarray, lam: float, *,
+                  cg_iters: int, cg_tol: float) -> np.ndarray:
     """Data-fidelity prox of A^T y: solves (lam A^T A + I) u = (1 + lam) A^T y.
 
     lam = 0 short-circuits to A^T y.
@@ -99,11 +99,11 @@ def prox_estimate(op: OperatorHandle, y: np.ndarray, lam: float,
         raise ValueError("lambda must be nonnegative")
     with T.no_grad():
         return prox_estimate_graph(op, T.constant(op.adjoint(y)), T.constant(lam),
-                                   cg_iters, cg_tol).data
+                                   cg_iters=cg_iters, cg_tol=cg_tol).data
 
 
-def prox_estimate_graph(op: OperatorHandle, aty: "T.Tensor", lam: "T.Tensor",
-                        cg_iters: int = 10, cg_tol: float = 1e-6) -> "T.Tensor":
+def prox_estimate_graph(op: OperatorHandle, aty: "T.Tensor", lam: "T.Tensor", *,
+                        cg_iters: int, cg_tol: float) -> "T.Tensor":
     """Differentiable prox estimate on tensors of ``op.domain_shape``.
 
     ``aty`` is A^T y already in the graph; ``lam`` is a scalar tensor.  The

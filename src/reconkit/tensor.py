@@ -687,9 +687,21 @@ class AdamOptimizer:
         self._m = {p.name: np.zeros_like(p.data) for p in self.params}
         self._v = {p.name: np.zeros_like(p.data) for p in self.params}
 
-    def zero_grad(self):
+    def descend(self, losses, what: str) -> float:
+        """Zero the gradients, run each loss's backward as ``losses`` builds
+        it, refuse a non-finite total before any update, then ``step``.
+        Returns the total loss."""
         for p in self.params:
             p.zero_grad()
+        total = 0.0
+        for loss in losses:
+            loss.backward()
+            total += loss.item()
+            del loss  # its tape dies before the next loss is built
+        if not np.isfinite(total):
+            raise RuntimeError(f"{what} diverged at step {self.t}: loss {total}")
+        self.step()
+        return total
 
     def step(self):
         self.t += 1

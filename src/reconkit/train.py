@@ -4,6 +4,7 @@ patch sampling, the training loop, and synthetic desk-scale datasets."""
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -229,26 +230,21 @@ def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
     log_rows = []
     loss_history = []
     evals = {}  # task name -> its latest _eval_task
-    for step in range(cfg.steps):
-        if step == cfg.lr_decay_step:
-            opt.lr = cfg.lr / 10.0
-        opt.zero_grad()
-        total = 0.0
-        per_task = {}
+    per_task = {}  # task name -> its loss at this step
+
+    def task_losses(step):  # per task one batch, one loss, one backward
         for ti, task in enumerate(tasks):
             batch = sample_batch(task, datasets[task.name], cfg.batch_size,
                                  cfg.patch_size, seed=cfg.seed * 1000003 + step * 131 + ti)
-            task_total = None
-            for inst in batch:
-                loss = task_loss(model, inst)
-                task_total = loss if task_total is None else task_total + loss
-            task_total.backward()
+            task_total = functools.reduce(T.add, (task_loss(model, inst) for inst in batch))
             per_task[task.name] = task_total.item()
-            total += task_total.item()
-        if not np.isfinite(total):
-            raise RuntimeError(f"training diverged at step {step}: loss {total}")
-        opt.step()
-        loss_history.append(total)
+            yield task_total
+            del task_total  # its tape dies before the next batch's forwards
+
+    for step in range(cfg.steps):
+        if step == cfg.lr_decay_step:
+            opt.lr = cfg.lr / 10.0
+        loss_history.append(opt.descend(task_losses(step), "training"))
         if (step + 1) % cfg.log_every == 0 or step == cfg.steps - 1:
             for task in tasks:
                 # a log row scores 4 instances; the last step draws the
@@ -265,13 +261,9 @@ def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
             writer = csv.DictWriter(fh, fieldnames=["step", "task", "loss", "psnr"])
             writer.writeheader()
             writer.writerows(log_rows)
-    report = {"steps": cfg.steps, "loss_history": loss_history, "log": log_rows,
-              "task_psnr": {}, "baseline_psnr": {}}
-    for task in tasks:
-        model_db, base_db = evals[task.name]
-        report["task_psnr"][task.name] = float(np.mean(model_db))
-        report["baseline_psnr"][task.name] = float(np.mean(base_db))
-    return report
+    return {"steps": cfg.steps, "loss_history": loss_history, "log": log_rows,
+            "task_psnr": {name: float(np.mean(e[0])) for name, e in evals.items()},
+            "baseline_psnr": {name: float(np.mean(e[1])) for name, e in evals.items()}}
 
 
 def _eval_task(model, task: TaskSpec, dataset, cfg: TrainConfig, n: int):

@@ -444,6 +444,26 @@ class TestTrainFinetunePipeline:
                          "--samples", "3", "--out", str(err)]) == 0
         assert err.exists()
 
+    def test_finetune_divergence_exit_3(self, tmp_path, clean_image):
+        # a NaN weight makes every loss NaN: the guard refuses the first
+        # step, and no checkpoint is written (no null loss, which would
+        # feed the NaN reconstruction back to the model)
+        p, _ = clean_image
+        data_dir = tmp_path / "meas"
+        data_dir.mkdir()
+        assert cli.main(["simulate", "--task", "denoising", "--in", str(p),
+                         "--out", str(data_dir / "m0.json"), "--seed", "5"]) == 0
+        model = RamModel(TINY)
+        model.param("head1.conv_out").data[:] = np.nan
+        bad = tmp_path / "bad.tnsr"
+        model.save_checkpoint(bad)
+        ft_cfg = tmp_path / "ft.json"
+        ft_cfg.write_text(json.dumps({"mc_loss": "sure", "null_loss": "none", "steps": 2}))
+        out = tmp_path / "o.tnsr"
+        assert cli.main(["finetune", "--config", str(ft_cfg), "--model", str(bad),
+                         "--data", str(data_dir), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_finetune_empty_dir_exit_2(self, tmp_path, tiny_ckpt):
         data_dir = tmp_path / "empty"
         data_dir.mkdir()

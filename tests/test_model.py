@@ -553,9 +553,7 @@ class TestWeightLayout:
         op, y, nz = make_problem((1, 8, 8), seed=40)
         opt = T.AdamOptimizer(model.parameters(), lr=1e-3)
         for _ in range(2):
-            opt.zero_grad()
-            T.sum_all(T.square(model.forward(y, op, nz))).backward()
-            opt.step()
+            opt.descend([T.sum_all(T.square(model.forward(y, op, nz)))], "a square loss")
         assert_kernel_row_major(model)
 
     def test_after_finetune(self):

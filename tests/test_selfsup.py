@@ -302,11 +302,7 @@ class TestEi:
         group = ss.TransformGroup("shifts")
         history = []
         for step in range(60):
-            opt.zero_grad()
-            loss = ss.ei_loss(model, inst, group, seed=step)
-            loss.backward()
-            opt.step()
-            history.append(loss.item())
+            history.append(opt.descend([ss.ei_loss(model, inst, group, seed=step)], "EI"))
         assert np.mean(history[-10:]) < np.mean(history[:10])
 
 
@@ -454,6 +450,35 @@ class TestFinetune:
         assert report["best_step"] == 0
         for p in model.parameters():
             assert np.array_equal(p.data, initial[p.name]), p.name
+
+    def test_best_step_zero_keeps_the_entry_arrays(self):
+        # the best snapshot holds the arrays that scored it, not copies:
+        # an Adam step rebinds each p.data and never writes to it
+        model = RamModel(TINY)
+        entry = {p.name: p.data for p in model.parameters()}
+        cfg = ss.FinetuneConfig(mc_loss="sure", null_loss="ei", steps=1, seed=4)
+        assert ss.finetune(model, self.make_instances(), cfg)["best_step"] == 0
+        for p in model.parameters():
+            assert p.data is entry[p.name], p.name
+
+    @pytest.mark.parametrize("mc_loss", ["sure", "split"])
+    def test_divergence_guard(self, mc_loss):
+        # without a null loss: EI and MOI feed the non-finite reconstruction
+        # back to the model, whose lambda constant refuses it (ValueError)
+        # before the total is summed
+        class ExplodingModel(RamModel):
+            def forward(self, y, op, noise):
+                out = super().forward(y, op, noise)
+                return out * T.constant(1e308) * T.constant(1e10)
+
+        model = ExplodingModel(TINY)
+        entry = {p.name: (p.data, p.data.copy()) for p in model.parameters()}
+        cfg = ss.FinetuneConfig(mc_loss=mc_loss, null_loss="none", steps=3, seed=8)
+        with pytest.raises(RuntimeError, match="^finetuning diverged at step 0: loss nan$"):
+            ss.finetune(model, self.make_instances(n=2), cfg)
+        for p in model.parameters():  # the refused step updated nothing
+            held, before = entry[p.name]
+            assert p.data is held and np.array_equal(held, before), p.name
 
     @pytest.mark.parametrize("mc_loss,null_loss", [("sure", "ei"), ("split", "moi")])
     def test_reads_no_ground_truth(self, mc_loss, null_loss):

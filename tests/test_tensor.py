@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -737,11 +738,57 @@ class TestAdam:
         p = T.Parameter("theta", [0.0])
         opt = T.AdamOptimizer([p], lr=0.1)
         for _ in range(200):
-            opt.zero_grad()
-            loss = T.square(p - T.constant(3.0))
-            loss.backward()
-            opt.step()
+            opt.descend([T.square(p - T.constant(3.0))], "a quadratic")
         assert abs(p.data[0] - 3.0) < 1e-2
+
+    @staticmethod
+    def two_losses(p, refs):
+        """Two scalar losses of ``p``, each built only when asked for: a
+        weak reference to each one's inner node lands in ``refs``, and
+        building one asserts that every earlier tape is gone."""
+        for c in (1.5, -0.5):
+            assert all(r() is None for r in refs)
+            inner = p * T.constant(c)
+            refs.append(weakref.ref(inner.data))
+            yield T.sum_all(T.square(inner))
+            del inner
+
+    def test_descend_is_the_written_out_step(self):
+        ps = [T.Parameter("p", [2.0, -1.0]) for _ in range(2)]
+        opts = [T.AdamOptimizer([p], lr=0.1) for p in ps]
+        total = 0.0
+        ps[0].zero_grad()
+        for loss in self.two_losses(ps[0], []):
+            loss.backward()
+            total += loss.item()
+            del loss
+        opts[0].step()
+        assert opts[1].descend(self.two_losses(ps[1], []), "two losses") == total
+        assert np.array_equal(ps[1].data, ps[0].data) and np.array_equal(ps[1].grad, ps[0].grad)
+
+    def test_descend_frees_each_tape_before_the_next(self):
+        p = T.Parameter("p", [2.0, -1.0])
+        refs = []
+        T.AdamOptimizer([p], lr=0.1).descend(self.two_losses(p, refs), "two losses")
+        assert len(refs) == 2 and refs[-1]() is None
+
+    def test_descend_refuses_a_non_finite_total_before_any_update(self):
+        p = T.Parameter("p", [1.5])
+        opt = T.AdamOptimizer([p], lr=0.1)
+        opt.descend([T.square(p)], "a square")
+        held, before = p.data, p.data.copy()
+        with pytest.raises(RuntimeError, match="^a product diverged at step 1: loss inf$"):
+            opt.descend([T.square(p), p * T.constant(1e308) * T.constant(1e10)], "a product")
+        assert p.data is held and np.array_equal(held, before) and opt.t == 1
+
+    def test_step_never_writes_a_held_array(self):
+        # finetune's best snapshot holds the arrays themselves, not copies
+        p = T.Parameter("p", [1.5, -2.0])
+        p.grad = np.array([1.0, -3.0])
+        held, before = p.data, p.data.copy()
+        T.AdamOptimizer([p], lr=0.1).step()
+        assert p.data is not held and np.array_equal(held, before)
+        assert not np.array_equal(p.data, before)
 
 
 class TestProperties:
