@@ -213,8 +213,10 @@ class RamModel:
         sigma = noise.sigma / nrm
         gamma = noise.gamma / nrm
 
-        # proximal input estimate with a learnable SNR weight
-        lam = self._params["eta"] * T.constant(lambda_schedule(sigma, 1.0, yt.data))
+        # proximal input estimate with a learnable SNR weight; y was checked
+        # where it entered, so a fed-back non-finite y reaches the loss guard
+        rate = lambda_schedule(sigma, 1.0, yt.data)
+        lam = T.apply_linear(self._params["eta"], lambda e: e * rate, lambda g: g * rate)
         aty = T.apply_linear(yt, opn.adjoint, opn.apply)
         x0 = prox_estimate_graph(opn, aty, lam, cg_iters=cfg.cg_iters, cg_tol=cfg.cg_tol)
 

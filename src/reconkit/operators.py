@@ -10,8 +10,13 @@ Operator identity.  A handle built by one of the factories in
 :data:`KINDS` carries a content ``key``: its kind, domain and range
 shapes, its scalar spec fields and a digest of its defining arrays, so two
 handles built from equal definitions share a key.  Handles derived from
-others (``compose``, ``scale_operator``/``normalize``, crops, coarse
-operators) have ``key = None``: they are not what their base defines.
+others (``compose``, ``normalize``, crops, coarse operators) have
+``key = None``: they are not what their base defines.
+
+Checks.  Only the public ``apply`` and ``adjoint`` check an input's shape
+and cast it to float64 (``normal`` checks once, through ``apply``).  A raw
+map (``_apply``/``_adjoint``) returns float64 of its declared shape, so a
+derived handle runs its parts' raw maps directly.
 
 Norms.  ``OperatorHandle.norm`` returns the spectral norm in closed form
 where one exists: 1 for the identity and demosaicing; the largest mask
@@ -62,7 +67,6 @@ __all__ = [
     "KINDS",
     "identity_operator",
     "compose",
-    "scale_operator",
     "operator_norm",
     "normalize",
     "cache_stats",
@@ -129,7 +133,7 @@ class OperatorHandle:
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         """A^T A x."""
-        return self.adjoint(self.apply(x))
+        return self._adjoint(self.apply(x))
 
     def norm(self) -> float:
         """Spectral norm, computed once per handle and, for a keyed handle,
@@ -294,21 +298,9 @@ def compose(a: OperatorHandle, b: OperatorHandle) -> OperatorHandle:
             return tuple(p @ q for p, q in zip(a.factors(), b.factors()))
     return OperatorHandle(
         b.domain_shape, a.range_shape,
-        lambda x: a.apply(b.apply(x)),
-        lambda y: b.adjoint(a.adjoint(y)),
+        lambda x: a._apply(b._apply(x)),
+        lambda y: b._adjoint(a._adjoint(y)),
         kind=f"{a.kind}*{b.kind}", factors=factors,
-    )
-
-
-def scale_operator(op: OperatorHandle, c: float) -> OperatorHandle:
-    """c * op.  The result keeps ``op``'s kind but not its definition: it
-    has no key, spec or arrays, so it is neither cached nor serialized as
-    ``op``."""
-    return OperatorHandle(
-        op.domain_shape, op.range_shape,
-        lambda x: c * op.apply(x),
-        lambda y: c * op.adjoint(y),
-        kind=op.kind,
     )
 
 
@@ -378,11 +370,14 @@ def _lanczos_norm(op: OperatorHandle, iters: int, tol: float, seed: int) -> floa
 
 
 def normalize(op: OperatorHandle) -> OperatorHandle:
-    """Rescale an operator to unit spectral norm."""
+    """Rescale an operator to unit spectral norm.  The result keeps ``op``'s
+    kind but no key, spec or arrays: it is neither cached nor serialized."""
     c = op.norm()
     if c == 0:
         raise ValueError("cannot normalize the zero operator")
-    out = scale_operator(op, 1.0 / c)
+    s = 1.0 / c
+    out = OperatorHandle(op.domain_shape, op.range_shape,
+                         lambda x: s * op._apply(x), lambda y: s * op._adjoint(y), kind=op.kind)
     out.norm_estimate = 1.0
     return out
 

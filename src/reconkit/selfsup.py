@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .operators import OperatorHandle
+from .operators import OperatorHandle, compose
 from .problem import ProblemInstance
 
 __all__ = ["Transform", "TransformGroup", "FinetuneConfig", "mc_divergence",
@@ -157,11 +157,9 @@ def split_loss(model, inst: ProblemInstance, keep_prob: float = 0.9,
     while m.sum() == 0:  # keep at least one measurement
         m = (rng.random(inst.op.range_shape) < keep_prob).astype(np.float64)
     op = inst.op
-    masked = OperatorHandle(
-        op.domain_shape, op.range_shape,
-        lambda x: m * op.apply(x), lambda yv: op.adjoint(m * yv),
-        kind=f"split[{op.kind}]",
-    )
+    keep = OperatorHandle(op.range_shape, op.range_shape, lambda v: m * v, lambda v: m * v,
+                          kind="split")
+    masked = compose(keep, op)
     xhat = model.forward(m * inst.y, masked, inst.noise)
     resid = T.apply_linear(xhat, op.apply, op.adjoint) - T.constant(inst.y)
     held_out = T.mul(resid, T.constant(1.0 - m))

@@ -446,8 +446,8 @@ class TestTrainFinetunePipeline:
 
     def test_finetune_divergence_exit_3(self, tmp_path, clean_image):
         # a NaN weight makes every loss NaN: the guard refuses the first
-        # step, and no checkpoint is written (no null loss, which would
-        # feed the NaN reconstruction back to the model)
+        # step, and no checkpoint is written; EI and MOI feed the NaN
+        # reconstruction back to the model, and end at the guard too
         p, _ = clean_image
         data_dir = tmp_path / "meas"
         data_dir.mkdir()
@@ -458,11 +458,12 @@ class TestTrainFinetunePipeline:
         bad = tmp_path / "bad.tnsr"
         model.save_checkpoint(bad)
         ft_cfg = tmp_path / "ft.json"
-        ft_cfg.write_text(json.dumps({"mc_loss": "sure", "null_loss": "none", "steps": 2}))
         out = tmp_path / "o.tnsr"
-        assert cli.main(["finetune", "--config", str(ft_cfg), "--model", str(bad),
-                         "--data", str(data_dir), "--out", str(out)]) == 3
-        assert not out.exists()
+        for null_loss in ("none", "ei", "moi"):
+            ft_cfg.write_text(json.dumps({"mc_loss": "sure", "null_loss": null_loss, "steps": 2}))
+            assert cli.main(["finetune", "--config", str(ft_cfg), "--model", str(bad),
+                             "--data", str(data_dir), "--out", str(out)]) == 3, null_loss
+            assert not out.exists()
 
     def test_finetune_empty_dir_exit_2(self, tmp_path, tiny_ckpt):
         data_dir = tmp_path / "empty"

@@ -321,9 +321,9 @@ class TestOperatorSpecs:
             assert self.roundtrip(op).key == op.key
 
     def test_derived_operators_refused(self):
-        # a scaled handle must not serialize as its unscaled base
+        # a normalized handle must not serialize as its unscaled base
         blur = ops.make_blur(ops.make_gaussian_kernel(1.2, size=7), self.SHAPE)
-        for op in (ops.normalize(blur), ops.scale_operator(blur, 2.0), ops.make_coarse(blur, 0),
+        for op in (ops.normalize(blur), ops.make_coarse(blur, 0),
                    ops.compose(blur, ops.identity_operator(self.SHAPE))):
             assert op.key is None
             with pytest.raises(ValueError):

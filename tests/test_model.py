@@ -147,6 +147,20 @@ class TestForwardShapes:
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 8, 8)), op, nz)
 
+    def test_only_outside_measurement_checked_for_finite(self):
+        # a numpy y enters at the tensor boundary and is refused there (the
+        # CLI's exit 2); a fed-back tape tensor is taken as it is, so a
+        # non-finite loss reaches the optimiser's guard (exit 3)
+        model = RamModel(SMALL)
+        op, y, nz = make_problem((1, 16, 16))
+        for bad in (np.nan, np.inf):
+            y_bad = y.copy()
+            y_bad[0, 3, 4] = bad
+            with pytest.raises(ValueError, match="non-finite values rejected at tensor boundary"):
+                model.forward(y_bad, op, nz)
+        big = T.constant(np.full(y.shape, 1e308)) * T.constant(1e10)
+        assert np.all(np.isnan(model.forward(big - big, op, nz).data))
+
     def test_eval_counter(self):
         model = RamModel(SMALL)
         op, y, nz = make_problem((1, 16, 16))

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import weakref
@@ -63,6 +64,9 @@ def all_operators():
     out["upsampler_nonsquare"] = ops.make_upsampler(2, (2, 6, 9))
     base = ops.make_inpainting(ops.make_bernoulli_mask((1, 16, 16), 0.5, seed=5))
     out["coarse"] = ops.make_coarse(base, 1)
+    out["coarse_padded"] = ops.make_coarse(ops.make_blur(ops.make_gaussian_kernel(1.0, 3),
+                                                         (1, 10, 10)), 1, (1, 12, 12))
+    out["crop"] = ops._crop_op((2, 9, 11), (2, 6, 8))
     return out
 
 
@@ -77,6 +81,22 @@ def test_adjoint_identity(name):
 @pytest.mark.parametrize("name", sorted(OPERATORS))
 def test_linearity(name):
     linearity_test(OPERATORS[name], seed=8)
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_raw_maps_return_declared_float64(name):
+    # derived handles run their parts' raw maps unchecked, so every raw map
+    # must return float64 of exactly its declared shape
+    op = OPERATORS[name]
+    rng = np.random.default_rng(9)
+    for fn, arg, shape in ((op._apply, op.domain_shape, op.range_shape),
+                           (op._adjoint, op.range_shape, op.domain_shape)):
+        out = fn(rng.standard_normal(arg))
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape
+
+
+def test_raw_map_cases_cover_every_kind():
+    assert set(ops.KINDS) <= {op.kind for op in OPERATORS.values()}
 
 
 class TestApplyAdjointBasics:
@@ -98,6 +118,18 @@ class TestApplyAdjointBasics:
             op.apply(np.zeros((1, 5, 5)))
         with pytest.raises(ValueError):
             op.adjoint(np.zeros((1, 5, 5)))
+
+    def test_derived_handles_check_shapes(self):
+        blur = OPERATORS["blur_valid"]
+        for op in (ops.compose(blur, ops.identity_operator(blur.domain_shape)),
+                   ops.normalize(blur), OPERATORS["coarse_padded"]):
+            for fn, side, shape in ((op.apply, "domain", op.domain_shape),
+                                    (op.adjoint, "range", op.range_shape),
+                                    (op.normal, "domain", op.domain_shape)):
+                wrong = (shape[0], shape[1] + 1, shape[2])
+                message = f"{side} shape mismatch: {wrong} != {shape}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    fn(np.zeros(wrong))
 
     def test_blur_matches_dense_oracle(self):
         k = ops.make_gaussian_kernel(0.8, 3)
@@ -133,10 +165,13 @@ class TestOperatorNorm:
         assert abs(est - 1.0) < 1e-3
 
     def test_scaled_handle_has_its_own_norm(self):
-        # the base's cached norm must not be handed to a scaled copy
-        op = ops.make_blur(ops.make_gaussian_kernel(1.0, 5), (1, 12, 12))
-        scaled = ops.scale_operator(op, 2.0)
-        assert abs(scaled.norm() - 2.0 * op.norm()) < 1e-12
+        # normalize scales its base: the base's norm (about 8.3, cached under
+        # the base's key) must not be handed to the scaled handle
+        op = ops.make_ct_radon(6, (1, 12, 12))
+        normed = ops.normalize(op)
+        assert normed.key is None and normed.norm() == 1.0
+        normed.norm_estimate = None  # computed afresh, from the handle's own maps
+        assert abs(normed.norm() - 1.0) < 1e-12
 
     def test_zero_operator(self):
         zero = ops.make_inpainting(np.zeros((1, 4, 4)))
@@ -597,6 +632,22 @@ class TestCoarse:
     def test_cache(self):
         base = ops.make_inpainting(np.ones((1, 8, 8)))
         assert ops.make_coarse(base, 1) is ops.make_coarse(base, 1)
+
+    def test_normal_checks_its_input_once(self, monkeypatch):
+        # a coarse operator nests normalize, compose, a crop and the
+        # upsampler; only the outer apply checks, the hops run raw maps
+        base = ops.make_blur(ops.make_gaussian_kernel(1.0, 5), (1, 14, 14))
+        cop = ops.make_coarse(base, 1, (1, 16, 16))
+        x = np.random.default_rng(23).standard_normal(cop.domain_shape)
+        expected = cop.adjoint(cop.apply(x))
+        entries = {"apply": 0, "adjoint": 0}
+        for name in entries:
+            def counted(op, v, name=name, checked=getattr(ops.OperatorHandle, name)):
+                entries[name] += 1
+                return checked(op, v)
+            monkeypatch.setattr(ops.OperatorHandle, name, counted)
+        assert np.array_equal(cop.normal(x), expected)
+        assert entries == {"apply": 1, "adjoint": 0}
 
 
 def dense_norm(op):

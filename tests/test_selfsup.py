@@ -253,6 +253,11 @@ class TestSplit:
         # reconstruct the mask from the masked operator and audit the input
         mask = seen["op"].apply(np.ones(inst.op.domain_shape))
         assert np.all(seen["y"][mask == 0] == 0)
+        # the masked operator checks shapes like any handle
+        for fn, side in ((seen["op"].apply, "domain"), (seen["op"].adjoint, "range")):
+            message = rf"^{side} shape mismatch: \(1, 8, 8\) != \(1, 16, 16\)$"
+            with pytest.raises(ValueError, match=message):
+                fn(np.zeros((1, 8, 8)))
 
     def test_optimal_shrinkage_below_one(self):
         # noise2self: predicting held-out pixels from kept neighbors
@@ -463,22 +468,23 @@ class TestFinetune:
 
     @pytest.mark.parametrize("mc_loss", ["sure", "split"])
     def test_divergence_guard(self, mc_loss):
-        # without a null loss: EI and MOI feed the non-finite reconstruction
-        # back to the model, whose lambda constant refuses it (ValueError)
-        # before the total is summed
+        # EI and MOI feed the non-finite reconstruction back to the model,
+        # which takes it as the tape's own value, so with every null loss
+        # the non-finite total reaches the guard
         class ExplodingModel(RamModel):
             def forward(self, y, op, noise):
                 out = super().forward(y, op, noise)
                 return out * T.constant(1e308) * T.constant(1e10)
 
-        model = ExplodingModel(TINY)
-        entry = {p.name: (p.data, p.data.copy()) for p in model.parameters()}
-        cfg = ss.FinetuneConfig(mc_loss=mc_loss, null_loss="none", steps=3, seed=8)
-        with pytest.raises(RuntimeError, match="^finetuning diverged at step 0: loss nan$"):
-            ss.finetune(model, self.make_instances(n=2), cfg)
-        for p in model.parameters():  # the refused step updated nothing
-            held, before = entry[p.name]
-            assert p.data is held and np.array_equal(held, before), p.name
+        for null_loss in ("none", "ei", "moi"):
+            model = ExplodingModel(TINY)
+            entry = {p.name: (p.data, p.data.copy()) for p in model.parameters()}
+            cfg = ss.FinetuneConfig(mc_loss=mc_loss, null_loss=null_loss, steps=3, seed=8)
+            with pytest.raises(RuntimeError, match="^finetuning diverged at step 0: loss nan$"):
+                ss.finetune(model, self.make_instances(n=2), cfg)
+            for p in model.parameters():  # the refused step updated nothing
+                held, before = entry[p.name]
+                assert p.data is held and np.array_equal(held, before), (null_loss, p.name)
 
     @pytest.mark.parametrize("mc_loss,null_loss", [("sure", "ei"), ("split", "moi")])
     def test_reads_no_ground_truth(self, mc_loss, null_loss):
