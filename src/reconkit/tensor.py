@@ -20,16 +20,19 @@ and transposed, follows one rule.  A kernel that tiles its input
 one BLAS ``matmul`` for all taps, against the space-to-depth tiles of
 the input (a view for 1x1) or, transposed, followed by the
 depth-to-space reshape.  Any other kernel overlaps or skips rows and
-runs kernel-row strips: the padded input is lowered along the width
-only (MEC; Cho & Brand, ICML 2017), its column patches holding every
-input row with its KW horizontally shifted copies, so each pixel is
-copied KW times, not KH*KW times as in im2col.  Kernel row ``i`` reads
-rows i, i + stride, ... of them (at stride 1 a view) and is one
-``matmul`` accumulated into the output, in output row strips whose
-column patches and accumulation temporary together stay below
-``_PATCH_BYTES``.  The transposed convolution of such a kernel (also
-the input gradient of a convolution) is the forward convolution of the
-zero-inserted, (k - 1)-padded input with the flipped kernel.
+runs kernel-row strips: the input is lowered along the width only (MEC;
+Cho & Brand, ICML 2017), its column patches holding every padded input
+row with its KW horizontally shifted copies, so each pixel is copied KW
+times, not KH*KW times as in im2col.  The patches are slice copies of
+the unpadded input: a border row or column is copied from the one the
+padding repeats (zeros for zero padding), so no padded input is made
+and a taped convolution keeps none.  Kernel row ``i`` reads rows i,
+i + stride, ... of them (at stride 1 a view) and is one ``matmul``
+accumulated into the output, in output row strips whose column patches
+and accumulation temporary together stay below ``_PATCH_BYTES``.  The
+transposed convolution of such a kernel (also the input gradient of a
+convolution) is the forward convolution of the (k - 1)-zero-padded
+input with the flipped kernel, zero-inserted first at stride > 1.
 
 A weight is OIKK whatever its memory order, and every order gives the
 same bits.  The kernel-row product reads the weight as (KH, O, C*KW)
@@ -44,15 +47,18 @@ Every single-input linear op (padding, cropping, channel slicing, sum and
 mean) is one :func:`apply_linear` node: its backward applies the op's
 adjoint; an operator enters as ``apply_linear(x, op.apply, op.adjoint)``.
 Each padding mode's map and adjoint are written once, in
-``_padding_maps``; ``conv2d`` pads with them too and stays one node.
-Reflect padding is one gather through a memoised index map.  A window or
-width that leaves the input raises ``ValueError``; none is clamped.
+``_padding_maps``; ``conv2d`` takes its adjoint from there and stays one
+node.  Reflect padding and the patches copy the same row and column
+runs (``_axis_runs``), and the reflect adjoint adds them back in padded
+raster order.  A window or width that leaves the input raises
+``ValueError``; none is clamped.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import threading
 
 import numpy as np
@@ -340,46 +346,102 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _reflect_index_map(h, w, pads):
-    """Flat source index of every pixel of an (h, w) image reflect-padded
-    by ``pads`` = (top, bottom, left, right).  Memoised, so the result is
-    read-only.  The edge is not repeated, and any pad width is covered."""
+def _pad_widths(padding: str, pad):
+    """(top, bottom, left, right) of ``pad``, an int (the same on all
+    sides) or a 4-tuple, checked against ``padding``: zero widths pad
+    nothing, and "valid" takes no width."""
+    if padding not in ("valid", "zero", "reflect"):
+        raise ValueError(f"unknown padding mode {padding!r}")
+    pads = (pad,) * 4 if isinstance(pad, int) else tuple(pad)
+    if min(pads) < 0 or (padding == "valid" and any(pads)):
+        raise ValueError(f"invalid pad widths {pads} for {padding!r} padding")
+    return pads
+
+
+def _axis_runs(padding: str, n: int, first: int, count: int, step: int) -> tuple:
+    """``(dst, src)`` slice pairs covering the ``count`` positions first,
+    first + step, ... of an axis of length ``n`` padded in ``padding``
+    mode (positions below 0 or from ``n`` on lie in the padding): ``dst``
+    a run of [0, count), in order, and ``src`` the axis positions its
+    values come from, a slice of constant step, or None where the padding
+    is zeros.  Positions in [0, n) are one run.  Reflection is periodic in
+    2(n - 1), as ``np.pad`` reflects pads wider than the axis; a 1-long
+    axis repeats its pixel, one run per position."""
+    if padding != "reflect":
+        lo = min(count, max(0, -(first // step)))
+        hi = min(count, max(lo, (n - 1 - first) // step + 1))
+        runs = ((slice(0, lo), None),
+                (slice(lo, hi), slice(first + lo * step, first + (hi - 1) * step + 1, step)),
+                (slice(hi, count), None))
+        return tuple(run for run in runs if run[0].start < run[0].stop)
+    if n == 1:
+        return tuple((slice(q, q + 1), slice(0, 1)) for q in range(count))
+    period = 2 * (n - 1)
+    runs = []
+    q = 0
+    while q < count:
+        t = first + q * step
+        u = t % period
+        if u < n:  # rising to n - 1
+            src, last, sign = u, t - u + n - 1, 1
+        else:  # falling to 1
+            src, last, sign = period - u, t - u + period - 1, -1
+        run = min(count - q, (last - t) // step + 1)
+        stop = src + sign * step * run
+        runs.append((slice(q, q + run), slice(src, stop if stop >= 0 else None, sign * step)))
+        q += run
+    return tuple(runs)
+
+
+def _one(run):
+    """``run``'s (dst, src) pair, a 1-long run as int indices: its views
+    lose that axis, and numpy sets up copies and adds on them faster."""
+    dst, src = run
+    if dst.stop - dst.start > 1:
+        return run
+    return dst.start, (None if src is None else src.start)
+
+
+@functools.lru_cache(maxsize=256)
+def _reflect_blocks(h: int, w: int, pads) -> tuple:
+    """``(padded, source)`` index pairs of a (C, h, w) image reflect-padded
+    by ``pads``, one per row run and column run, in padded raster order."""
     pt, pb, pl, pr = pads
-    rows = np.pad(np.arange(h), (pt, pb), mode="reflect")
-    cols = np.pad(np.arange(w), (pl, pr), mode="reflect")
-    out = (rows[:, None] * w + cols[None, :]).ravel()
-    out.setflags(write=False)
-    return out
-
-
-def _scatter_adjoint(g: np.ndarray, idx_flat: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Adjoint of an index-gather pad: accumulate padded grads onto sources."""
-    c = g.shape[0]
-    bins = (np.arange(c)[:, None] * (h * w) + idx_flat[None, :]).ravel()
-    out = np.bincount(bins, weights=g.ravel(), minlength=c * h * w)
-    return out.reshape(c, h, w)
+    rows = [_one(run) for run in _axis_runs("reflect", h, -pt, h + pt + pb, 1)]
+    cols = [_one(run) for run in _axis_runs("reflect", w, -pl, w + pl + pr, 1)]
+    return tuple(((slice(None), rd, cd), (slice(None), rs, cs)) for rd, rs in rows for cd, cs in cols)
 
 
 def _padding_maps(padding: str, pad, h: int, w: int):
     """``(pad, unpad)``: the map padding the (h, w) axes of a (C, h, w)
     array in ``padding`` mode by ``pad``, an int (the same on all sides) or
     (top, bottom, left, right), and its adjoint.  Zero widths pad nothing;
-    "valid" takes no width."""
-    if padding not in ("valid", "zero", "reflect"):
-        raise ValueError(f"unknown padding mode {padding!r}")
-    pt, pb, pl, pr = pads = (pad,) * 4 if isinstance(pad, int) else tuple(pad)
-    if min(pads) < 0 or (padding == "valid" and any(pads)):
-        raise ValueError(f"invalid pad widths {pads} for {padding!r} padding")
+    "valid" takes no width.  Reflect padding copies, and its adjoint adds,
+    one block per pair of row and column runs (``_axis_runs``); the adds
+    start from zeros in padded raster order, so every sum, signed zeros
+    included, is the one accumulating the padded gradient pixel by pixel."""
+    pt, pb, pl, pr = pads = _pad_widths(padding, pad)
     if not any(pads):
         return (lambda a: a), (lambda g: g)
     if padding == "zero":
         return (lambda a: np.pad(a, ((0, 0), (pt, pb), (pl, pr))),
                 lambda g: g[:, pt:pt + h, pl:pl + w])
-    idx_flat = _reflect_index_map(h, w, pads)
-    hw = (h + pt + pb, w + pl + pr)
-    return (lambda a: np.take(a.reshape(a.shape[0], -1), idx_flat, axis=1).reshape((a.shape[0],) + hw),
-            lambda g: _scatter_adjoint(g, idx_flat, h, w))
+    blocks = _reflect_blocks(h, w, pads)
+
+    def reflect(a):
+        out = np.empty((a.shape[0], h + pt + pb, w + pl + pr))
+        for padded, source in blocks:
+            out[padded] = a[source]
+        return out
+
+    def adjoint(g):
+        out = np.zeros((g.shape[0], h, w))
+        for padded, source in blocks:
+            acc = out[source]
+            np.add(acc, g[padded], out=acc)
+        return out
+
+    return reflect, adjoint
 
 
 def _chw(x: Tensor, name: str):
@@ -437,31 +499,89 @@ def _embed(like: np.ndarray, index):
 _PATCH_BYTES = 8 << 20
 
 
-def _row_strips(xp: np.ndarray, kh: int, kw: int, stride: int, o: int):
+def _row_strips(x: np.ndarray, kh: int, kw: int, stride: int, o: int, padding: str, pads):
     """Yield ``(positions, patches)`` for each strip of output rows of a
-    padded (C, H, W) input convolved with ``o`` output channels: the slice
-    of flattened output positions the strip covers, and its column
-    patches, a (C*KW, extent, WO) array holding every input row the strip
-    reads, each with its KW horizontally shifted (strided) copies.  Kernel
-    row ``i`` reads patch rows i, i + stride, ... (``_kernel_row``).  A
-    strip's patches and an (O, rows*WO) temporary take at most
-    ``_PATCH_BYTES`` together (one output row at least).  Callers drop
-    each strip's patches before asking for the next, so one strip's
-    patches are alive at a time."""
-    c, hp, wp = xp.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    (C, H, W) input, padded in ``padding`` mode by ``pads`` = (top, bottom,
+    left, right), convolved with ``o`` output channels: the slice of
+    flattened output positions the strip covers, and its column patches,
+    a (C*KW, extent, WO) array holding every padded input row the strip
+    reads, each with its KW horizontally shifted (strided) copies, built
+    by ``_lowering``'s slice copies of ``x``, so no padded input is made.
+    Kernel row ``i`` reads patch rows i, i + stride, ...
+    (``_kernel_row``).  A strip's patches and an (O, rows*WO) temporary
+    take at most ``_PATCH_BYTES`` together (one output row at least).
+    Callers drop each strip's patches before asking for the next, so one
+    strip's patches are alive at a time."""
+    c, h, w = x.shape
+    pt, pb, pl, pr = pads
+    ho = (h + pt + pb - kh) // stride + 1
+    wo = (w + pl + pr - kw) // stride + 1
     k = c * kw
-    row_budget = _PATCH_BYTES // (wo * xp.itemsize) - k * (kh - stride)
+    row_budget = _PATCH_BYTES // (wo * x.itemsize) - k * (kh - stride)
     strips = -(-ho // max(1, row_budget // (k * stride + o)))
     rows = -(-ho // strips)
-    sc, sh, sw = xp.strides
+    for r0, r1, extent, copies in _lowering(h, w, kh, kw, stride, padding, pads, rows):
+        yield slice(r0 * wo, r1 * wo), _lower(x, (c, kw, extent, wo), copies).reshape(k, extent, wo)
+
+
+def _lower(x: np.ndarray, shape, copies) -> np.ndarray:
+    """A (C, KW, extent, WO) strip of column patches filled by ``copies``,
+    ``(dst, src, own)`` index triples: zeros where ``src`` is None, else
+    ``x[src]``, or the patches' own ``src`` rows when ``own``.  No name
+    holds the patches once returned, so the caller's del frees them."""
+    patches = np.empty(shape)
+    for dst, src, own in copies:
+        patches[dst] = 0.0 if src is None else (patches if own else x)[src]
+    return patches
+
+
+@functools.lru_cache(maxsize=256)
+def _lowering(h: int, w: int, kh: int, kw: int, stride: int, padding: str, pads, rows: int) -> tuple:
+    """``(r0, r1, extent, copies)`` for each strip of ``rows`` output rows
+    (r0 to r1 - 1) of an (h, w) input padded in ``padding`` mode by
+    ``pads`` and convolved at ``stride``: the strip reads ``extent``
+    padded rows, and ``copies`` fill its patches (``_lower``).  Source
+    rows are copied with each column shift, one copy per column run
+    (``_axis_runs``); a border row that repeats a row the strip holds
+    copies it, all column shifts at once."""
+    pt, pb, pl, pr = pads
+    ho = (h + pt + pb - kh) // stride + 1
+    wo = (w + pl + pr - kw) // stride + 1
+    # column j of the patches reads padded columns j, j + stride, ...
+    cols = [[_one(run) for run in _axis_runs(padding, w, j - pl, wo, stride)] for j in range(kw)]
+
+    def lower(copies, run):
+        rd, rs = _one(run)
+        copies.extend(((slice(None), j, rd, cd), None if cs is None else (slice(None), rs, cs), False)
+                      for j in range(kw) for cd, cs in cols[j])
+
+    plan = []
     for r0 in range(0, ho, rows):
         r1 = min(r0 + rows, ho)
         extent = (r1 - r0 - 1) * stride + kh
-        win = np.lib.stride_tricks.as_strided(
-            xp[:, r0 * stride:], (c, kw, extent, wo), (sc, sw, sh, sw * stride), writeable=False)
-        yield slice(r0 * wo, r1 * wo), win.reshape(k, extent, wo)
+        first = r0 * stride - pt  # source row of patch row 0
+        copies = []
+        # patch rows holding source rows straight
+        inner = range(max(0, -first), min(extent, h - first))
+        if inner:
+            lower(copies, (slice(inner.start, inner.stop), slice(inner.start + first, inner.stop + first)))
+        for rd, rs in _axis_runs(padding, h, first, extent, 1):
+            if rs is None:
+                rd, _ = _one((rd, rs))
+                copies.append(((slice(None), slice(None), rd), None, False))
+                continue
+            src = range(h)[rs]
+            held = src.start - first
+            if held == rd.start:  # the straight rows, lowered above
+                continue
+            if held in inner and src[-1] - first in inner:
+                stop = src.stop - first
+                rd, rs = _one((rd, slice(held, stop if stop >= 0 else None, src.step)))
+                copies.append(((slice(None), slice(None), rd), (slice(None), slice(None), rs), True))
+            else:
+                lower(copies, (rd, rs))
+        plan.append((r0, r1, extent, tuple(copies)))
+    return tuple(plan)
 
 
 def _kernel_row(patches: np.ndarray, i: int, stride: int, rows: int) -> np.ndarray:
@@ -480,21 +600,25 @@ def _tiles(x: np.ndarray, s: int) -> np.ndarray:
     return tiles.transpose(0, 2, 4, 1, 3).reshape(c * s * s, ho * wo)
 
 
-def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """Valid cross-correlation of a padded (C, H, W) input with OIKK
-    weights.  Tiling kernels (KH = KW = stride) are one (O, C*KH*KW)
-    product with the tiles; any other kernel is one (O, C*KW) product per
+def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int,
+                  padding: str = "valid", pads=(0, 0, 0, 0)) -> np.ndarray:
+    """Cross-correlation of a (C, H, W) input, padded in ``padding`` mode
+    by ``pads`` = (top, bottom, left, right), with OIKK weights.  Tiling
+    kernels (KH = KW = stride) are one (O, C*KH*KW) product with the tiles
+    of the padded input; any other kernel is one (O, C*KW) product per
     kernel row and row strip, accumulated."""
     o, c, kh, kw = w.shape
-    ho = (xp.shape[1] - kh) // stride + 1
-    wo = (xp.shape[2] - kw) // stride + 1
+    pt, pb, pl, pr = pads
+    ho = (x.shape[1] + pt + pb - kh) // stride + 1
+    wo = (x.shape[2] + pl + pr - kw) // stride + 1
     if kh == kw == stride:
+        xp = _padding_maps(padding, pads, *x.shape[1:])[0](x) if any(pads) else x
         return (w.reshape(o, -1) @ _tiles(xp, stride)).reshape(o, ho, wo)
     # (KH, O, C*KW), K ordered (channel, column) as the patches: a view
     # of a conv_weight layout, a copy of any other
     w_rows = w.transpose(2, 0, 1, 3).reshape(kh, o, -1)
     out = np.empty((o, ho * wo))
-    for pos, patches in _row_strips(xp, kh, kw, stride, o):
+    for pos, patches in _row_strips(x, kh, kw, stride, o, padding, pads):
         rows = (pos.stop - pos.start) // wo
         acc = out[:, pos]
         np.matmul(w_rows[0], _kernel_row(patches, 0, stride, rows), out=acc)
@@ -504,17 +628,19 @@ def _conv_forward(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     return out.reshape(o, ho, wo)
 
 
-def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Gradient of ``_conv_forward(xp, w, stride)`` in ``w`` for output
-    gradient ``g``, shaped (O, C, KH, KW): the forward's products against
-    the same tiles or kernel-row patches."""
+def _conv_weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int,
+                      padding: str = "valid", pads=(0, 0, 0, 0)) -> np.ndarray:
+    """Gradient of ``_conv_forward(x, w, stride, padding, pads)`` in ``w``
+    for output gradient ``g``, shaped (O, C, KH, KW): the forward's
+    products against the same tiles or kernel-row patches."""
     o, _, wo = g.shape
-    c = xp.shape[0]
+    c = x.shape[0]
     g = g.reshape(o, -1)
     if kh == kw == stride:
+        xp = _padding_maps(padding, pads, *x.shape[1:])[0](x) if any(pads) else x
         return (g @ _tiles(xp, stride).T).reshape(o, c, kh, kw)
     gw = np.zeros((kh, o, c * kw))
-    for pos, patches in _row_strips(xp, kh, kw, stride, o):
+    for pos, patches in _row_strips(x, kh, kw, stride, o, padding, pads):
         rows = (pos.stop - pos.start) // wo
         for i in range(kh):
             gw[i] += g[:, pos] @ _kernel_row(patches, i, stride, rows).T
@@ -523,9 +649,9 @@ def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: i
 
 
 def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.ndarray:
-    """Adjoint of ``_conv_forward`` in its input: every pixel of ``x``
-    spread through the (in, out, kh, kw) taps of ``w`` onto an ``out_hw``
-    canvas."""
+    """Adjoint of ``_conv_forward`` in its (padded) input: every pixel of
+    ``x`` spread through the (in, out, kh, kw) taps of ``w`` onto an
+    ``out_hw`` canvas."""
     c, h, w_ = x.shape
     _, o, kh, kw = w.shape
     oh, ow = out_hw
@@ -541,10 +667,14 @@ def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.nda
         return out
     # Any other kernel (Dumoulin & Visin, arXiv 1603.07285): insert
     # stride - 1 zeros between pixels, pad by k - 1 and correlate at stride
-    # 1 with the flipped, in/out-swapped kernel.
+    # 1 with the flipped, in/out-swapped kernel.  At stride 1 nothing is
+    # inserted, and the patches take the zero padding themselves.
+    flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    if stride == 1:
+        return _conv_forward(x, flipped, 1, "zero", (kh - 1, oh - h, kw - 1, ow - w_))
     canvas = np.zeros((c, oh + kh - 1, ow + kw - 1))
     canvas[:, kh - 1:kh - 1 + stride * h:stride, kw - 1:kw - 1 + stride * w_:stride] = x
-    return _conv_forward(canvas, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
+    return _conv_forward(canvas, flipped, 1)
 
 
 def conv_weight(data, stride: int = 1) -> np.ndarray:
@@ -578,15 +708,16 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: str = "valid", p
     oc, ic, kh, kw = weight.shape
     if ic != c:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {ic}")
-    pad_map, unpad = _padding_maps(padding, pad, h, w_)
-    xp = pad_map(x.data)
-    if kh > xp.shape[1] or kw > xp.shape[2]:
+    pads = _pad_widths(padding, pad)
+    hp, wp = h + pads[0] + pads[1], w_ + pads[2] + pads[3]
+    if kh > hp or kw > wp:
         raise ValueError("kernel larger than (padded) input")
-    out = _conv_forward(xp, weight.data, stride)
+    out = _conv_forward(x.data, weight.data, stride, padding, pads)
 
     def bw(g):
-        gw = _conv_weight_grad(xp, g, kh, kw, stride)
-        return unpad(_conv_transpose(g, weight.data, stride, xp.shape[1:])), gw
+        gw = _conv_weight_grad(x.data, g, kh, kw, stride, padding, pads)
+        unpad = _padding_maps(padding, pads, h, w_)[1]
+        return unpad(_conv_transpose(g, weight.data, stride, (hp, wp))), gw
 
     return Tensor(out, (x, weight), bw)
 
@@ -636,10 +767,11 @@ def concat_channels(inputs) -> Tensor:
     if len({_chw(t, "concat_channels")[1:] for t in inputs}) > 1:
         raise ValueError("concat_channels: spatial extents must match")
     out = np.concatenate([t.data for t in inputs], axis=0)
-    splits = np.cumsum([t.shape[0] for t in inputs])[:-1]
+    ends = list(itertools.accumulate(t.shape[0] for t in inputs))
+    channels = [slice(end - t.shape[0], end) for t, end in zip(inputs, ends)]
 
     def bw(g):
-        return tuple(np.split(g, splits, axis=0))
+        return tuple(g[index] for index in channels)
 
     return Tensor(out, tuple(inputs), bw)
 

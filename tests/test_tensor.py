@@ -230,10 +230,13 @@ class TestConv2d:
 
 
 def _naive_pad(x, padding, pad):
+    """``np.pad`` of the spatial axes by ``pad``, an int or (top, bottom,
+    left, right)."""
     if padding == "valid":
         return x
+    pt, pb, pl, pr = (pad,) * 4 if isinstance(pad, int) else pad
     mode = "constant" if padding == "zero" else "reflect"
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad)), mode=mode)
+    return np.pad(x, ((0, 0), (pt, pb), (pl, pr)), mode=mode)
 
 
 def _naive_unpad(gxp, padding, pad, h, w):
@@ -346,37 +349,62 @@ class TestConvParity:
         # The 2x2 stride-3 kernel skips input rows; the 1x1 kernel tiles
         # its input and runs no strips, whatever the cap.  The cap was set
         # for two images at once: one image gets half of it, so its strips
-        # are those the pair had
+        # are those the pair had.  A padded mode also runs uneven pads up
+        # to 3x the image, which reflect more than once, and 1-pixel rows
+        # and columns
         monkeypatch.setattr(T, "_PATCH_BYTES", cap // 2)
         rng = np.random.default_rng(400 + 10 * stride + k)
         images = rng.standard_normal((2, 3, 9, 8))
         w = rng.standard_normal((4, 3, k, k))
         for x in images:
             _assert_conv2d_matches_loops(x, w, rng, stride, padding, pad)
+        if padding == "valid":
+            return
+        for shape, pads in [((3, 9, 8), (27, 0, 5, 24)), ((3, 1, 6), (3, 1, 2, 0)),
+                            ((3, 5, 1), (0, 15, 3, 3)), ((3, 1, 1), (2, 3, 1, 3))]:
+            _assert_conv2d_matches_loops(rng.standard_normal(shape), w, rng, stride, padding, pads)
 
     @pytest.mark.parametrize("cap", [1, 2000])
     @pytest.mark.parametrize("stride,k", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)])
     def test_row_group_patches(self, monkeypatch, stride, k, cap):
-        # each strip's kernel-row matrix holds the input rows that kernel
-        # row reads, each with its k column shifts; at stride 1 it is a view
-        # of the strip's patches.  Half the cap per image, as in
-        # test_row_strips_match_loops
+        # each strip holds the padded input rows it reads, each with its k
+        # column shifts, built straight from the unpadded input: equal to
+        # slicing np.pad's output, in every padding mode, for pads up to 3x
+        # the image and 1-pixel inputs; each kernel-row matrix is the rows
+        # that kernel row reads, a view of the strip's patches at stride 1.
+        # Half the cap per image, as in test_row_strips_match_loops
         monkeypatch.setattr(T, "_PATCH_BYTES", cap // 2)
-        wo = (9 - k) // stride + 1
-        for xp in np.random.default_rng(500).standard_normal((2, 3, 11, 9)):
-            strips = 0
-            for pos, patches in T._row_strips(xp, k, k, stride, 4):
-                strips += 1
-                rows = (pos.stop - pos.start) // wo
-                r0 = pos.start // wo
-                for i in range(k):
-                    mat = T._kernel_row(patches, i, stride, rows)
-                    if stride == 1:
-                        assert np.shares_memory(mat, patches)
-                    ref = np.stack([xp[:, r0 * stride + i:(r0 + rows - 1) * stride + i + 1:stride,
-                                       j:j + (wo - 1) * stride + 1:stride] for j in range(k)], axis=1)
-                    assert np.array_equal(mat, ref.reshape(mat.shape))
-            assert strips > 1
+        rng = np.random.default_rng(500)
+        cases = [("valid", (0, 0, 0, 0))] + [
+            (padding, pads) for padding in ("zero", "reflect")
+            for pads in [(1, 1, 1, 1), (2, 0, 1, 3), (10, 33, 27, 9)]]
+        for shape in [(3, 11, 9), (2, 1, 1), (2, 1, 7), (2, 6, 1)]:
+            x = rng.standard_normal(shape)
+            for padding, pads in cases:
+                xp = _naive_pad(x, padding, pads)
+                if min(xp.shape[1:]) < k:
+                    continue
+                ho = (xp.shape[1] - k) // stride + 1
+                wo = (xp.shape[2] - k) // stride + 1
+                strips = 0
+                for pos, patches in T._row_strips(x, k, k, stride, 4, padding, pads):
+                    strips += 1
+                    rows = (pos.stop - pos.start) // wo
+                    r0 = pos.start // wo
+                    ref = np.empty(patches.shape)
+                    for j in range(k):
+                        for r in range(patches.shape[1]):
+                            ref[j::k, r] = xp[:, r0 * stride + r, j:j + (wo - 1) * stride + 1:stride]
+                    assert np.array_equal(patches, ref)
+                    for i in range(k):
+                        mat = T._kernel_row(patches, i, stride, rows)
+                        if stride == 1:
+                            assert np.shares_memory(mat, patches)
+                        assert np.array_equal(mat, ref[:, i::stride][:, :rows].reshape(mat.shape))
+                assert pos.stop == ho * wo
+                # a 1-byte cap gives each output row a strip; 1000 bytes
+                # split the 11x9 image too
+                assert strips == ho if cap == 1 else strips > 1 or shape != (3, 11, 9)
 
     @pytest.mark.parametrize("c,h,w,s", [(3, 6, 8, 2), (2, 7, 9, 2), (2, 9, 7, 3), (3, 5, 4, 1)])
     def test_tiles(self, c, h, w, s):
@@ -400,34 +428,65 @@ class TestConvParity:
 
     @pytest.mark.parametrize("cap", [None, 2 << 20])
     def test_forward_transients_within_patch_bytes(self, monkeypatch, cap):
-        # beyond the padded input and the output, which the tape node
-        # keeps, one forward allocates at most _PATCH_BYTES
+        # beyond the output, which the tape node keeps, one forward
+        # allocates at most _PATCH_BYTES: the patches read the unpadded
+        # input, so no padded copy is made
         if cap is not None:
             monkeypatch.setattr(T, "_PATCH_BYTES", cap)
         rng = np.random.default_rng(501)
         x = T.constant(rng.standard_normal((32, 128, 128)))
         w = T.constant(rng.standard_normal((32, 32, 3, 3)))
-        # the memoised reflect index map is built once per shape, not per call
-        T._reflect_index_map(128, 128, (1, 1, 1, 1))
+        T.conv2d(x, w, padding="reflect", pad=1)  # the memoised copy plan is made once
         tracemalloc.start()
         try:
             out = T.conv2d(x, w, padding="reflect", pad=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        padded = x.data.nbytes * 130 * 130 // (128 * 128)
-        assert peak - padded - out.data.nbytes <= T._PATCH_BYTES
+        assert peak - out.data.nbytes <= T._PATCH_BYTES
+
+    @pytest.mark.parametrize("padding,pad", [("zero", 1), ("reflect", 1), ("reflect", (2, 0, 7, 1))])
+    def test_backward_keeps_no_padded_input(self, padding, pad):
+        # the node's backward closure reaches its parents and the widths,
+        # not a padded copy of the input
+        x = T.Parameter("x", np.random.default_rng(502).standard_normal((3, 6, 5)))
+        w = T.Parameter("w", np.ones((2, 3, 3, 3)))
+        out = T.conv2d(x, w, padding=padding, pad=pad)
+        pt, pb, pl, pr = (pad,) * 4 if isinstance(pad, int) else pad
+        padded = (3, 6 + pt + pb, 5 + pl + pr)
+        seen, todo = [], [out._backward]
+        while todo:
+            obj = todo.pop()
+            if isinstance(obj, T.Tensor):
+                seen.append(obj.data)
+            elif isinstance(obj, np.ndarray):
+                seen.append(obj)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                todo.extend(cell.cell_contents for cell in obj.__closure__)
+        assert any(a is x.data for a in seen)
+        assert all(a.shape != padded for a in seen)
+        g = np.ones(out.shape)
+        T.sum_all(T.mul(out, T.constant(g))).backward()
+        assert np.array_equal(x.grad, naive_conv2d(x.data, w.data, g, 1, padding, pad)[1])
 
     def test_scatter_adjoint_matches_add_at(self):
-        # any index map, repeats included
+        # the reflect adjoint adds every padded pixel onto its source in
+        # padded raster order starting from zeros, as np.add.at does: equal
+        # bits, signed zeros included, for pads reflecting more than once
         rng = np.random.default_rng(300)
-        c, h, w = 3, 4, 5
-        idx = rng.integers(0, h * w, size=37)
-        for g in rng.standard_normal((2, c, 37)):
-            ref = np.zeros((c, h * w))
-            np.add.at(ref, (np.arange(c)[:, None], idx[None, :]), g)
-            out = T._scatter_adjoint(g, idx, h, w)
-            assert np.array_equal(out, ref.reshape(c, h, w))
+        for h, w in [(4, 5), (1, 3), (2, 1), (5, 5)]:
+            for pads in [(1, 1, 1, 1), (0, 3, 2, 0), (3 * h, 2 * h, 3 * w, w + 1)]:
+                pt, pb, pl, pr = pads
+                src = _naive_pad(np.arange(h * w).reshape(1, h, w), "reflect", pads)[0]
+                unpad = T._padding_maps("reflect", pads, h, w)[1]
+                for g in rng.standard_normal((2, 3, h + pt + pb, w + pl + pr)):
+                    g[rng.random(g.shape) < 0.3] = -0.0
+                    g[0] = -0.0
+                    ref = np.zeros((3, h * w))
+                    np.add.at(ref, (np.arange(3)[:, None], src.ravel()[None, :]), g.reshape(3, -1))
+                    out = unpad(g)
+                    assert np.array_equal(out, ref.reshape(3, h, w))
+                    assert np.array_equal(np.signbit(out), np.signbit(ref.reshape(3, h, w)))
 
 
 def _assert_adjoint(op, *args):
@@ -638,6 +697,19 @@ class TestConcat:
         assert np.allclose(at.grad, 0)
         assert np.allclose(bt.grad, 1)
 
+    def test_backward_slices_at_channel_offsets(self):
+        rng = np.random.default_rng(7)
+        inputs = [T.Parameter(f"p{i}", rng.standard_normal((c, 3, 2))) for i, c in enumerate((2, 1, 3))]
+        cat = T.concat_channels(inputs)
+        g = rng.standard_normal(cat.shape)
+        grads = cat._backward(g)
+        assert [gr.shape[0] for gr in grads] == [2, 1, 3]
+        for gr, lo in zip(grads, (0, 2, 3)):
+            assert np.shares_memory(gr, g) and np.array_equal(gr, g[lo:lo + gr.shape[0]])
+        assert cat.shape == (6, 3, 2)
+        (one,) = T.concat_channels(inputs[:1])._backward(g[:2])
+        assert np.array_equal(one, g[:2])
+
 
 class TestResample:
     def test_downsample_shape(self):
@@ -696,14 +768,6 @@ class TestPad:
             lambda a: float((np.pad(a, ((0, 0), (2, 2), (2, 2)), mode="reflect") * wsum).sum()),
             x.copy())
         assert rel_err(xt.grad, fd) < 1e-6
-
-    def test_reflect_index_map_memoised_read_only(self):
-        idx = T._reflect_index_map(5, 6, (2, 1, 0, 3))
-        assert T._reflect_index_map(5, 6, (2, 1, 0, 3)) is idx
-        assert not idx.flags.writeable
-        x = np.arange(30.0).reshape(1, 5, 6)
-        ref = np.pad(x, ((0, 0), (2, 1), (0, 3)), mode="reflect")
-        assert np.array_equal(T.pad_reflect(T.constant(x), (2, 1, 0, 3)).data, ref)
 
     def test_crop_inverse_of_zero_pad(self):
         rng = np.random.default_rng(13)
