@@ -22,7 +22,7 @@ from . import tensor as T
 from . import tnsr
 from .config import config_dict, read_config
 from .noise import NoiseParams
-from .operators import OperatorHandle, make_coarse, normalize
+from .operators import OperatorHandle, make_coarse
 from .solvers import lambda_schedule, prox_estimate_graph
 
 __all__ = ["RamConfig", "RamModel"]
@@ -169,11 +169,10 @@ class RamModel:
         return T.concat_channels(feats)
 
     def _ksm(self, s, c, f, aty_s, cop):
-        pad = self.config.ksm_kernel_size // 2
         x_img = self._conv1(f, f"head{c}.ksm{s}.decode")
         stack = self.build_ksm_stack(x_img, aty_s, cop)
-        mixed = T.conv2d(stack, self._params[f"head{c}.ksm{s}.combine"],
-                         padding="reflect" if pad else "valid", pad=pad)
+        mixed = T.conv2d(stack, self._params[f"head{c}.ksm{s}.combine"], padding="reflect",
+                         pad=self.config.ksm_kernel_size // 2)
         return f + self._conv1(mixed, f"head{c}.ksm{s}.encode")
 
     def _blocks(self, f, prefix):
@@ -205,10 +204,10 @@ class RamModel:
         if yt.shape != op.range_shape:
             raise ValueError(f"measurement shape {yt.shape} != {op.range_shape}")
 
-        # work with the unit-norm operator; rescale y and the noise levels
-        # accordingly so the physics stays consistent
+        # work with the unit-norm operator (make_coarse's scale-0 handle, cached
+        # per definition); rescale y and the noise levels to keep the physics consistent
         nrm = op.norm()
-        opn = normalize(op)
+        opn = make_coarse(op, 0)
         yt = yt * T.constant(1.0 / nrm)
         sigma = noise.sigma / nrm
         gamma = noise.gamma / nrm

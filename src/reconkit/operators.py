@@ -413,8 +413,6 @@ def make_gaussian_kernel(sigma_blur: float, size: int = 31) -> BlurKernel:
     """Sampled isotropic Gaussian, normalized to unit mass."""
     if sigma_blur <= 0:
         raise ValueError("sigma_blur must be positive")
-    if size % 2 == 0:
-        raise ValueError("kernel size must be odd")
     r = np.arange(size) - size // 2
     g = np.exp(-0.5 * (r / sigma_blur) ** 2)
     k = np.outer(g, g)
@@ -439,9 +437,10 @@ def make_motion_kernel(length_scale: float, amplitude: float, size: int = 31,
                        seed: int = 0) -> BlurKernel:
     """Random motion kernel: a smooth Gaussian-process trajectory of 1000
     points (RBF covariance, length scale ``length_scale``, amplitude
-    ``amplitude``) rasterized with bilinear splatting."""
-    if size % 2 == 0:
-        raise ValueError("kernel size must be odd")
+    ``amplitude``) rasterized with bilinear splatting, which needs at
+    least 3 pixels a side."""
+    if size < 3:
+        raise ValueError("motion kernel size must be at least 3")
     rng = np.random.default_rng(seed)
     if amplitude <= 0:
         traj = np.zeros((1000, 2))
@@ -524,13 +523,11 @@ def make_blur(kernel: BlurKernel, image_shape) -> OperatorHandle:
 # ---------------------------------------------------------------------------
 
 
-def make_bernoulli_mask(shape, p: float, seed: int = 0, per_channel: bool = False) -> np.ndarray:
-    """Binary keep-mask with keep probability p; pixel-wise masking shares
-    the mask across channels unless ``per_channel``."""
+def make_bernoulli_mask(shape, p: float, seed: int = 0) -> np.ndarray:
+    """Binary keep-mask with keep probability p, one per pixel, shared
+    across channels."""
     rng = np.random.default_rng(seed)
     c, h, w = shape
-    if per_channel:
-        return (rng.random((c, h, w)) < p).astype(np.float64)
     m = (rng.random((h, w)) < p).astype(np.float64)
     return np.broadcast_to(m, (c, h, w)).copy()
 

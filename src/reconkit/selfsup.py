@@ -91,16 +91,12 @@ class TransformGroup:
 # ---------------------------------------------------------------------------
 
 
-def mc_divergence(fn, y: np.ndarray, eps: float | None = None, probes: int = 1,
-                  seed: int = 0, base: T.Tensor | None = None) -> T.Tensor:
-    """Monte-Carlo divergence of ``fn`` at ``y`` with Rademacher probes.
-
-    ``fn`` maps a numpy array to a graph tensor of the same shape; the
-    estimate (1/N) sum b^T (fn(y + eps b) - fn(y)) / eps stays
-    differentiable through every ``fn`` evaluation.  ``base`` is
-    ``fn(y)`` when the caller already holds it, which saves that
-    evaluation: the estimate then costs one ``fn`` call per probe.
-    """
+def mc_divergence(fn, y: np.ndarray, base: T.Tensor, eps: float | None = None,
+                  probes: int = 1, seed: int = 0) -> T.Tensor:
+    """Monte-Carlo divergence of ``fn`` (a numpy array to a graph tensor of
+    its shape) at ``y`` with Rademacher probes b: (1/N) sum b^T (fn(y + eps b)
+    - base) / eps with ``base`` = fn(y), one ``fn`` call per probe, and
+    differentiable through every ``fn`` evaluation and ``base``."""
     if probes < 1:
         raise ValueError("need at least one probe")
     if eps is None:
@@ -108,8 +104,6 @@ def mc_divergence(fn, y: np.ndarray, eps: float | None = None, probes: int = 1,
     if eps <= 0:
         raise ValueError("probe step must be positive")
     rng = np.random.default_rng(seed)
-    if base is None:
-        base = fn(y)
     total = None
     for _ in range(probes):
         b = rng.choice([-1.0, 1.0], size=y.shape)
@@ -125,23 +119,23 @@ def _require_gaussian(noise) -> None:
         raise ValueError("SURE here assumes pure Gaussian noise (gamma == 0)")
 
 
-def sure_loss(model, inst: ProblemInstance, probes: int = 1, seed: int = 0,
-              xhat: T.Tensor | None = None) -> T.Tensor:
+def sure_loss(model, inst: ProblemInstance, xhat: T.Tensor, probes: int = 1,
+              seed: int = 0) -> T.Tensor:
     """Stein estimate of the measurement-consistency risk for Gaussian
-    noise: ||A R(y) - y||^2 + 2 sigma^2 div(A o R)(y).  ``xhat`` is
-    ``model.forward(inst.y, inst.op, inst.noise)`` when the caller
-    already holds it; the residual and the divergence base share it."""
+    noise: ||A R(y) - y||^2 + 2 sigma^2 div(A o R)(y).  The residual and
+    the divergence base share ``xhat`` = R(y), i.e. ``model.forward(inst.y,
+    inst.op, inst.noise)``."""
     _require_gaussian(inst.noise)
     op, sigma = inst.op, inst.noise.sigma
 
     def ar(yv):
         return T.apply_linear(model.forward(yv, op, inst.noise), op.apply, op.adjoint)
 
-    axhat = ar(inst.y) if xhat is None else T.apply_linear(xhat, op.apply, op.adjoint)
+    axhat = T.apply_linear(xhat, op.apply, op.adjoint)
     resid = axhat - T.constant(inst.y)
     loss = T.sum_all(T.square(resid))
     if sigma > 0:
-        div = mc_divergence(ar, inst.y, probes=probes, seed=seed, base=axhat)
+        div = mc_divergence(ar, inst.y, axhat, probes=probes, seed=seed)
         loss = loss + T.constant(2.0 * sigma ** 2) * div
     return loss
 
@@ -166,15 +160,11 @@ def split_loss(model, inst: ProblemInstance, keep_prob: float = 0.9,
     return T.sum_all(T.square(held_out))
 
 
-def ei_loss(model, inst: ProblemInstance, group: TransformGroup,
-            seed: int = 0, xhat: T.Tensor | None = None) -> T.Tensor:
-    """Equivariant imaging: || T x_hat - R(A T x_hat, A) ||^2 for one
-    sampled group element, differentiable through both model passes.
-    ``xhat`` is ``model.forward(inst.y, inst.op, inst.noise)`` when the
-    caller already holds it."""
+def ei_loss(model, inst: ProblemInstance, xhat: T.Tensor, group: TransformGroup,
+            seed: int = 0) -> T.Tensor:
+    """Equivariant imaging: || T x_hat - R(A T x_hat, A) ||^2 for one sampled
+    group element, differentiable through ``xhat`` = R(y) and the second pass."""
     op = inst.op
-    if xhat is None:
-        xhat = model.forward(inst.y, op, inst.noise)
     t = group.sample(op.domain_shape, seed)
     tx = t.apply(xhat)
     y2 = T.apply_linear(tx, op.apply, op.adjoint)
@@ -182,18 +172,14 @@ def ei_loss(model, inst: ProblemInstance, group: TransformGroup,
     return T.sum_all(T.square(tx - x2))
 
 
-def moi_loss(model, inst: ProblemInstance, operator_family: list,
-             seed: int = 0, xhat: T.Tensor | None = None) -> T.Tensor:
-    """Multi-operator consistency: || x_hat - R(A_r x_hat, A_r) ||^2 for
-    one operator sampled from the family.  ``xhat`` is
-    ``model.forward(inst.y, inst.op, inst.noise)`` when the caller
-    already holds it."""
+def moi_loss(model, inst: ProblemInstance, xhat: T.Tensor, operator_family: list,
+             seed: int = 0) -> T.Tensor:
+    """Multi-operator consistency: || x_hat - R(A_r x_hat, A_r) ||^2 for one
+    operator sampled from the family, with ``xhat`` = R(y)."""
     if not operator_family:
         raise ValueError("operator family is empty")
     rng = np.random.default_rng(seed)
     other = operator_family[int(rng.integers(len(operator_family)))]
-    if xhat is None:
-        xhat = model.forward(inst.y, inst.op, inst.noise)
     y2 = T.apply_linear(xhat, other.apply, other.adjoint)
     x2 = model.forward(y2, other, inst.noise)
     return T.sum_all(T.square(xhat - x2))
@@ -255,15 +241,15 @@ def finetune(model, instances: list, cfg: FinetuneConfig) -> dict:
             xhat = (model.forward(inst.y, inst.op, inst.noise)
                     if cfg.mc_loss == "sure" or cfg.null_loss != "none" else None)
             if cfg.mc_loss == "sure":
-                loss = sure_loss(model, inst, probes=cfg.probes, seed=sd, xhat=xhat)
+                loss = sure_loss(model, inst, xhat, probes=cfg.probes, seed=sd)
             else:
                 loss = split_loss(model, inst, keep_prob=cfg.keep_prob, seed=sd)
             if cfg.null_loss == "ei":
                 loss = loss + T.constant(cfg.omega) * ei_loss(
-                    model, inst, group, seed=sd + 7, xhat=xhat)
+                    model, inst, xhat, group, seed=sd + 7)
             elif cfg.null_loss == "moi":
                 loss = loss + T.constant(cfg.omega) * moi_loss(
-                    model, inst, operator_family, seed=sd + 7, xhat=xhat)
+                    model, inst, xhat, operator_family, seed=sd + 7)
             yield loss
             del xhat, loss  # their tape dies before the next instance's forwards
 

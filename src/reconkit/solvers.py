@@ -79,14 +79,13 @@ def conjugate_gradient(spd_apply, rhs: np.ndarray, max_iters: int = 100, tol: fl
     return x, report
 
 
-def lambda_schedule(sigma: float, eta, y) -> float:
+def lambda_schedule(sigma: float, eta: float, y) -> float:
     """lambda = sigma * eta / ||y||_1 (zero when the measurement is empty)."""
     y = np.asarray(y, dtype=np.float64)
     l1 = float(np.abs(y).sum())
     if l1 == 0:
         return 0.0
-    eta_val = eta.item() if hasattr(eta, "item") else float(eta)
-    return sigma * eta_val / l1
+    return sigma * eta / l1
 
 
 def prox_estimate(op: OperatorHandle, y: np.ndarray, lam: float, *,

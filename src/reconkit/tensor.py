@@ -612,7 +612,7 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int,
     ho = (x.shape[1] + pt + pb - kh) // stride + 1
     wo = (x.shape[2] + pl + pr - kw) // stride + 1
     if kh == kw == stride:
-        xp = _padding_maps(padding, pads, *x.shape[1:])[0](x) if any(pads) else x
+        xp = _padding_maps(padding, pads, *x.shape[1:])[0](x)
         return (w.reshape(o, -1) @ _tiles(xp, stride)).reshape(o, ho, wo)
     # (KH, O, C*KW), K ordered (channel, column) as the patches: a view
     # of a conv_weight layout, a copy of any other
@@ -637,7 +637,7 @@ def _conv_weight_grad(x: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: in
     c = x.shape[0]
     g = g.reshape(o, -1)
     if kh == kw == stride:
-        xp = _padding_maps(padding, pads, *x.shape[1:])[0](x) if any(pads) else x
+        xp = _padding_maps(padding, pads, *x.shape[1:])[0](x)
         return (g @ _tiles(xp, stride).T).reshape(o, c, kh, kw)
     gw = np.zeros((kh, o, c * kw))
     for pos, patches in _row_strips(x, kh, kw, stride, o, padding, pads):

@@ -400,6 +400,28 @@ class TestNoEinsum:
         assert out.shape == op.domain_shape and np.all(np.isfinite(out))
 
 
+class TestWarmForward:
+    @pytest.mark.parametrize("n", [32, 30])  # 30x30 runs on a padded 32x32 grid
+    def test_builds_no_operator_handle(self, n, monkeypatch):
+        # every handle a forward needs, the prox's unit-norm operator among
+        # them, is cached per operator definition after the first forward
+        op = ops.make_blur(ops.make_gaussian_kernel(1.1, 5), (1, n, n))
+        model = RamModel(RamConfig())
+        y = op.apply(np.random.default_rng(32).random(op.domain_shape))
+        nz = NoiseParams(sigma=0.05)
+        model.reconstruct(y, op, nz)
+        built = []
+        init = ops.OperatorHandle.__init__
+
+        def counted(handle, *args, **kwargs):
+            built.append(kwargs.get("kind"))
+            init(handle, *args, **kwargs)
+
+        monkeypatch.setattr(ops.OperatorHandle, "__init__", counted)
+        model.reconstruct(y, op, nz)
+        assert built == []
+
+
 class TestReconstructNoTape:
     @pytest.mark.parametrize("kind", ["inpainting", "blur", "downsampling"])
     def test_bitwise_equal_to_forward(self, kind):

@@ -294,6 +294,17 @@ class TestKernels:
         with pytest.raises(ValueError):
             ops.make_gaussian_kernel(0.0)
 
+    @pytest.mark.parametrize("size", [-2, 0, 4])
+    def test_gaussian_even_size(self, size):
+        with pytest.raises(ValueError, match="odd"):
+            ops.make_gaussian_kernel(1.0, size)
+
+    @pytest.mark.parametrize("size,message", [(0, "at least 3"), (1, "at least 3"), (4, "odd")])
+    def test_motion_invalid_size(self, size, message):
+        # the bilinear splat needs 3 pixels a side; BlurKernel refuses even sizes
+        with pytest.raises(ValueError, match=message):
+            ops.make_motion_kernel(0.6, 0.5, size)
+
     def test_motion_normalized(self):
         for seed in (0, 1, 2):
             k = ops.make_motion_kernel(0.6, 0.5, 31, seed=seed).array
@@ -756,8 +767,9 @@ def closed_form_operators(draw):
     if choice == "identity":
         return ops.identity_operator(shape)
     if choice == "inpainting":
-        return ops.make_inpainting(ops.make_bernoulli_mask(shape, keep_prob, seed=seed,
-                                                           per_channel=True))
+        # one mask entry per channel and pixel
+        per_channel = np.random.default_rng(seed).random(shape) < keep_prob
+        return ops.make_inpainting(per_channel.astype(np.float64))
     if choice == "mri":
         return ops.make_mri(mask[0], (2, n, n))
     if choice in ("mri*upsampler", "mri*crop"):

@@ -62,11 +62,6 @@ class TestLambdaSchedule:
     def test_zero_measurement(self):
         assert solvers.lambda_schedule(0.5, 2.0, np.zeros(4)) == 0.0
 
-    def test_tensor_eta(self):
-        eta = T.constant(1.5)
-        y = np.ones(4)
-        assert solvers.lambda_schedule(0.2, eta, y) == pytest.approx(0.2 * 1.5 / 4.0)
-
     def test_scale_invariance(self):
         # lambda(alpha sigma, alpha y) == lambda(sigma, y)
         y = np.random.default_rng(5).standard_normal(10)
