@@ -193,9 +193,9 @@ class RamModel:
         """Reconstruct from measurement ``y`` (array or graph tensor).
 
         The encoder keeps a skip of each scale but the coarsest, and the
-        decoder pops each one into its add, so under ``tensor.no_grad`` a
-        skip is freed as soon as it is added; on the tape the add node
-        holds it for the backward anyway."""
+        decoder pops each one into its add, so a skip is freed as soon as
+        it is added unless a backward reads it: on the tape the
+        downsampling convolution keeps it as its input."""
         self.eval_count += 1
         cfg = self.config
         c, h, w = op.domain_shape

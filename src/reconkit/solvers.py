@@ -114,7 +114,7 @@ def prox_estimate_graph(op: OperatorHandle, aty: "T.Tensor", lam: "T.Tensor", *,
     lam_val = lam.item()
     if lam_val == 0:
         return aty
-    b = aty.data
+    b, lam_shape = aty.data, lam.shape
 
     def system(v):  # M v = lam A^T A v + v, symmetric positive definite
         return lam_val * op.normal(v) + v
@@ -126,7 +126,7 @@ def prox_estimate_graph(op: OperatorHandle, aty: "T.Tensor", lam: "T.Tensor", *,
         # one normal apply, not (u - A^T y) / lam: that would divide the CG
         # residual by the model's ~1e-4 lam
         g_lam = np.vdot(w, b - op.normal(u))
-        return (1.0 + lam_val) * w, np.full(lam.shape, g_lam)
+        return (1.0 + lam_val) * w, np.full(lam_shape, g_lam)
 
     return T.Tensor(u, (aty, lam), bw)
 

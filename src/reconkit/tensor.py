@@ -2,16 +2,24 @@
 
 Tensors hold float64 numpy arrays with up to 4 axes: images are (C, H, W)
 like the operators' arrays, with no batch axis, and convolution weights
-4-D.  Every differentiable operation records its parents and a backward
-closure on a dynamic tape; ``backward`` walks the tape in reverse
-topological order and accumulates gradients into leaves.  Gradients of
-:class:`Parameter` leaves persist across backward calls until explicitly
-zeroed, so repeated backward passes accumulate additively.
+4-D.  A tensor holds its value, its gradient and, unless it is a
+constant or made from constants only, its node on a dynamic tape: its
+parents' nodes, a backward closure and, for a leaf, the tensor whose
+gradient it accumulates, never a value.  Each closure captures only what
+its backward formula reads (shapes for adds, sums, crops and channel
+slices; the operands of a product; a convolution's input and weight;
+a relu's own output, since ``out > 0`` equals ``x > 0`` bit for bit), so
+a value no backward reads, such as a convolution's output once its relu
+has read it, dies with its tensor.  ``backward`` walks the nodes in
+reverse topological order and accumulates gradients into leaves.
+Gradients of :class:`Parameter` leaves persist across backward calls
+until explicitly zeroed, so repeated backward passes accumulate
+additively.
 
 Inside a :func:`no_grad` block the calling thread builds no tape: every
-operation returns a tensor with no parents and no backward closure, so
-the arrays an operation keeps for its backward are freed when it
-returns.  Values are computed exactly as with the tape.
+operation returns a tensor with no node, so the arrays an operation
+keeps for its backward are freed when it returns.  Values are computed
+exactly as with the tape.
 
 All convolutions are bias-free by construction: there is no bias term
 anywhere in this module.  Every convolution, forward, weight gradient
@@ -60,6 +68,7 @@ import contextlib
 import functools
 import itertools
 import threading
+import weakref
 
 import numpy as np
 
@@ -126,24 +135,43 @@ def no_grad():
         _TAPE.off = previous
 
 
-class Tensor:
-    """A node of the dynamic computation graph."""
+class _Node:
+    """A tensor's entry on the tape: its parents' nodes (None where a
+    parent needs no gradient), the backward closure and, for a leaf, a
+    weak reference to the tensor whose ``grad`` it accumulates, so a
+    dropped parameter is freed at once."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("parents", "backward", "leaf")
+
+    def __init__(self, parents, backward, leaf=None):
+        self.parents = parents
+        self.backward = backward
+        self.leaf = leaf
+
+
+class Tensor:
+    """A value and, when it needs a gradient, its node on the tape."""
+
+    __slots__ = ("data", "grad", "node", "__weakref__")
 
     def __init__(self, data, parents=(), backward_fn=None, requires_grad=False):
-        if parents:
-            # Internal nodes trust their producers; only validate at the
-            # boundary (leaf construction goes through _as_array).
-            self.data = data
-        else:
-            self.data = _as_array(data)
-        if parents and _TAPE.off:
-            parents, backward_fn = (), None
-        self._parents = tuple(parents)
-        self._backward = backward_fn
-        self.requires_grad = requires_grad or any(p.requires_grad for p in self._parents)
         self.grad = None
+        if not parents:
+            self.data = _as_array(data)
+            self.node = _Node((), None, weakref.ref(self)) if requires_grad else None
+            return
+        # Internal nodes trust their producers; only validate at the
+        # boundary (leaf construction goes through _as_array).
+        self.data = data
+        nodes = tuple(p.node for p in parents)
+        if _TAPE.off or not any(nodes):
+            self.node = None
+        else:
+            self.node = _Node(nodes, backward_fn)
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
 
     @property
     def shape(self):
@@ -184,9 +212,11 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
-        order: list[Tensor] = []
+        if self.node is None:
+            return
+        order: list[_Node] = []
         state: dict[int, int] = {}  # id -> 0 visiting / 1 done
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self.node, False)]
         while stack:
             node, processed = stack.pop()
             nid = id(node)
@@ -201,19 +231,19 @@ class Tensor:
                 continue
             state[nid] = 0
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and state.get(id(p)) != 1:
+            for p in node.parents:
+                if p is not None and state.get(id(p)) != 1:
                     stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[int, np.ndarray] = {id(self.node): np.ones_like(self.data)}
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is not None:
-                parent_grads = node._backward(g)
-                for p, pg in zip(node._parents, parent_grads):
-                    if pg is None or not p.requires_grad:
+            if node.backward is not None:
+                parent_grads = node.backward(g)
+                for p, pg in zip(node.parents, parent_grads):
+                    if pg is None or p is None:
                         continue
                     nid = id(p)
                     if nid in grads:
@@ -221,10 +251,13 @@ class Tensor:
                     else:
                         grads[nid] = pg
             else:
-                # leaf: accumulate into persistent grad
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                # leaf: accumulate into persistent grad, if it is alive
+                leaf = node.leaf()
+                if leaf is None:
+                    continue
+                if leaf.grad is None:
+                    leaf.grad = np.zeros_like(leaf.data)
+                leaf.grad += g
 
 
 class Parameter(Tensor):
@@ -267,36 +300,39 @@ def _binary_shapes(a: Tensor, b: Tensor):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return Tensor(a.data + b.data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
 
     return Tensor(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b)
+    ad, bd = a.data, b.data
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return Tensor(a.data * b.data, (a, b), bw)
+    return Tensor(ad * bd, (a, b), bw)
 
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
 
-    def bw(g):
-        return (g * (x.data > 0),)
+    def bw(g):  # out > 0 is x > 0, bit for bit, so the input may die
+        return (g * (out > 0),)
 
     return Tensor(out, (x,), bw)
 
@@ -312,31 +348,34 @@ def abs_val(x: Tensor) -> Tensor:
 
 
 def square(x: Tensor) -> Tensor:
-    out = x.data * x.data
+    xd = x.data
+    out = xd * xd
 
     def bw(g):
-        return (2.0 * g * x.data,)
+        return (2.0 * g * xd,)
 
     return Tensor(out, (x,), bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    return apply_linear(x, lambda a: np.array([a.sum()]), lambda g: np.full_like(x.data, g[0]))
+    shape = x.shape
+    return apply_linear(x, lambda a: np.array([a.sum()]), lambda g: np.full(shape, g[0]))
 
 
 def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    return apply_linear(x, lambda a: np.array([a.mean()]), lambda g: np.full_like(x.data, g[0] / n))
+    shape, n = x.shape, x.size
+    return apply_linear(x, lambda a: np.array([a.mean()]), lambda g: np.full(shape, g[0] / n))
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"dot shape mismatch {a.shape} vs {b.shape}")
-    out = np.array([np.vdot(a.data, b.data)])
+    ad, bd = a.data, b.data
+    out = np.array([np.vdot(ad, bd)])
 
     def bw(g):
         s = g.reshape(-1)[0]
-        return s * b.data, s * a.data
+        return s * bd, s * ad
 
     return Tensor(out, (a, b), bw)
 
@@ -467,14 +506,14 @@ def crop2d(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
     if min(top, left) < 0 or min(height, width) < 1 or top + height > h or left + width > w:
         raise ValueError(f"crop window {(top, left, height, width)} leaves the {h}x{w} image")
     index = np.s_[:, top:top + height, left:left + width]
-    return apply_linear(x, lambda a: a[index].copy(), _embed(x.data, index))
+    return apply_linear(x, lambda a: a[index].copy(), _embed(x.shape, index))
 
 
-def _embed(like: np.ndarray, index):
-    """Adjoint of reading ``like[index]``: the gradient put back at
-    ``index`` in zeros shaped as ``like``."""
+def _embed(shape, index):
+    """Adjoint of reading ``index`` of an array of ``shape``: the gradient
+    put back at ``index`` in zeros of that shape."""
     def embed(g):
-        gx = np.zeros_like(like)
+        gx = np.zeros(shape)
         gx[index] = g
         return gx
 
@@ -712,12 +751,13 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: str = "valid", p
     hp, wp = h + pads[0] + pads[1], w_ + pads[2] + pads[3]
     if kh > hp or kw > wp:
         raise ValueError("kernel larger than (padded) input")
-    out = _conv_forward(x.data, weight.data, stride, padding, pads)
+    xd, wd = x.data, weight.data
+    out = _conv_forward(xd, wd, stride, padding, pads)
 
     def bw(g):
-        gw = _conv_weight_grad(x.data, g, kh, kw, stride, padding, pads)
+        gw = _conv_weight_grad(xd, g, kh, kw, stride, padding, pads)
         unpad = _padding_maps(padding, pads, h, w_)[1]
-        return unpad(_conv_transpose(g, weight.data, stride, (hp, wp))), gw
+        return unpad(_conv_transpose(g, wd, stride, (hp, wp))), gw
 
     return Tensor(out, (x, weight), bw)
 
@@ -734,11 +774,11 @@ def conv_transpose2d(x: Tensor, weight: Tensor, stride: int = 2) -> Tensor:
     ic, _, kh, kw = weight.shape
     if ic != c:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {ic}")
-    wdat = weight.data
-    out = _conv_transpose(x.data, wdat, stride, (stride * (h - 1) + kh, stride * (w_ - 1) + kw))
+    xd, wd = x.data, weight.data
+    out = _conv_transpose(xd, wd, stride, (stride * (h - 1) + kh, stride * (w_ - 1) + kw))
 
     def bw(g):
-        return _conv_forward(g, wdat, stride), _conv_weight_grad(g, x.data, kh, kw, stride)
+        return _conv_forward(g, wd, stride), _conv_weight_grad(g, xd, kh, kw, stride)
 
     return Tensor(out, (x, weight), bw)
 
@@ -782,7 +822,7 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= c:
         raise ValueError(f"channel slice [{start}, {stop}) leaves the {c} channels")
     index = np.s_[start:stop]
-    return apply_linear(x, lambda a: a[index].copy(), _embed(x.data, index))
+    return apply_linear(x, lambda a: a[index].copy(), _embed(x.shape, index))
 
 
 def apply_linear(x: Tensor, forward_fn, adjoint_fn) -> Tensor:

@@ -134,40 +134,55 @@ class DatasetConfig:
             raise ValueError("dataset shape must be three positive integers and count positive")
 
 
+def _piecewise_constant(h, w, rng):
+    img = np.full((h, w), rng.uniform(0.1, 0.4))
+    for _ in range(rng.integers(2, 6)):
+        t, l = rng.integers(0, h - 2), rng.integers(0, w - 2)
+        bh = int(rng.integers(2, max(3, h // 2)))
+        bw = int(rng.integers(2, max(3, w // 2)))
+        img[t:t + bh, l:l + bw] = rng.uniform(0, 1)
+    return img
+
+
+def _smooth_bumps(h, w, rng):
+    yy, xx = np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
+    img = np.zeros((h, w))
+    for _ in range(rng.integers(2, 5)):
+        cy, cx = rng.uniform(0, 1, 2)
+        s = rng.uniform(0.08, 0.25)
+        img += rng.uniform(0.3, 1.0) * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * s ** 2))
+    img /= max(img.max(), 1e-9)
+    return img
+
+
+def _text_like(h, w, rng):
+    img = np.full((h, w), 0.95)
+    for _ in range(rng.integers(4, 10)):
+        r0, c0 = rng.integers(1, h - 1), rng.integers(1, w - 1)
+        length = int(rng.integers(2, max(3, w // 3)))
+        if rng.random() < 0.5:
+            img[r0, c0:c0 + length] = rng.uniform(0, 0.2)
+        else:
+            img[r0:r0 + length, c0] = rng.uniform(0, 0.2)
+    return img
+
+
+# dataset kind -> draw(h, w, rng), which draws one (h, w) image from rng
+_IMAGE_KINDS = {
+    "piecewise-constant": _piecewise_constant,
+    "smooth-bumps": _smooth_bumps,
+    "text-like": _text_like,
+}
+
+
 def make_synthetic_dataset(kind: str, count: int, shape, seed: int = 0) -> list:
     """Deterministic synthetic images in [0, 1]; shape is (C, H, W)."""
+    if kind not in _IMAGE_KINDS:
+        raise ValueError(f"unknown dataset kind {kind!r}; known kinds {sorted(_IMAGE_KINDS)}")
+    draw = _IMAGE_KINDS[kind]
     c, h, w = shape
     rng = np.random.default_rng(seed)
-    images = []
-    for _ in range(count):
-        if kind == "piecewise-constant":
-            img = np.full((h, w), rng.uniform(0.1, 0.4))
-            for _ in range(rng.integers(2, 6)):
-                t, l = rng.integers(0, h - 2), rng.integers(0, w - 2)
-                bh = int(rng.integers(2, max(3, h // 2)))
-                bw = int(rng.integers(2, max(3, w // 2)))
-                img[t:t + bh, l:l + bw] = rng.uniform(0, 1)
-        elif kind == "smooth-bumps":
-            yy, xx = np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
-            img = np.zeros((h, w))
-            for _ in range(rng.integers(2, 5)):
-                cy, cx = rng.uniform(0, 1, 2)
-                s = rng.uniform(0.08, 0.25)
-                img += rng.uniform(0.3, 1.0) * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * s ** 2))
-            img /= max(img.max(), 1e-9)
-        elif kind == "text-like":
-            img = np.full((h, w), 0.95)
-            for _ in range(rng.integers(4, 10)):
-                r0, c0 = rng.integers(1, h - 1), rng.integers(1, w - 1)
-                length = int(rng.integers(2, max(3, w // 3)))
-                if rng.random() < 0.5:
-                    img[r0, c0:c0 + length] = rng.uniform(0, 0.2)
-                else:
-                    img[r0:r0 + length, c0] = rng.uniform(0, 0.2)
-        else:
-            raise ValueError(f"unknown dataset kind {kind!r}")
-        images.append(np.broadcast_to(np.clip(img, 0, 1), (c, h, w)).copy())
-    return images
+    return [np.broadcast_to(np.clip(draw(h, w, rng), 0, 1), (c, h, w)).copy() for _ in range(count)]
 
 
 def _random_patch(img: np.ndarray, size: int, rng) -> np.ndarray:

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +42,43 @@ def default_config_step_digest(n: int) -> str:
 def xhat_of(model, inst):
     """R(y), the reconstruction every self-supervised loss is handed."""
     return model.forward(inst.y, inst.op, inst.noise)
+
+
+def default_config_inpainting(n: int) -> ProblemInstance:
+    op = ops.make_inpainting(ops.make_bernoulli_mask((1, n, n), 0.6, seed=42))
+    y = op.apply(np.random.default_rng(3).random(op.domain_shape))
+    return ProblemInstance(op=op, y=y, noise=NoiseParams(sigma=0.05))
+
+
+def tape_nodes(t: T.Tensor) -> list:
+    """Every node of ``t``'s tape, each once."""
+    nodes, todo = {}, [t.node]
+    while todo:
+        node = todo.pop()
+        if node is not None and id(node) not in nodes:
+            nodes[id(node)] = node
+            todo.extend(node.parents)
+    return list(nodes.values())
+
+
+def closure_tensors(fn) -> list:
+    """The tensors ``fn``'s closure cells hold, following nested closures,
+    bound methods and containers."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, T.Tensor):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif hasattr(obj, "__func__"):
+            todo.extend((obj.__func__, obj.__self__))
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
 
 
 class LinearModel:
@@ -518,3 +557,45 @@ class TestFinetune:
     def test_config_round_trip(self):
         cfg = ss.FinetuneConfig(mc_loss="split", null_loss="moi", omega=0.3, steps=11)
         assert read_config(ss.FinetuneConfig, config_dict(cfg), "finetune config") == cfg
+
+
+class TestTapeKeepsWhatBackwardReads:
+    def test_no_closure_holds_a_tensor(self):
+        # a node holds no value, and a backward closure only the arrays and
+        # shapes its formula reads: a tensor there would pin its array
+        inst = default_config_inpainting(32)
+        model = RamModel(RamConfig())
+        xhat = model.forward(inst.y, inst.op, inst.noise)
+        loss = ss.sure_loss(model, inst, xhat, seed=1) + T.constant(0.1) * ss.ei_loss(
+            model, inst, xhat, ss.TransformGroup(), seed=2)
+        for out in (xhat, loss):
+            nodes = tape_nodes(out)
+            leaves = [node for node in nodes if node.backward is None]
+            assert leaves and {id(node.leaf()) for node in leaves} <= {id(p) for p in model.parameters()}
+            for node in leaves:
+                assert node.parents == () and node.leaf().node is node
+            for node in nodes:
+                if node.backward is not None:
+                    assert node.leaf is None and closure_tensors(node.backward) == []
+
+    def test_default_config_64_peaks(self):
+        # a conv output dies once its relu has read it, as do the 1x1
+        # decode and upsample outputs and the Krylov features once stacked
+        inst = default_config_inpainting(64)
+        model = RamModel(RamConfig())
+        step = lambda: ss.finetune(model, [inst], ss.FinetuneConfig(steps=1))
+        step()  # norm and coarse operators cached
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = model.forward(inst.y, inst.op, inst.noise)
+            kept = (tracemalloc.get_traced_memory()[0] - before) / 2 ** 20
+            del held
+            tracemalloc.reset_peak()
+            step()
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert kept <= 16.0, f"a 64x64 taped forward keeps {kept:.1f} MB"
+        assert peak <= 75.0, f"a 64x64 SURE+EI step peaks at {peak:.1f} MB"

@@ -136,11 +136,11 @@ class TestGraphSolvers:
 
     def test_single_node_on_inputs(self):
         op = ops.make_blur(ops.make_gaussian_kernel(1.0, 3), (1, 8, 8))
-        aty = T.constant(op.adjoint(np.ones(op.range_shape)))
-        lam = T.constant(0.4)
+        aty = T.Tensor(op.adjoint(np.ones(op.range_shape)), requires_grad=True)
+        lam = T.Tensor(0.4, requires_grad=True)
         u = solvers.prox_estimate_graph(op, aty, lam, cg_iters=10, cg_tol=1e-6)
-        assert len(u._parents) == 2
-        assert u._parents[0] is aty and u._parents[1] is lam
+        assert len(u.node.parents) == 2
+        assert u.node.parents[0] is aty.node and u.node.parents[1] is lam.node
 
     @staticmethod
     def _dense_vjp(lam_val, seed):

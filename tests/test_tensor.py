@@ -69,6 +69,15 @@ class TestBasics:
         loss.backward()
         assert np.allclose(w.grad, [4.0])
 
+    def test_dropped_parameter_freed_at_once(self):
+        # a leaf's node refers to its tensor weakly: no cycle outlives the
+        # parameter, and a loss that does only skips its gradient
+        w = T.Parameter("w", [2.0])
+        loss, dropped = T.mul(w, w), weakref.ref(w)
+        del w
+        assert dropped() is None
+        loss.backward()
+
 
 def _small_graph(w):
     """A loss summed over two images, one graph each."""
@@ -86,9 +95,9 @@ class TestNoGrad:
         with T.no_grad():
             free = _small_graph(w)
             h = T.relu(T.mul(w, w))
-        assert taped._parents and taped._backward is not None
+        assert taped.node is not None and taped.node.backward is not None
         for t in (free, h):
-            assert t._parents == () and t._backward is None and not t.requires_grad
+            assert t.node is None and not t.requires_grad
         assert np.array_equal(free.data, taped.data)
 
     def test_backward_leaves_parameters_untouched(self):
@@ -110,7 +119,7 @@ class TestNoGrad:
 
         def hold():
             with T.no_grad():
-                seen["held"] = _small_graph(w)._parents
+                seen["held"] = _small_graph(w).node
                 inside.set()
                 release.wait(10)
 
@@ -118,23 +127,23 @@ class TestNoGrad:
         worker.start()
         try:
             assert inside.wait(10)
-            seen["other"] = _small_graph(w)._parents
+            seen["other"] = _small_graph(w).node
         finally:
             release.set()
             worker.join()
-        assert seen["held"] == () and seen["other"] != ()
+        assert seen["held"] is None and seen["other"] is not None
 
     def test_restored_after_exception_and_nesting(self):
         w = T.Parameter("w", np.ones((1,)))
         with pytest.raises(RuntimeError):
             with T.no_grad():
                 raise RuntimeError("inside")
-        assert T.mul(w, w)._parents
+        assert T.mul(w, w).node is not None
         with T.no_grad():
             with T.no_grad():
                 pass
-            assert T.mul(w, w)._parents == ()
-        assert T.mul(w, w)._parents
+            assert T.mul(w, w).node is None
+        assert T.mul(w, w).node is not None
 
 
 class TestRelu:
@@ -164,8 +173,9 @@ class TestRelu:
         out = T.relu(xt)
         assert np.array_equal(out.data, np.where(x > 0, x, 0.0))
         assert not np.signbit(out.data).any()
-        # the backward reads the parent; no mask is kept beside it
-        assert [c.cell_contents for c in out._backward.__closure__] == [xt]
+        # the backward reads the output; no mask, and not the input, is kept
+        (cell,) = out.node.backward.__closure__
+        assert cell.cell_contents is out.data
         T.sum_all(out).backward()
         assert np.array_equal(xt.grad, [0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
 
@@ -454,7 +464,7 @@ class TestConvParity:
         out = T.conv2d(x, w, padding=padding, pad=pad)
         pt, pb, pl, pr = (pad,) * 4 if isinstance(pad, int) else pad
         padded = (3, 6 + pt + pb, 5 + pl + pr)
-        seen, todo = [], [out._backward]
+        seen, todo = [], [out.node.backward]
         while todo:
             obj = todo.pop()
             if isinstance(obj, T.Tensor):
@@ -702,12 +712,12 @@ class TestConcat:
         inputs = [T.Parameter(f"p{i}", rng.standard_normal((c, 3, 2))) for i, c in enumerate((2, 1, 3))]
         cat = T.concat_channels(inputs)
         g = rng.standard_normal(cat.shape)
-        grads = cat._backward(g)
+        grads = cat.node.backward(g)
         assert [gr.shape[0] for gr in grads] == [2, 1, 3]
         for gr, lo in zip(grads, (0, 2, 3)):
             assert np.shares_memory(gr, g) and np.array_equal(gr, g[lo:lo + gr.shape[0]])
         assert cat.shape == (6, 3, 2)
-        (one,) = T.concat_channels(inputs[:1])._backward(g[:2])
+        (one,) = T.concat_channels(inputs[:1]).node.backward(g[:2])
         assert np.array_equal(one, g[:2])
 
 

@@ -45,6 +45,8 @@ class TestSyntheticData:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             tr.make_synthetic_dataset("checkerboard", 1, (1, 8, 8), seed=0)
+        with pytest.raises(ValueError, match="unknown dataset kind"):  # before any draw
+            tr.make_synthetic_dataset("checkerboard", 0, (1, 8, 8), seed=0)
 
 
 class TestSampleBatch:
