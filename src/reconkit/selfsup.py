@@ -91,32 +91,62 @@ class TransformGroup:
 # ---------------------------------------------------------------------------
 
 
-def mc_divergence(fn, y: np.ndarray, base: T.Tensor, eps: float | None = None,
-                  probes: int = 1, seed: int = 0) -> T.Tensor:
-    """Monte-Carlo divergence of ``fn`` (a numpy array to a graph tensor of
-    its shape) at ``y`` with Rademacher probes b: (1/N) sum b^T (fn(y + eps b)
-    - base) / eps with ``base`` = fn(y), one ``fn`` call per probe, and
-    differentiable through every ``fn`` evaluation and ``base``."""
+def _probe_step(y: np.ndarray, eps: float | None, probes: int) -> float:
     if probes < 1:
         raise ValueError("need at least one probe")
     if eps is None:
         eps = max(1e-3 * float(np.max(np.abs(y))), 1e-6)
     if eps <= 0:
         raise ValueError("probe step must be positive")
+    return eps
+
+
+def _divergence_terms(fn, y, base, eps, probes, seed, weight):
+    """``mc_divergence`` as a loss body (see ``tensor.whole``): each probe's
+    term, with the gradient a loss of ``weight`` times the estimate sends
+    it, and the estimate."""
     rng = np.random.default_rng(seed)
+    grad = np.full(1, weight * (1.0 / probes))
     total = None
     for _ in range(probes):
         b = rng.choice([-1.0, 1.0], size=y.shape)
-        pert = fn(y + eps * b)
-        bt = T.constant(b)
-        term = T.dot(pert - base, bt) * T.constant(1.0 / eps)
+        term = T.dot(fn(y + eps * b) - base, T.constant(b)) * T.constant(1.0 / eps)
+        yield term, grad
         total = term if total is None else total + term
     return total * T.constant(1.0 / probes)
+
+
+def mc_divergence(fn, y: np.ndarray, base: T.Tensor, eps: float | None = None,
+                  probes: int = 1, seed: int = 0) -> T.Tensor:
+    """Monte-Carlo divergence of ``fn`` (a numpy array to a graph tensor of
+    its shape) at ``y`` with Rademacher probes b: (1/N) sum b^T (fn(y + eps b)
+    - base) / eps with ``base`` = fn(y), one ``fn`` call per probe, and
+    differentiable through every ``fn`` evaluation and ``base``."""
+    eps = _probe_step(y, eps, probes)
+    return T.whole(_divergence_terms(fn, y, base, eps, probes, seed, 1.0))
 
 
 def _require_gaussian(noise) -> None:
     if noise.gamma > 0:
         raise ValueError("SURE here assumes pure Gaussian noise (gamma == 0)")
+
+
+def _sure_terms(model, inst: ProblemInstance, axhat: T.Tensor, probes: int, seed: int):
+    """``sure_loss`` as a loss body (see ``tensor.whole``) from ``axhat`` =
+    A R(y): the residual term, then each probe's divergence term."""
+    op, sigma = inst.op, inst.noise.sigma
+
+    def ar(yv):
+        return T.apply_linear(model.forward(yv, op, inst.noise), op.apply, op.adjoint)
+
+    loss = T.sum_all(T.square(axhat - T.constant(inst.y)))
+    yield loss, None
+    if sigma > 0:
+        weight = 2.0 * sigma ** 2
+        div = yield from _divergence_terms(ar, inst.y, axhat, _probe_step(inst.y, None, probes),
+                                           probes, seed, weight)
+        loss = loss + T.constant(weight) * div
+    return loss
 
 
 def sure_loss(model, inst: ProblemInstance, xhat: T.Tensor, probes: int = 1,
@@ -126,18 +156,8 @@ def sure_loss(model, inst: ProblemInstance, xhat: T.Tensor, probes: int = 1,
     the divergence base share ``xhat`` = R(y), i.e. ``model.forward(inst.y,
     inst.op, inst.noise)``."""
     _require_gaussian(inst.noise)
-    op, sigma = inst.op, inst.noise.sigma
-
-    def ar(yv):
-        return T.apply_linear(model.forward(yv, op, inst.noise), op.apply, op.adjoint)
-
-    axhat = T.apply_linear(xhat, op.apply, op.adjoint)
-    resid = axhat - T.constant(inst.y)
-    loss = T.sum_all(T.square(resid))
-    if sigma > 0:
-        div = mc_divergence(ar, inst.y, axhat, probes=probes, seed=seed)
-        loss = loss + T.constant(2.0 * sigma ** 2) * div
-    return loss
+    axhat = T.apply_linear(xhat, inst.op.apply, inst.op.adjoint)
+    return T.whole(_sure_terms(model, inst, axhat, probes, seed))
 
 
 def split_loss(model, inst: ProblemInstance, keep_prob: float = 0.9,
@@ -222,10 +242,16 @@ def finetune(model, instances: list, cfg: FinetuneConfig) -> dict:
     Each instance's reconstruction x_hat = R(y) is computed once per step
     and shared by the SURE residual, its divergence base and the EI or
     MOI term, so a SURE+EI step with one probe is 3 model forwards per
-    instance (x_hat, the probe, the EI pass) and one backward.  Split
-    keeps its own forward, from the masked measurement.  The returned
-    ``forwards_per_step`` is the model's ``eval_count`` over the call
-    divided by the steps."""
+    instance (x_hat, the probe, the EI pass).  Split keeps its own
+    forward, from the masked measurement.  The terms read x_hat through
+    two leaves holding values, A x_hat (the residual and each probe's
+    base) and x_hat (EI or MOI); each term is backwarded as it is built,
+    residual, probes, then EI or MOI, so one other forward's tape is
+    alive beside x_hat's, and a closing backward carries the leaves'
+    gradient, A^T (A x_hat's) + x_hat's, through x_hat's tape.  The
+    gradients and the loss are those of one backward of the instance's
+    loss, bit for bit.  The returned ``forwards_per_step`` is the model's
+    ``eval_count`` over the call divided by the steps."""
     if not instances:
         raise ValueError("no finetuning measurements")
     if cfg.mc_loss == "sure":
@@ -235,23 +261,36 @@ def finetune(model, instances: list, cfg: FinetuneConfig) -> dict:
     operator_family = [inst.op for inst in instances]
     opt = T.AdamOptimizer(model.parameters(), lr=cfg.lr)
 
-    def losses(step):  # per instance L_MC + omega L_NULL, one backward each
-        for i, inst in enumerate(instances):
-            sd = cfg.seed * 1000003 + step * 131 + i
-            xhat = (model.forward(inst.y, inst.op, inst.noise)
-                    if cfg.mc_loss == "sure" or cfg.null_loss != "none" else None)
-            if cfg.mc_loss == "sure":
-                loss = sure_loss(model, inst, xhat, probes=cfg.probes, seed=sd)
-            else:
-                loss = split_loss(model, inst, keep_prob=cfg.keep_prob, seed=sd)
+    def instance_loss(inst, sd):  # L_MC + omega L_NULL as a loss body (see tensor.whole)
+        xhat = grad = None
+        if cfg.mc_loss == "sure" or cfg.null_loss != "none":
+            xhat = model.forward(inst.y, inst.op, inst.noise)
+        if cfg.mc_loss == "sure":
+            axhat = T.leaf(inst.op.apply(xhat.data))
+            loss = yield from _sure_terms(model, inst, axhat, cfg.probes, sd)
+            # one backward adds this to x_hat's gradient before the null term's
+            grad = inst.op.adjoint(axhat.grad)
+        else:
+            loss = split_loss(model, inst, keep_prob=cfg.keep_prob, seed=sd)
+            yield loss, None
+        if cfg.null_loss != "none":
+            x = T.leaf(xhat.data)
+            x.grad = grad
             if cfg.null_loss == "ei":
-                loss = loss + T.constant(cfg.omega) * ei_loss(
-                    model, inst, xhat, group, seed=sd + 7)
-            elif cfg.null_loss == "moi":
-                loss = loss + T.constant(cfg.omega) * moi_loss(
-                    model, inst, xhat, operator_family, seed=sd + 7)
-            yield loss
-            del xhat, loss  # their tape dies before the next instance's forwards
+                null = ei_loss(model, inst, x, group, seed=sd + 7)
+            else:
+                null = moi_loss(model, inst, x, operator_family, seed=sd + 7)
+            term = T.constant(cfg.omega) * null
+            yield term, None
+            loss = loss + term
+            grad = x.grad
+        if xhat is not None:
+            yield xhat, grad
+        return loss
+
+    def losses(step):
+        for i, inst in enumerate(instances):
+            yield instance_loss(inst, cfg.seed * 1000003 + step * 131 + i)
 
     history = []
     best_score, best_step = np.inf, -1

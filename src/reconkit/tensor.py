@@ -11,10 +11,21 @@ slices; the operands of a product; a convolution's input and weight;
 a relu's own output, since ``out > 0`` equals ``x > 0`` bit for bit), so
 a value no backward reads, such as a convolution's output once its relu
 has read it, dies with its tensor.  ``backward`` walks the nodes in
-reverse topological order and accumulates gradients into leaves.
-Gradients of :class:`Parameter` leaves persist across backward calls
-until explicitly zeroed, so repeated backward passes accumulate
-additively.
+reverse topological order from a loss, or from any tensor given the
+loss's gradient there, and each leaf adds every gradient it is sent to
+its ``grad`` as it arrives.  Gradients of :class:`Parameter` leaves
+persist across backward calls until explicitly zeroed, so repeated
+backward passes accumulate additively.
+
+A loss can also be built term by term by a loss body (:func:`whole`), a
+generator that yields each term with the loss's gradient there.  Under
+:meth:`AdamOptimizer.descend` each term is backwarded as it is yielded
+and its tape dropped before the next term is built; a value that several
+terms read enters them through a :func:`leaf`, and a last term carries
+the leaf's gradient through the value's own tape.  Run in the order one
+backward of the whole loss reaches them, the terms give its gradients
+and its value bit for bit, as every leaf adds its gradients one at a
+time in that order, and each loss adds into zeroed buffers.
 
 Inside a :func:`no_grad` block the calling thread builds no tape: every
 operation returns a tensor with no node, so the arrays an operation
@@ -97,6 +108,8 @@ __all__ = [
     "pad_zero",
     "crop2d",
     "apply_linear",
+    "leaf",
+    "whole",
     "AdamOptimizer",
 ]
 
@@ -204,14 +217,23 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- autodiff --------------------------------------------------------
-    def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf gradient.
+    def backward(self, grad=None) -> None:
+        """Accumulate d(loss)/d(leaf) into every reachable leaf gradient,
+        given ``grad`` = d(loss)/d(self), an array of self's shape; by
+        default self is the loss and must be scalar.
 
-        ``self`` must be scalar.  Each node is visited exactly once, in
-        reverse topological order of the (acyclic) tape.
+        Each node is visited exactly once, in reverse topological order of
+        the (acyclic) tape, and sums its consumers' gradients in that order.
+        A leaf adds each one to its ``grad`` as it arrives, so backwards
+        that split a loss into terms, run in the order one backward of the
+        loss reaches them, add in that backward's order.
         """
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar loss")
+        if grad is None:
+            if self.data.size != 1:
+                raise ValueError("backward() requires a scalar loss")
+            grad = np.ones_like(self.data)
+        elif grad.shape != self.data.shape:
+            raise ValueError(f"gradient shape {grad.shape} != tensor shape {self.data.shape}")
         if self.node is None:
             return
         order: list[_Node] = []
@@ -235,29 +257,35 @@ class Tensor:
                 if p is not None and state.get(id(p)) != 1:
                     stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self.node): np.ones_like(self.data)}
+        grads: dict[int, np.ndarray] = {id(self.node): grad}
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.backward is not None:
-                parent_grads = node.backward(g)
-                for p, pg in zip(node.parents, parent_grads):
-                    if pg is None or p is None:
-                        continue
-                    nid = id(p)
-                    if nid in grads:
-                        grads[nid] = grads[nid] + pg
-                    else:
-                        grads[nid] = pg
-            else:
-                # leaf: accumulate into persistent grad, if it is alive
-                leaf = node.leaf()
-                if leaf is None:
+            if node.backward is None:  # only the start can be a leaf here
+                _accumulate(node, g)
+                continue
+            for p, pg in zip(node.parents, node.backward(g)):
+                if pg is None or p is None:
                     continue
-                if leaf.grad is None:
-                    leaf.grad = np.zeros_like(leaf.data)
-                leaf.grad += g
+                if p.backward is None:
+                    _accumulate(p, pg)
+                    continue
+                nid = id(p)
+                if nid in grads:
+                    grads[nid] = grads[nid] + pg
+                else:
+                    grads[nid] = pg
+
+
+def _accumulate(node: _Node, g: np.ndarray) -> None:
+    """Add ``g`` to the gradient of a leaf's tensor, if it is alive."""
+    leaf = node.leaf()
+    if leaf is None:
+        return
+    if leaf.grad is None:
+        leaf.grad = np.zeros_like(leaf.data)
+    leaf.grad += g
 
 
 class Parameter(Tensor):
@@ -278,6 +306,47 @@ class Parameter(Tensor):
 
 def constant(data) -> Tensor:
     return Tensor(data)
+
+
+def leaf(data: np.ndarray) -> Tensor:
+    """A requires-grad leaf holding the array ``data``, unchecked: where a
+    tensor's value enters later terms of a loss without its tape, the
+    leaf's ``grad`` collects their gradient, for one backward through that
+    tape to carry on."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad = data, None
+    out.node = _Node((), None, weakref.ref(out))
+    return out
+
+
+def whole(body) -> Tensor:
+    """The loss a term-by-term loss body builds, each term on its tape.
+
+    A body is a generator that yields each term of its loss as a pair
+    (term, grad), ``grad`` being d(loss)/d(term) as
+    :meth:`Tensor.backward` takes it (None for a scalar term the loss
+    adds), and returns the loss built from its terms.
+    :meth:`AdamOptimizer.descend` runs each term's backward as it is
+    yielded and drops its tape, so the body then builds the loss's value
+    with no tape, in the same order."""
+    try:
+        while True:
+            next(body)
+    except StopIteration as done:
+        return done.value
+
+
+def _streamed(body) -> Tensor:
+    """Run a loss body (see :func:`whole`) one term's tape at a time:
+    backward each term as it is yielded, then drop its node.  Returns the
+    loss, which holds its value only."""
+    try:
+        while True:
+            term, grad = next(body)
+            term.backward(grad)
+            term.node = None
+    except StopIteration as done:
+        return done.value
 
 
 def _wrap(x) -> Tensor:
@@ -862,14 +931,33 @@ class AdamOptimizer:
     def descend(self, losses, what: str) -> float:
         """Zero the gradients, run each loss's backward as ``losses`` builds
         it, refuse a non-finite total before any update, then ``step``.
-        Returns the total loss."""
+        Returns the total loss.
+
+        A loss is a scalar tensor or a loss body (see :func:`whole`), whose
+        terms are backwarded one at a time as it yields them.  Each loss's
+        gradients sum in zeroed buffers, added to the parameters'
+        gradients once, so every sum keeps the order of one backward of
+        that loss."""
         for p in self.params:
             p.zero_grad()
-        total = 0.0
+        total, sums = 0.0, None
         for loss in losses:
-            loss.backward()
+            if sums is not None:  # a later loss's buffers
+                for p in self.params:
+                    p.zero_grad()
+            if isinstance(loss, Tensor):
+                loss.backward()
+            else:
+                loss = _streamed(loss)
             total += loss.item()
             del loss  # its tape dies before the next loss is built
+            if sums is None:
+                sums = [p.grad for p in self.params]
+            else:
+                for s, p in zip(sums, self.params):
+                    s += p.grad
+        for p, s in zip(self.params, sums or ()):
+            p.grad = s
         if not np.isfinite(total):
             raise RuntimeError(f"{what} diverged at step {self.t}: loss {total}")
         self.step()

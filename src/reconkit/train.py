@@ -4,7 +4,6 @@ patch sampling, the training loop, and synthetic desk-scale datasets."""
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -233,7 +232,10 @@ def task_loss(model, inst: ProblemInstance) -> T.Tensor:
 
 def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
     """Joint multi-task loop: per step one batch per task, losses summed,
-    one Adam step; lr is divided by 10 at the decay step.
+    one Adam step; lr is divided by 10 at the decay step.  Each
+    instance's loss is backwarded as soon as it is built, so one forward's
+    tape is alive at a time; the gradients are those of one backward of
+    each task's summed loss, bit for bit.
 
     ``datasets`` maps task name -> image list.  Returns a report with the
     loss trajectory and final per-task train PSNR next to the A^T y
@@ -247,19 +249,21 @@ def train(model, tasks: list, cfg: TrainConfig, datasets: dict) -> dict:
     evals = {}  # task name -> its latest _eval_task
     per_task = {}  # task name -> its loss at this step
 
-    def task_losses(step):  # per task one batch, one loss, one backward
-        for ti, task in enumerate(tasks):
-            batch = sample_batch(task, datasets[task.name], cfg.batch_size,
-                                 cfg.patch_size, seed=cfg.seed * 1000003 + step * 131 + ti)
-            task_total = functools.reduce(T.add, (task_loss(model, inst) for inst in batch))
-            per_task[task.name] = task_total.item()
-            yield task_total
-            del task_total  # its tape dies before the next batch's forwards
+    def batch_loss(task, seed):  # a task's summed loss as a loss body (see tensor.whole)
+        total = None
+        for inst in sample_batch(task, datasets[task.name], cfg.batch_size, cfg.patch_size, seed=seed):
+            loss = task_loss(model, inst)
+            yield loss, None  # backwarded before the next instance's forward
+            total = loss if total is None else total + loss
+        per_task[task.name] = total.item()
+        return total
 
     for step in range(cfg.steps):
         if step == cfg.lr_decay_step:
             opt.lr = cfg.lr / 10.0
-        loss_history.append(opt.descend(task_losses(step), "training"))
+        loss_history.append(opt.descend(
+            (batch_loss(task, cfg.seed * 1000003 + step * 131 + ti) for ti, task in enumerate(tasks)),
+            "training"))
         if (step + 1) % cfg.log_every == 0 or step == cfg.steps - 1:
             for task in tasks:
                 # a log row scores 4 instances; the last step draws the

@@ -1,4 +1,5 @@
-"""Hypothesis profiles and the pinned-BLAS runner of the golden tests.
+"""Hypothesis profiles, the pinned-BLAS runner of the golden tests and a
+recorder of Adam steps' gradients.
 
 With ``CI`` set in the environment (GitHub Actions sets ``CI=true``), the
 ``ci`` profile makes every property test draw the same examples on every
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import settings
 
 import reconkit
+from reconkit import tensor as T
 
 settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 
@@ -44,3 +46,17 @@ def golden_python():
         return out.stdout
 
     return run
+
+
+@pytest.fixture
+def adam_steps(monkeypatch):
+    """Every Adam step's parameter gradients, recorded as it is taken, in
+    parameter order."""
+    recorded, step = [], T.AdamOptimizer.step
+
+    def recording_step(opt):
+        recorded.append([p.grad.copy() for p in opt.params])
+        step(opt)
+
+    monkeypatch.setattr(T.AdamOptimizer, "step", recording_step)
+    return recorded

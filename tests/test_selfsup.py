@@ -22,16 +22,31 @@ TINY = RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=1,
                  head_channels=(1,), seed=5)
 
 
-def default_config_step_digest(n: int) -> str:
+def set_heads(model: RamModel, seed: int) -> RamModel:
+    """Give every ``head*.conv_out`` non-zero weights, so every weight of
+    the trunk gets a gradient (at zero output heads only ``conv_out`` and
+    ``eta`` do)."""
+    rng = np.random.default_rng(seed)
+    for c in model.config.head_channels:
+        p = model.param(f"head{c}.conv_out")
+        p.data = T.conv_weight(0.05 * rng.standard_normal(p.shape), 1)
+    return model
+
+
+def default_config_step_digest(n: int, probes: int = 1, heads: bool = False) -> str:
     """sha256 of the loss and the weight gradients of one SURE+EI finetune
-    step of the default config on an n x n inpainting instance."""
+    step of the default config on an n x n inpainting instance, with
+    ``probes`` divergence probes and, with ``heads``, non-zero output
+    heads."""
     rng = np.random.default_rng(41)
     op = ops.make_inpainting(ops.make_bernoulli_mask((1, n, n), 0.6, seed=42))
     x = rng.random((1, n, n))
     inst = ProblemInstance(op=op, y=op.apply(x) + 0.05 * rng.standard_normal(x.shape),
                            noise=NoiseParams(sigma=0.05))
     model = RamModel(RamConfig())
-    report = ss.finetune(model, [inst], ss.FinetuneConfig(steps=1, seed=5))
+    if heads:
+        set_heads(model, 43)
+    report = ss.finetune(model, [inst], ss.FinetuneConfig(steps=1, probes=probes, seed=5))
     # after its one step the model holds that step's gradients
     digest = hashlib.sha256(np.asarray(report["loss_history"]).tobytes())
     for p in model.parameters():
@@ -541,22 +556,101 @@ class TestFinetune:
         assert np.all(np.isfinite(report["loss_history"]))
         assert 0 <= report["best_step"] < cfg.steps
 
-    @pytest.mark.parametrize("n", [64, 96])
-    def test_default_config_golden(self, n, golden_python):
+    @pytest.mark.parametrize("key", ["64", "96", "64-heads-probes2"])
+    def test_default_config_golden(self, key, golden_python):
         """A SURE+EI step of the default config gives the loss and the
         weight gradients an earlier version computed.  A weight gradient
         sums over the convolution's row strips, so its last bits move with
         the strip partition; they must move only on purpose.  At 96x96 the
-        32-channel convolutions already run in two strips."""
+        32-channel convolutions already run in two strips.  With zero
+        output heads only ``conv_out`` and ``eta`` get a gradient; the
+        third case gives every weight one, through two probes."""
+        args = {"64-heads-probes2": "64, probes=2, heads=True"}.get(key, key)
         digest = golden_python("-c", "import test_selfsup as t; "
-                               f"print(t.default_config_step_digest({n}))").strip()
+                               f"print(t.default_config_step_digest({args}))").strip()
         golden = dict(line.split()[::-1] for line in
                       (GOLDEN / "finetune_default.sha256").read_text().splitlines())
-        assert digest == golden[str(n)]
+        assert digest == golden[key]
 
     def test_config_round_trip(self):
         cfg = ss.FinetuneConfig(mc_loss="split", null_loss="moi", omega=0.3, steps=11)
         assert read_config(ss.FinetuneConfig, config_dict(cfg), "finetune config") == cfg
+
+
+def one_backward_step(model, make_losses):
+    """The gradients of a step made of whole losses: each loss is one
+    backward into zeroed gradients, and the losses' gradients are added in
+    order.  Returns the gradients and the total."""
+    grads, total = None, 0.0
+    for make_loss in make_losses:
+        model.zero_grad()
+        loss = make_loss()
+        loss.backward()
+        total += loss.item()
+        g = [p.grad for p in model.parameters()]
+        grads = g if grads is None else [a + b for a, b in zip(grads, g)]
+    return grads, total
+
+
+class TestStreamedStep:
+    """finetune backwards each term of an instance's loss as it builds it,
+    and adds each instance's gradients once: every step's gradients and
+    total equal those of one backward of each instance's whole loss."""
+
+    CONFIGS = {"tiny": TINY, "three-scale": RamConfig(num_scales=3, base_width=8, blocks=1,
+                                                        krylov_depth=1, head_channels=(1,), seed=6)}
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(33)
+        out = []
+        for op in (ops.make_inpainting(ops.make_bernoulli_mask((1, 16, 16), 0.6, seed=34)),
+                   ops.make_blur(ops.make_gaussian_kernel(1.0, 5), (1, 16, 16))):
+            y = op.apply(rng.random(op.domain_shape)) + 0.05 * rng.standard_normal(op.range_shape)
+            out.append(ProblemInstance(op=op, y=y, noise=NoiseParams(sigma=0.05)))
+        return out
+
+    @staticmethod
+    def whole_loss(model, inst, cfg, sd, family):
+        """An instance's L_MC + omega L_NULL as one loss on one tape."""
+        xhat = xhat_of(model, inst) if cfg.mc_loss == "sure" or cfg.null_loss != "none" else None
+        if cfg.mc_loss == "sure":
+            loss = ss.sure_loss(model, inst, xhat, probes=cfg.probes, seed=sd)
+        else:
+            loss = ss.split_loss(model, inst, keep_prob=cfg.keep_prob, seed=sd)
+        group = ss.TransformGroup("composite", cfg.max_shift_frac)
+        if cfg.null_loss == "ei":
+            loss = loss + T.constant(cfg.omega) * ss.ei_loss(model, inst, xhat, group, seed=sd + 7)
+        elif cfg.null_loss == "moi":
+            loss = loss + T.constant(cfg.omega) * ss.moi_loss(model, inst, xhat, family, seed=sd + 7)
+        return loss
+
+    @pytest.mark.parametrize("config", ["tiny", "three-scale"])
+    @pytest.mark.parametrize("mc_loss,null_loss,probes", [
+        ("sure", "ei", 1), ("sure", "ei", 2), ("sure", "moi", 1), ("sure", "moi", 2),
+        ("sure", "none", 1), ("sure", "none", 2),
+        ("split", "ei", 1), ("split", "moi", 1), ("split", "none", 1)])
+    def test_bit_equal_to_one_backward(self, config, mc_loss, null_loss, probes, adam_steps):
+        insts = self.instances()
+        family = [inst.op for inst in insts]
+        cfg = ss.FinetuneConfig(mc_loss=mc_loss, null_loss=null_loss, probes=probes,
+                                steps=3, lr=1e-3, seed=3)
+        report = ss.finetune(set_heads(RamModel(self.CONFIGS[config]), 9), insts, cfg)
+        recorded = adam_steps[:]  # the reference's steps are recorded after these
+        ref = set_heads(RamModel(self.CONFIGS[config]), 9)
+        adam = T.AdamOptimizer(ref.parameters(), lr=cfg.lr)
+        assert len(recorded) == cfg.steps
+        for k in range(cfg.steps):
+            grads, total = one_backward_step(ref, [
+                lambda inst=inst, i=i: self.whole_loss(ref, inst, cfg, cfg.seed * 1000003 + k * 131 + i,
+                                                       family)
+                for i, inst in enumerate(insts)])
+            assert report["loss_history"][k] == total, k
+            for p, g, got in zip(ref.parameters(), grads, recorded[k]):
+                assert np.array_equal(got, g), (k, p.name)
+                p.grad = g
+            adam.step()
+        assert all(np.any(g != 0) for g in recorded[0])  # every weight gets a gradient
 
 
 class TestTapeKeepsWhatBackwardReads:
@@ -580,11 +674,12 @@ class TestTapeKeepsWhatBackwardReads:
 
     def test_default_config_64_peaks(self):
         # a conv output dies once its relu has read it, as do the 1x1
-        # decode and upsample outputs and the Krylov features once stacked
+        # decode and upsample outputs and the Krylov features once stacked;
+        # each probe's tape dies before the next probe's forward
         inst = default_config_inpainting(64)
         model = RamModel(RamConfig())
-        step = lambda: ss.finetune(model, [inst], ss.FinetuneConfig(steps=1))
-        step()  # norm and coarse operators cached
+        step = lambda probes: ss.finetune(model, [inst], ss.FinetuneConfig(steps=1, probes=probes))
+        step(4)  # norm and coarse operators cached
         gc.collect()
         tracemalloc.start()
         try:
@@ -592,10 +687,13 @@ class TestTapeKeepsWhatBackwardReads:
             held = model.forward(inst.y, inst.op, inst.noise)
             kept = (tracemalloc.get_traced_memory()[0] - before) / 2 ** 20
             del held
-            tracemalloc.reset_peak()
-            step()
-            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+            peaks = {}
+            for probes in (1, 4):
+                tracemalloc.reset_peak()
+                step(probes)
+                peaks[probes] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
         assert kept <= 16.0, f"a 64x64 taped forward keeps {kept:.1f} MB"
-        assert peak <= 75.0, f"a 64x64 SURE+EI step peaks at {peak:.1f} MB"
+        assert peaks[1] <= 48.0, f"a 64x64 SURE+EI step peaks at {peaks[1]:.1f} MB"
+        assert peaks[4] <= peaks[1] + 2.0, f"with 4 probes at {peaks[4]:.1f} MB"

@@ -69,6 +69,22 @@ class TestBasics:
         loss.backward()
         assert np.allclose(w.grad, [4.0])
 
+    def test_backward_from_a_given_gradient(self):
+        # backward from x given d(loss)/dx is the backward of loss = <x, g>
+        rng = np.random.default_rng(7)
+        g, c = rng.standard_normal((2, 2, 3))
+        grads = []
+        for seeded in (True, False):
+            w = T.Parameter("w", np.arange(6.0).reshape(2, 3))
+            x = T.mul(T.square(w), T.constant(c))
+            x.backward(g) if seeded else T.dot(x, T.constant(g)).backward()
+            grads.append(w.grad)
+        assert np.array_equal(grads[0], grads[1])
+        with pytest.raises(ValueError):
+            x.backward(g[:1])
+        with pytest.raises(ValueError):
+            x.backward()
+
     def test_dropped_parameter_freed_at_once(self):
         # a leaf's node refers to its tensor weakly: no cycle outlives the
         # parameter, and a loss that does only skips its gradient

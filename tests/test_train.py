@@ -1,3 +1,7 @@
+import functools
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,12 +159,12 @@ class TestTaskLoss:
 
 
 class TestTrainLoop:
-    def make_setup(self, steps=3, **kw):
+    def make_setup(self, steps=3, batch_size=1, **kw):
         tasks = [tr.TaskSpec("den", "identity", sigma_range=0.1),
                  tr.TaskSpec("inp", "inpainting", sigma_range=0.05)]
         datasets = {t.name: tr.make_synthetic_dataset("piecewise-constant", 4, (1, 16, 16), seed=18)
                     for t in tasks}
-        cfg = tr.TrainConfig(steps=steps, batch_size=1, patch_size=16, lr=1e-4,
+        cfg = tr.TrainConfig(steps=steps, batch_size=batch_size, patch_size=16, lr=1e-4,
                              lr_decay_step=max(steps - 1, 1), log_every=steps, seed=1, **kw)
         return tasks, datasets, cfg
 
@@ -239,6 +243,60 @@ class TestTrainLoop:
         inst = tr.sample_batch(tasks[0], datasets["den"], 1, 16, seed=4)[0]
         assert np.array_equal(model.reconstruct(inst.y, inst.op, inst.noise),
                               loaded.reconstruct(inst.y, inst.op, inst.noise))
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_bit_equal_to_one_backward_per_task(self, batch, adam_steps):
+        # train backwards each instance's loss as it builds it and adds each
+        # task's gradients once: every step's gradients and total equal those
+        # of one backward of each task's summed loss, added task by task
+        tasks, datasets, cfg = self.make_setup(steps=3, batch_size=batch)
+        cfg.lr = 1e-3
+
+        def model():
+            m = RamModel(TINY)
+            rng = np.random.default_rng(20)
+            p = m.param("head1.conv_out")
+            p.data = T.conv_weight(0.05 * rng.standard_normal(p.shape), 1)
+            return m
+
+        report = tr.train(model(), tasks, cfg, datasets)
+        recorded = adam_steps[:]  # the reference's steps are recorded after these
+        ref = model()
+        adam = T.AdamOptimizer(ref.parameters(), lr=cfg.lr)
+        for k in range(cfg.steps):
+            if k == cfg.lr_decay_step:
+                adam.lr = cfg.lr / 10.0
+            grads, total = None, 0.0
+            for ti, task in enumerate(tasks):
+                insts = tr.sample_batch(task, datasets[task.name], batch, cfg.patch_size,
+                                        seed=cfg.seed * 1000003 + k * 131 + ti)
+                ref.zero_grad()
+                loss = functools.reduce(T.add, [tr.task_loss(ref, inst) for inst in insts])
+                loss.backward()
+                total += loss.item()
+                g = [p.grad for p in ref.parameters()]
+                grads = g if grads is None else [a + b for a, b in zip(grads, g)]
+            assert report["loss_history"][k] == total, k
+            for p, g, got in zip(ref.parameters(), grads, recorded[k]):
+                assert np.array_equal(got, g), (k, p.name)
+                p.grad = g
+            adam.step()
+        assert all(np.any(g != 0) for g in recorded[0])  # every weight gets a gradient
+
+    def test_default_config_step_peak(self):
+        # each instance's tape dies before the next instance's forward
+        task = tr.TaskSpec("inp", "inpainting", sigma_range=0.05)
+        datasets = {"inp": tr.make_synthetic_dataset("piecewise-constant", 4, (1, 64, 64), seed=0)}
+        cfg = tr.TrainConfig(steps=1, batch_size=4, patch_size=64, log_every=1)
+        model = RamModel(RamConfig())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tr.train(model, [task], cfg, datasets)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 38.0, f"a 64x64 batch-4 train step peaks at {peak:.1f} MB"
 
     def test_task_round_trip_dicts(self):
         task = tr.TaskSpec("inp", "inpainting", channels=3, sigma_range=(0.01, 0.2),
