@@ -42,11 +42,11 @@ keyed by ``key``, and ``make_coarse`` keeps coarse operators in another,
 keyed by ``(key, scale, fine_shape)``; both are guarded by one lock, so
 redrawing the same blur kernel, identity or downsampler costs no normal
 applies.  Derived handles cache nothing across objects.  CT handles of
-one angle count and image size share one sparse projector through a
-weak-value map, so it lives exactly as long as some handle, or a coarse
-operator cached from one, still uses it.  :func:`cache_stats` reports
-hits, misses and sizes of both caches and the Lanczos runs and the
-normal applies they have made.
+one angle count and image size share one CSR matrix, whose transpose
+view is the forward, through a weak-value map, so it lives exactly as
+long as some handle, or a coarse operator cached from one, uses it.
+:func:`cache_stats` reports hits, misses and sizes of both caches and
+the Lanczos runs and the normal applies they have made.
 """
 
 from __future__ import annotations
@@ -727,28 +727,17 @@ def _ct_range(num_angles: int, image_shape) -> tuple:
     return c, num_angles, int(np.ceil(np.sqrt(2.0) * h))
 
 
-class _Projector:
-    """The CT system matrix of one (angles, H, W) grid, in CSR both ways:
-    ``back`` maps sinograms to pixels and ``forward``, its transpose
-    converted once (each row summing its products in pixel order), pixels
-    to sinograms; the CSC view of ``back`` applies slower."""
-
-    def __init__(self, back):
-        self.back = back
-        self.forward = back.T.tocsr()
-
-
 # every live CT handle of a (num_angles, H, W), and the coarse operators
-# cached from it, share one projector; it is freed with the last of them
+# cached from it, share one system matrix; it is freed with the last of them
 _PROJECTORS = weakref.WeakValueDictionary()
 
 
-def _ct_projector(num_angles: int, h: int, w: int, det: int) -> _Projector:
-    """Build the projector directly in its final layout.  Pixel ``j`` has
-    exactly two entries per angle ``a``, at sinogram columns ``a*det + b``
-    and ``a*det + b + 1`` with weights ``1 - f`` and ``f``, so the rows of
-    ``back`` come sorted with ``2 * num_angles`` entries each: no triplets,
-    no sort."""
+def _ct_projector(num_angles: int, h: int, w: int, det: int):
+    """The CSR back-projection, sinograms to pixels, of one (angles, H, W)
+    grid; its transpose view is the forward.  Pixel ``j`` has exactly two
+    entries per angle ``a``, at sinogram columns ``a*det + b`` and
+    ``a*det + b + 1`` with weights ``1 - f`` and ``f``, so the rows come
+    sorted with ``2 * num_angles`` entries each: no triplets, no sort."""
     import scipy.sparse  # here, not at the top: it adds ~0.2 s to every start-up
 
     angles = np.arange(num_angles) * np.pi / num_angles
@@ -766,7 +755,7 @@ def _ct_projector(num_angles: int, h: int, w: int, det: int) -> _Projector:
         (np.stack([1.0 - f, f], axis=2).ravel(), np.stack([cols, cols + 1], axis=2).ravel(),
          2 * num_angles * np.arange(h * w + 1)), shape=(h * w, num_angles * det))
     del s, bins, f, cols
-    return _Projector(back)
+    return back
 
 
 def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
@@ -774,11 +763,11 @@ def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
 
     Each pixel center is projected onto the detector axis at every angle
     and its value is split linearly between the two nearest detector bins,
-    so each projection conserves the total image mass exactly.  The
-    adjoint is the transpose of the same sparse matrix.  Handles of one
-    ``(num_angles, H, W)`` share one projector for as long as any of them,
-    or a coarse operator cached from one, is alive: a repeated definition
-    builds nothing.
+    so each projection conserves the total image mass exactly.  One CSR
+    matrix is the adjoint; its transpose view, not a copy, is the
+    forward.  Handles of one ``(num_angles, H, W)`` share it for as long
+    as any of them, or a coarse operator cached from one, is alive: a
+    repeated definition builds nothing.
     """
     c, h, w = image_shape
     if h != w:
@@ -786,17 +775,19 @@ def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
     range_shape = _ct_range(num_angles, image_shape)
     det = range_shape[2]
     n = h * w
-    proj = _PROJECTORS.get((num_angles, h, w))
-    if proj is None:
-        # threads that miss together build equal projectors; the last one
+    back = _PROJECTORS.get((num_angles, h, w))
+    if back is None:
+        # threads that miss together build equal matrices; the last one
         # stored is shared from then on
-        proj = _PROJECTORS[num_angles, h, w] = _ct_projector(num_angles, h, w, det)
+        back = _PROJECTORS[num_angles, h, w] = _ct_projector(num_angles, h, w, det)
+    # the CSC view of the same three arrays: each bin adds its terms in pixel order
+    forward = back.T
 
     def apply_fn(x):
-        return (proj.forward @ x.reshape(c, n).T).T.reshape(range_shape)
+        return (forward @ x.reshape(c, n).T).T.reshape(range_shape)
 
     def adjoint_fn(y):
-        return (proj.back @ y.reshape(c, num_angles * det).T).T.reshape(c, h, w)
+        return (back @ y.reshape(c, num_angles * det).T).T.reshape(c, h, w)
 
     return _keyed(OperatorHandle(
         image_shape, range_shape, apply_fn, adjoint_fn,
@@ -899,9 +890,14 @@ def make_compressed_sensing(sign_mask: np.ndarray, keep_indices: np.ndarray,
     sign_mask = _owned(sign_mask)
     if sign_mask.shape != (h, w) or not np.all(np.abs(sign_mask) == 1):
         raise ValueError("sign mask must be (H, W) with values in {-1, +1}")
-    keep = np.array(keep_indices, dtype=np.int64)
+    keep = np.asarray(keep_indices)
     if keep.ndim != 1:
         raise ValueError("keep indices must be a 1-D list")
+    # a manifest stores them as floats: 0.5 is refused, never cast to 0
+    if keep.dtype.kind not in "iu" and not (
+            keep.dtype.kind == "f" and np.all(np.isfinite(keep) & (keep == np.round(keep)))):
+        raise ValueError("keep indices must be integers")
+    keep = keep.astype(np.int64)
     if len(np.unique(keep)) != len(keep):
         raise ValueError("keep indices must be distinct")
     if keep.size and (keep.min() < 0 or keep.max() >= h * w):
@@ -1068,7 +1064,7 @@ KINDS = {
     "compressed_sensing": OperatorKind(
         {}, ("sign_mask", "keep_indices"),
         lambda shape, spec, arrays: make_compressed_sensing(
-            arrays["sign_mask"], np.asarray(arrays["keep_indices"], dtype=np.int64), shape),
+            arrays["sign_mask"], arrays["keep_indices"], shape),
         lambda shape, spec, arrays: _cs_range(shape, arrays["keep_indices"])),
     "demosaic": OperatorKind(
         {}, (), lambda shape, spec, arrays: make_demosaic(shape),

@@ -65,6 +65,9 @@ def operator_from_spec(spec: dict, arrays: dict, range_shape) -> ops.OperatorHan
     if not (len(shape) == 3 and min(shape) > 0):
         raise ValueError(f"domain_shape must be three positive integers, got {list(shape)}")
     arrays = {name: arrays[f"op.{name}"] for name in kind.array_names}
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"operator array {name!r} holds non-finite values")
     if kind.range_shape(shape, spec, arrays) != tuple(range_shape):
         raise ValueError("measurement shape inconsistent with operator spec")
     op = kind.build(shape, spec, arrays)

@@ -287,6 +287,35 @@ class TestReconstructAndUq:
         assert code == 2 and "measurement shape" in capsys.readouterr().err
         assert peak < 5, f"refusing the claim allocated {peak:.1f} MB"
 
+    @pytest.mark.parametrize("name,value", [
+        ("kernel", np.nan), ("mask", np.nan), ("keep_indices", [0.5, 1.7, 2.2]),
+    ], ids=["kernel_nan", "mask_nan", "keep_fraction"])
+    def test_bad_operator_array_exit_2(self, tmp_path, clean_image, capsys, name, value):
+        # refused where the operator is built, with the array named; a
+        # fractional keep index is not read as the integer below it
+        _, x = clean_image
+        op = {"kernel": lambda: ops.make_blur(ops.make_gaussian_kernel(1.0, 5), x.shape),
+              "mask": lambda: ops.make_mri(ops.make_mri_mask((2, 16, 16), 4, seed=0), (2, 16, 16)),
+              "keep_indices": lambda: ops.make_compressed_sensing(np.ones((16, 16)), [0, 1, 2],
+                                                                  x.shape)}[name]()
+        ckpt, inst = tmp_path / "model.tnsr", tmp_path / "inst.json"
+        RamModel(RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=1,
+                           head_channels=(1, 2), seed=0)).save_checkpoint(ckpt)
+        save_instance(inst, ProblemInstance(op=op, y=op.apply(np.resize(x, op.domain_shape)),
+                                            noise=NoiseParams(0.01)))
+        data = tmp_path / "inst.tnsr"
+        entries = tnsr.load_tensors(data)
+        if np.ndim(value):
+            entries[f"op.{name}"] = np.array(value)
+        else:
+            entries[f"op.{name}"].flat[0] = value
+        tnsr.save_tensors(data, entries)
+        capsys.readouterr()
+        assert cli.main(["reconstruct", "--model", str(ckpt), "--instance", str(inst),
+                         "--out", str(tmp_path / "x.tnsr")]) == 2
+        err = capsys.readouterr().err.replace("_", " ")
+        assert name.replace("_", " ") in err and "Traceback" not in err, err
+
     # larger_model: a 2^20-wide config is refused from the stored weights,
     # before the model is allocated
     @pytest.mark.parametrize("name,value", [

@@ -309,6 +309,34 @@ class TestOperatorSpecs:
             with pytest.raises(ValueError):
                 operator_from_spec({"kind": kind, "domain_shape": shape}, arrays, range_shape)
 
+    def test_keep_indices_cast_only_when_integral(self):
+        # a manifest stores keep indices as floats: integral ones load as
+        # the handle they came from, and 0.5 is refused, not read as 0
+        sign = np.ones((8, 8))
+        op = ops.make_compressed_sensing(sign, [0, 1, 2], (1, 8, 8))
+        spec = {"kind": "compressed_sensing", "domain_shape": [1, 8, 8]}
+        arrays = {"op.sign_mask": sign, "op.keep_indices": np.array([0.0, 1.0, 2.0])}
+        assert operator_from_spec(spec, arrays, (1, 3)).key == op.key
+        for keep in ([0.5, 1.7, 2.2], [0.0, 1.0, np.nan], [True, False, True]):
+            arrays["op.keep_indices"] = np.array(keep)
+            with pytest.raises(ValueError, match="integers|non-finite"):
+                operator_from_spec(spec, arrays, (1, 3))
+
+    @pytest.mark.parametrize("name", ["kernel", "mask", "smaps", "sign_mask"])
+    def test_non_finite_array_named(self, name):
+        op = {"kernel": ops.make_blur(ops.make_gaussian_kernel(1.0, size=5), (1, 8, 8)),
+              "mask": ops.make_inpainting(ops.make_bernoulli_mask((1, 8, 8), 0.5, seed=1)),
+              "smaps": ops.make_multicoil_mri(ops.make_mri_mask((2, 8, 8), 2, seed=2),
+                                              ops.make_sensitivity_maps(2, (2, 8, 8), seed=3),
+                                              (2, 8, 8)),
+              "sign_mask": ops.make_compressed_sensing(*ops.make_cs_pattern((1, 8, 8), 4, seed=4),
+                                                       (1, 8, 8))}[name]
+        spec, arrays = operator_to_spec(op)
+        arrays[f"op.{name}"] = np.array(arrays[f"op.{name}"])
+        arrays[f"op.{name}"].flat[1] = np.nan
+        with pytest.raises(ValueError, match=f"'{name}' holds non-finite"):
+            operator_from_spec(spec, arrays, op.range_shape)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             operator_from_spec({"kind": "warp", "domain_shape": [1, 8, 8]}, {}, (1, 8, 8))

@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -451,13 +452,14 @@ class TestRadon:
 
     def test_one_projector_per_definition(self, monkeypatch):
         # handles of one (angles, H, W), whatever their channel count, build
-        # one projector and share it; it is freed with the last of them
+        # one CSR matrix and share it; it is freed with the last of them
         builds = []
         build = ops._ct_projector
         monkeypatch.setattr(ops, "_ct_projector", lambda *a: builds.append(a) or build(*a))
         a = ops.make_ct_radon(5, (1, 11, 11))
         b = ops.make_ct_radon(5, (3, 11, 11))
         assert len(builds) == 1
+        assert ops._PROJECTORS[(5, 11, 11)].format == "csr"
         proj = weakref.ref(ops._PROJECTORS[(5, 11, 11)])
         x = np.random.default_rng(13).standard_normal(b.domain_shape)
         assert np.array_equal(b.apply(x)[1:2], a.apply(x[1:2]))
@@ -467,6 +469,22 @@ class TestRadon:
         assert proj() is None and (5, 11, 11) not in ops._PROJECTORS
         ops.make_ct_radon(5, (1, 11, 11))
         assert len(builds) == 2
+
+    def test_handle_keeps_one_matrix(self, monkeypatch):
+        # a handle keeps its CSR matrix and little else: the forward reads
+        # the matrix's transpose view, not a copy (an empty map, so the
+        # matrix is built while traced)
+        monkeypatch.setattr(ops, "_PROJECTORS", weakref.WeakValueDictionary())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op = ops.make_ct_radon(64, (1, 64, 64))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        back = ops._PROJECTORS[(64, 64, 64)]
+        matrix = back.data.nbytes + back.indices.nbytes + back.indptr.nbytes
+        assert kept <= 1.1 * matrix, f"{op.kind} handle keeps {kept / matrix:.2f}x its matrix"
 
 
 class TestDownsampling:
