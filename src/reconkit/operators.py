@@ -22,8 +22,9 @@ Norms.  ``OperatorHandle.norm`` returns the spectral norm in closed form
 where one exists: 1 for the identity and demosaicing; the largest mask
 value for inpainting and single-coil MRI, and 1 for compressed sensing
 that keeps any coefficient (0 for empty selections); ``||M_h|| * ||M_w||``
-for a separable map ``X -> M_h X M_w^T`` per channel (downsampling, the
-upsampler, crops, blur with a rank-1 kernel and compositions of these,
+for a separable map ``X -> M_h X M_w^T`` per channel (downsampling and
+the upsampler, both :func:`_separable` handles of their two per-axis
+matrices, crops, blur with a rank-1 kernel and compositions of these,
 such as downsampling after upsampling); the largest of W small Hermitian
 eigenproblems for multi-coil MRI with a row mask.  Single-coil MRI with
 a row mask is separable too, with complex factors ``(diag(m_h) F_h, F_w)``
@@ -286,6 +287,15 @@ def identity_operator(shape) -> OperatorHandle:
     _, h, w = shape
     return _keyed(OperatorHandle(shape, shape, lambda x: x, lambda y: y, kind="identity",
                                  exact_norm=lambda: 1.0, factors=lambda: (_eye(h), _eye(w))))
+
+
+def _separable(domain_shape, range_shape, m_h, m_w, **kw) -> OperatorHandle:
+    """``X -> M_h X M_w^T`` on every channel, its adjoint ``Y -> M_h^T Y
+    M_w`` and ``factors`` ``(M_h, M_w)``, which its closed-form norm and
+    every composite's read; ``kw`` (kind, spec) goes to the handle."""
+    return OperatorHandle(domain_shape, range_shape,
+                          lambda x: m_h @ x @ m_w.T, lambda y: m_h.T @ y @ m_w,
+                          factors=lambda: (m_h, m_w), **kw)
 
 
 def compose(a: OperatorHandle, b: OperatorHandle) -> OperatorHandle:
@@ -737,25 +747,30 @@ def _ct_projector(num_angles: int, h: int, w: int, det: int):
     grid; its transpose view is the forward.  Pixel ``j`` has exactly two
     entries per angle ``a``, at sinogram columns ``a*det + b`` and
     ``a*det + b + 1`` with weights ``1 - f`` and ``f``, so the rows come
-    sorted with ``2 * num_angles`` entries each: no triplets, no sort."""
+    sorted with ``2 * num_angles`` entries each: no triplets, no sort.
+    Weights and columns are computed inside the (pixels, angles, 2) arrays
+    the matrix keeps, so the build holds little beyond them."""
     import scipy.sparse  # here, not at the top: it adds ~0.2 s to every start-up
 
     angles = np.arange(num_angles) * np.pi / num_angles
     jj, ii = np.meshgrid(np.arange(w), np.arange(h))
     uc = (jj - (w - 1) / 2.0).ravel()
     vc = (ii - (h - 1) / 2.0).ravel()
-    # (pixels, angles) detector positions
-    s = np.clip(np.outer(uc, np.cos(angles)) + np.outer(vc, np.sin(angles)) + (det - 1) / 2.0,
-                0, det - 1 - 1e-9)
-    bins = s.astype(np.int32)
-    f = s - bins
-    cols = bins + det * np.arange(num_angles, dtype=np.int32)
-    # scipy narrows the int64 indptr to int32 where it fits
-    back = scipy.sparse.csr_matrix(
-        (np.stack([1.0 - f, f], axis=2).ravel(), np.stack([cols, cols + 1], axis=2).ravel(),
-         2 * num_angles * np.arange(h * w + 1)), shape=(h * w, num_angles * det))
-    del s, bins, f, cols
-    return back
+    data = np.empty((h * w, num_angles, 2))
+    cols = np.empty((h * w, num_angles, 2), dtype=np.int32)
+    # the (pixels, angles) detector positions s, clipped, in the far weights
+    s, bins = data[..., 1], cols[..., 0]
+    np.multiply.outer(uc, np.cos(angles), out=s)
+    s += np.multiply.outer(vc, np.sin(angles), out=data[..., 0])
+    s += (det - 1) / 2.0
+    np.clip(s, 0, det - 1 - 1e-9, out=s)
+    bins[...] = s  # truncated
+    s -= bins  # the far weight f
+    np.subtract(1.0, s, out=data[..., 0])
+    bins += det * np.arange(num_angles, dtype=np.int32)
+    np.add(bins, 1, out=cols[..., 1])
+    indptr = 2 * num_angles * np.arange(h * w + 1)  # scipy narrows it to int32 where it fits
+    return scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), (h * w, num_angles * det))
 
 
 def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
@@ -837,22 +852,13 @@ def make_downsampling(factor: int, filt: str, image_shape) -> OperatorHandle:
     range_shape = _downsampled(factor, image_shape)
     if filt not in ("bicubic", "bilinear"):
         raise ValueError("filter must be 'bicubic' or 'bilinear'")
-    c, h, w = image_shape
+    _, h, w = image_shape
     if h % factor or w % factor:
         raise ValueError("spatial extents must be divisible by the factor")
-    dh = _decimation_matrix(h, factor, filt)
-    dw = _decimation_matrix(w, factor, filt)
-
-    def apply_fn(x):
-        return dh @ x @ dw.T
-
-    def adjoint_fn(y):
-        return dh.T @ y @ dw
-
-    return _keyed(OperatorHandle(
-        image_shape, range_shape, apply_fn, adjoint_fn,
+    return _keyed(_separable(
+        image_shape, range_shape,
+        _decimation_matrix(h, factor, filt), _decimation_matrix(w, factor, filt),
         kind="downsampling", spec={"kind": "downsampling", "factor": int(factor), "filter": filt},
-        factors=lambda: (dh, dw),
     ))
 
 
@@ -960,19 +966,8 @@ def make_upsampler(scale: int, coarse_shape) -> OperatorHandle:
         raise ValueError("scale must be >= 1")
     f = 2 ** scale
     c, h, w = coarse_shape
-    uh = _upsample_matrix(h, f)
-    uw = _upsample_matrix(w, f)
-
-    def apply_fn(x):
-        return uh @ x @ uw.T
-
-    def adjoint_fn(y):
-        return uh.T @ y @ uw
-
-    return OperatorHandle(
-        coarse_shape, (c, h * f, w * f), apply_fn, adjoint_fn,
-        kind="upsampler", spec={"kind": "upsampler", "scale": scale}, factors=lambda: (uh, uw),
-    )
+    return _separable(coarse_shape, (c, h * f, w * f),
+                      _upsample_matrix(h, f), _upsample_matrix(w, f), kind="upsampler")
 
 
 def make_coarse(op: OperatorHandle, scale: int, fine_shape=None) -> OperatorHandle:

@@ -37,8 +37,8 @@ anywhere in this module.  Every convolution, forward, weight gradient
 and transposed, follows one rule.  A kernel that tiles its input
 (KH = KW = stride: the 2x2 stride-2 resampling and every 1x1 conv) is
 one BLAS ``matmul`` for all taps, against the space-to-depth tiles of
-the input (a view for 1x1) or, transposed, followed by the
-depth-to-space reshape.  Any other kernel overlaps or skips rows and
+the input (a view for 1x1) or, transposed, whose tap planes are written
+into the tiles of the output.  Any other kernel overlaps or skips rows and
 runs kernel-row strips: the input is lowered along the width only (MEC;
 Cho & Brand, ICML 2017), its column patches holding every padded input
 row with its KW horizontally shifted copies, so each pixel is copied KW
@@ -765,13 +765,15 @@ def _conv_transpose(x: np.ndarray, w: np.ndarray, stride: int, out_hw) -> np.nda
     oh, ow = out_hw
     if kh == kw == stride:
         # Taps do not overlap: every tap's contribution in one product,
-        # (O*KH*KW, C) @ (C, H*W), then depth-to-space.
+        # (O*KH*KW, C) @ (C, H*W), whose KH*KW planes are written through
+        # a tile view of a zeroed output (1x1: the product is the output).
         taps = (w.reshape(c, -1).T @ x.reshape(c, -1)).reshape(o, kh, kw, h, w_)
-        tiles = taps.transpose(0, 3, 1, 4, 2).reshape(o, h * kh, w_ * kw)
-        if tiles.shape[1:] == (oh, ow):
-            return tiles
+        if kh == 1 and (h, w_) == (oh, ow):
+            return taps.reshape(o, oh, ow)
         out = np.zeros((o, oh, ow))
-        out[:, :h * kh, :w_ * kw] = tiles
+        tiles = out[:, :h * kh, :w_ * kw].reshape(o, h, kh, w_, kw)
+        for i, j in np.ndindex(kh, kw):
+            tiles[:, :, i, :, j] = taps[:, i, j]
         return out
     # Any other kernel (Dumoulin & Visin, arXiv 1603.07285): insert
     # stride - 1 zeros between pixels, pad by k - 1 and correlate at stride

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reconkit import operators as ops
+from reconkit import problem
 
 
 def adjoint_test(op, trials=100, seed=0, tol=1e-10):
@@ -486,6 +487,18 @@ class TestRadon:
         matrix = back.data.nbytes + back.indices.nbytes + back.indptr.nbytes
         assert kept <= 1.1 * matrix, f"{op.kind} handle keeps {kept / matrix:.2f}x its matrix"
 
+    def test_build_peak_near_kept_matrix(self):
+        # the weights and columns are made inside the arrays the matrix
+        # keeps, not stacked from per-angle temporaries
+        tracemalloc.start()
+        try:
+            back = ops._ct_projector(64, 64, 64, ops._ct_range(64, (1, 64, 64))[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = back.data.nbytes + back.indices.nbytes + back.indptr.nbytes
+        assert peak <= 1.5 * matrix, f"build peaks at {peak / matrix:.2f}x its matrix"
+
 
 class TestDownsampling:
     def test_constant_preserved(self):
@@ -831,6 +844,33 @@ def test_closed_form_norms_match_dense_svd(op):
     assert abs(ops.operator_norm(op) - dense_norm(op)) <= 1e-12 * max(1.0, dense_norm(op))
 
 
+def _relative_gap(a, b) -> float:
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=closed_form_operators(), seed=st.integers(0, 2 ** 20))
+def test_factors_are_the_map(op, seed):
+    """A handle's factors are its map: ``X -> M_h X M_w^T`` per channel,
+    adjoint ``Y -> M_h^H Y conj(M_w)``; complex factors act on the (real,
+    imag) channel pair as one complex image."""
+    if op.factors is None:
+        return
+    m_h, m_w = op.factors()
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(op.domain_shape)
+    y = rng.standard_normal(op.range_shape)
+    if np.iscomplexobj(m_h) or np.iscomplexobj(m_w):
+        def split(z):
+            return np.stack([z.real, z.imag])
+        x, y = x[0] + 1j * x[1], y[0] + 1j * y[1]
+    else:
+        def split(z):
+            return z
+    assert _relative_gap(op.apply(split(x)), split(m_h @ x @ m_w.T)) <= 1e-12
+    assert _relative_gap(op.adjoint(split(y)), split(m_h.conj().T @ y @ m_w.conj())) <= 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["inpainting", "compressed_sensing", "mri"]),
        n=st.sampled_from([8, 12, 16]), scale=st.integers(1, 2),
@@ -852,6 +892,75 @@ def test_lanczos_norms_match_dense_svd(kind, n, scale, seed, keep):
     assert inner.exact_norm is None and inner.factors is None
     dense = dense_norm(inner)
     assert abs(inner.norm() - dense) <= 1e-12 * dense
+
+
+def _draw_registry_case(draw, name):
+    """(domain shape, spec fields, arrays) of a small ``name`` operator."""
+    h, w = draw(st.integers(4, 9)), draw(st.integers(4, 9))
+    c = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 20))
+    rng = np.random.default_rng(seed)
+    fields, arrays = {}, {}
+    if name in ("mri", "multicoil_mri"):
+        c = 2
+        if draw(st.booleans()):  # whole k-space rows, as make_mri_mask draws
+            arrays["mask"] = ops.make_mri_mask((h, w), draw(st.sampled_from([1, 2, 4])), seed)
+        else:
+            arrays["mask"] = ops.make_bernoulli_mask((1, h, w), draw(st.floats(0, 1)), seed)[0]
+        if name == "multicoil_mri":
+            arrays["smaps"] = ops.make_sensitivity_maps(draw(st.integers(1, 3)), (c, h, w), seed)
+    elif name == "demosaic":
+        c, h, w = 3, h + h % 2, w + w % 2
+    elif name == "ct":
+        w = h
+        fields["num_angles"] = draw(st.integers(1, 6))
+    elif name == "downsampling":
+        factor = fields["factor"] = draw(st.sampled_from([2, 4]))
+        fields["filter"] = draw(st.sampled_from(["bicubic", "bilinear"]))
+        h, w = factor * draw(st.integers(1, 3)), factor * draw(st.integers(1, 3))
+    elif name == "blur":
+        size = draw(st.sampled_from([1, 3]))
+        arrays["kernel"] = rng.random((size, size)) + 0.01
+    elif name == "inpainting":
+        arrays["mask"] = (rng.random((c, h, w)) < draw(st.floats(0, 1))).astype(np.float64)
+    elif name == "compressed_sensing":
+        arrays["sign_mask"] = rng.choice([-1.0, 1.0], size=(h, w))
+        # stored as a manifest stores them: float64
+        keep = rng.choice(h * w, size=draw(st.integers(0, h * w)), replace=False)
+        arrays["keep_indices"] = np.sort(keep).astype(np.float64)
+    elif name != "identity":
+        raise AssertionError(f"no drawn case for operator kind {name!r}")
+    return (c, h, w), fields, arrays
+
+
+@st.composite
+def registry_operators(draw):
+    """Any :data:`operators.KINDS` entry, built from a drawn spec and
+    arrays through ``problem.operator_from_spec``, as a manifest is."""
+    name = draw(st.sampled_from(sorted(ops.KINDS)))
+    kind = ops.KINDS[name]
+    shape, fields, arrays = _draw_registry_case(draw, name)
+    assert set(fields) == set(kind.spec_fields) and set(arrays) == set(kind.array_names)
+    for field, default in kind.spec_fields.items():
+        assert type(fields[field]) is type(default), (name, field)
+    spec = {"kind": name, "domain_shape": list(shape), **fields}
+    return problem.operator_from_spec(spec, {f"op.{k}": v for k, v in arrays.items()},
+                                      kind.range_shape(shape, fields, arrays))
+
+
+@settings(max_examples=200, deadline=None)
+@given(op=registry_operators(), seed=st.integers(0, 2 ** 20))
+def test_every_kind_has_an_exact_adjoint(op, seed):
+    """<A u, v> = <u, A^T v> and A u = (dense A) u, to 1e-12 relative, for
+    every kind a spec can name."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(op.domain_shape)
+    v = rng.standard_normal(op.range_shape)
+    au, atv = op.apply(u), op.adjoint(v)
+    scale = max(np.linalg.norm(au) * np.linalg.norm(v), np.linalg.norm(u) * np.linalg.norm(atv))
+    assert abs(np.vdot(au, v) - np.vdot(u, atv)) <= 1e-12 * scale
+    dense = ops.dense_matrix(op) @ u.ravel()
+    assert _relative_gap(au.ravel(), dense) <= 1e-12
 
 
 class TestCaches:
