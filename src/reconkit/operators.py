@@ -43,9 +43,10 @@ keyed by ``key``, and ``make_coarse`` keeps coarse operators in another,
 keyed by ``(key, scale, fine_shape)``; both are guarded by one lock, so
 redrawing the same blur kernel, identity or downsampler costs no normal
 applies.  Derived handles cache nothing across objects.  CT handles of
-one angle count and image size share one CSR matrix, whose transpose
-view is the forward, through a weak-value map, so it lives exactly as
-long as some handle, or a coarse operator cached from one, uses it.
+one angle count and image size share one CSR matrix, three arrays that
+scipy's compiled kernels read as CSR for the adjoint and as CSC for the
+forward, through a weak-value map, so it lives exactly as long as some
+handle, or a coarse operator cached from one, uses it.
 :func:`cache_stats` reports hits, misses and sizes of both caches and
 the Lanczos runs and the normal applies they have made.
 """
@@ -54,6 +55,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 import weakref
 from collections import OrderedDict
@@ -737,27 +742,69 @@ def _ct_range(num_angles: int, image_shape) -> tuple:
     return c, num_angles, int(np.ceil(np.sqrt(2.0) * h))
 
 
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _sparse_kernels():
+    """scipy's compiled sparse kernels, the one extension module
+    ``scipy.sparse._sparsetools``, loaded from its file.  Importing the
+    ``scipy.sparse`` package for them costs 0.13-0.2 s and 15 MB RSS
+    (2-core Xeon, scipy 1.17: its array-API shim copies numpy's namespace
+    and imports numpy.f2py); the file alone loads in under 1 ms and
+    0.2 MB.  A module scipy.sparse has already loaded is reused, and one
+    loaded here is what a later ``import scipy.sparse`` finds."""
+    with _LOCK:
+        module = sys.modules.get(_SPARSETOOLS)
+        if module is None:
+            scipy_spec = importlib.util.find_spec("scipy")  # locates scipy, runs none of it
+            roots = (scipy_spec and scipy_spec.submodule_search_locations) or []
+            paths = [os.path.join(root, "sparse", "_sparsetools" + suffix)
+                     for root in roots for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+            path = next((p for p in paths if os.path.isfile(p)), None)
+            if path is None:
+                raise ImportError(f"CT operators need scipy's compiled sparse kernels, "
+                                  f"{_SPARSETOOLS}; no such extension file is installed",
+                                  name=_SPARSETOOLS)
+            spec = importlib.util.spec_from_file_location(_SPARSETOOLS, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_SPARSETOOLS] = module
+        return module
+
+
+class _CSR:
+    """A sparse matrix as its three CSR arrays, in the layout scipy's
+    kernels read: ``indptr`` and ``indices`` share one integer dtype."""
+
+    __slots__ = ("indptr", "indices", "data", "__weakref__")
+
+    def __init__(self, indptr, indices, data):
+        self.indptr, self.indices, self.data = indptr, indices, data
+
+
 # every live CT handle of a (num_angles, H, W), and the coarse operators
 # cached from it, share one system matrix; it is freed with the last of them
 _PROJECTORS = weakref.WeakValueDictionary()
 
 
-def _ct_projector(num_angles: int, h: int, w: int, det: int):
+def _ct_projector(num_angles: int, h: int, w: int, det: int) -> _CSR:
     """The CSR back-projection, sinograms to pixels, of one (angles, H, W)
-    grid; its transpose view is the forward.  Pixel ``j`` has exactly two
-    entries per angle ``a``, at sinogram columns ``a*det + b`` and
-    ``a*det + b + 1`` with weights ``1 - f`` and ``f``, so the rows come
-    sorted with ``2 * num_angles`` entries each: no triplets, no sort.
+    grid; read as CSC, the same arrays are the forward.  Pixel ``j`` has
+    exactly two entries per angle ``a``, at sinogram columns ``a*det + b``
+    and ``a*det + b + 1`` with weights ``1 - f`` and ``f``, so the rows
+    come sorted with ``2 * num_angles`` entries each: no triplets, no sort.
     Weights and columns are computed inside the (pixels, angles, 2) arrays
-    the matrix keeps, so the build holds little beyond them."""
-    import scipy.sparse  # here, not at the top: it adds ~0.2 s to every start-up
-
+    the matrix keeps, so the build holds little beyond them.  The indices
+    are int32 while the entry count fits, int64 otherwise, as scipy's
+    ``csr_matrix`` would store them."""
+    nnz = 2 * num_angles * h * w
+    idx = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
     angles = np.arange(num_angles) * np.pi / num_angles
     jj, ii = np.meshgrid(np.arange(w), np.arange(h))
     uc = (jj - (w - 1) / 2.0).ravel()
     vc = (ii - (h - 1) / 2.0).ravel()
     data = np.empty((h * w, num_angles, 2))
-    cols = np.empty((h * w, num_angles, 2), dtype=np.int32)
+    cols = np.empty((h * w, num_angles, 2), dtype=idx)
     # the (pixels, angles) detector positions s, clipped, in the far weights
     s, bins = data[..., 1], cols[..., 0]
     np.multiply.outer(uc, np.cos(angles), out=s)
@@ -767,10 +814,10 @@ def _ct_projector(num_angles: int, h: int, w: int, det: int):
     bins[...] = s  # truncated
     s -= bins  # the far weight f
     np.subtract(1.0, s, out=data[..., 0])
-    bins += det * np.arange(num_angles, dtype=np.int32)
+    bins += det * np.arange(num_angles, dtype=idx)
     np.add(bins, 1, out=cols[..., 1])
-    indptr = 2 * num_angles * np.arange(h * w + 1)  # scipy narrows it to int32 where it fits
-    return scipy.sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), (h * w, num_angles * det))
+    indptr = 2 * num_angles * np.arange(h * w + 1, dtype=idx)
+    return _CSR(indptr, cols.ravel(), data.ravel())
 
 
 def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
@@ -779,9 +826,12 @@ def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
     Each pixel center is projected onto the detector axis at every angle
     and its value is split linearly between the two nearest detector bins,
     so each projection conserves the total image mass exactly.  One CSR
-    matrix is the adjoint; its transpose view, not a copy, is the
-    forward.  Handles of one ``(num_angles, H, W)`` share it for as long
-    as any of them, or a coarse operator cached from one, is alive: a
+    matrix is the adjoint; read as CSC, its arrays, not a copy, are the
+    forward.  Both run scipy's compiled kernels (:func:`_sparse_kernels`;
+    building a CT operator loads that one extension file, not the
+    ``scipy.sparse`` package), dispatched as scipy's ``@`` does.
+    Handles of one ``(num_angles, H, W)`` share the matrix for as long as
+    any of them, or a coarse operator cached from one, is alive: a
     repeated definition builds nothing.
     """
     c, h, w = image_shape
@@ -789,20 +839,33 @@ def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
         raise ValueError("CT expects a square image")
     range_shape = _ct_range(num_angles, image_shape)
     det = range_shape[2]
-    n = h * w
+    n, bins = h * w, num_angles * det
+    kernels = _sparse_kernels()
     back = _PROJECTORS.get((num_angles, h, w))
     if back is None:
         # threads that miss together build equal matrices; the last one
         # stored is shared from then on
         back = _PROJECTORS[num_angles, h, w] = _ct_projector(num_angles, h, w, det)
-    # the CSC view of the same three arrays: each bin adds its terms in pixel order
-    forward = back.T
+
+    def product(matvec, matvecs, rows, cols, x):
+        # the (C, rows) product with the (C, cols) x: the one-vector kernel
+        # for one channel, else the many-vector kernel on (cols, C) columns;
+        # reading ``back`` here keeps it alive in ``_PROJECTORS``
+        arrays = back.indptr, back.indices, back.data
+        if c == 1:
+            out = np.zeros(rows)
+            matvec(rows, cols, *arrays, x.ravel(), out)
+            return out
+        out = np.zeros((rows, c))
+        matvecs(rows, cols, c, *arrays, np.ascontiguousarray(x.reshape(c, cols).T), out.ravel())
+        return out.T
 
     def apply_fn(x):
-        return (forward @ x.reshape(c, n).T).T.reshape(range_shape)
+        # as CSC, each bin adds its terms in pixel order
+        return product(kernels.csc_matvec, kernels.csc_matvecs, bins, n, x).reshape(range_shape)
 
     def adjoint_fn(y):
-        return (back @ y.reshape(c, num_angles * det).T).T.reshape(c, h, w)
+        return product(kernels.csr_matvec, kernels.csr_matvecs, n, bins, y).reshape(c, h, w)
 
     return _keyed(OperatorHandle(
         image_shape, range_shape, apply_fn, adjoint_fn,

@@ -606,7 +606,8 @@ class TestSelftest:
 def test_cli_import_leaves_scipy_linalg_out():
     # importing scipy.linalg adds about a quarter second to every command's
     # start-up, and scipy.sparse and scipy.ndimage some 0.2 s each; only a CT
-    # operator needs scipy, and it imports scipy.sparse when it is built
+    # operator needs scipy, and it loads one extension file of scipy.sparse
+    # when it is built
     src = os.path.dirname(os.path.dirname(os.path.abspath(reconkit.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
@@ -640,6 +641,33 @@ def test_cli_commands_leave_scipy_out(tmp_path, clean_image):
                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_ct_commands_load_only_the_sparse_kernels(tmp_path):
+    # a CT measurement, its reconstruction and bootstrap, and the self-test
+    # (which builds CT) load scipy's compiled sparse kernels alone: the
+    # scipy.sparse package would cost 0.13-0.2 s and 15 MB more
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reconkit.__file__)))
+    script = ("import sys; import numpy as np; from reconkit import cli, operators as ops\n"
+              "from reconkit.model import RamConfig, RamModel\n"
+              "from reconkit.noise import NoiseParams\n"
+              "from reconkit.problem import ProblemInstance, save_instance\n"
+              "RamModel(RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=1,\n"
+              "                   head_channels=(1,))).save_checkpoint('model.tnsr')\n"
+              "x = np.random.default_rng(0).random((1, 16, 16))\n"
+              "op = ops.make_ct_radon(8, x.shape)\n"
+              "save_instance('m.json', ProblemInstance(op=op, y=op.apply(x), x=x,\n"
+              "                                        noise=NoiseParams(sigma=0.01)))\n"
+              "for argv in (['reconstruct', '--model', 'model.tnsr', '--instance', 'm.json',\n"
+              "              '--out', 'xhat.tnsr'],\n"
+              "             ['uq', '--model', 'model.tnsr', '--instance', 'm.json',\n"
+              "              '--samples', '2', '--out', 'err.tnsr'], ['selftest']):\n"
+              "    assert cli.main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "['scipy.sparse._sparsetools']"
 
 
 # ---------------------------------------------------------------------------
