@@ -169,16 +169,11 @@ class RamModel:
         return T.concat_channels(feats)
 
     def _ksm(self, s, c, f, aty_s, cop):
-        x_img = self._conv1(f, f"head{c}.ksm{s}.decode")
-        stack = self.build_ksm_stack(x_img, aty_s, cop)
+        stack = self.build_ksm_stack(self._conv1(f, f"head{c}.ksm{s}.decode"), aty_s, cop)
         mixed = T.conv2d(stack, self._params[f"head{c}.ksm{s}.combine"], padding="reflect",
                          pad=self.config.ksm_kernel_size // 2)
+        del stack
         return f + self._conv1(mixed, f"head{c}.ksm{s}.encode")
-
-    def _blocks(self, f, prefix):
-        for b in range(self.config.blocks):
-            f = T.relu(self._conv3(f, f"{prefix}.block{b}.conv"))
-        return f
 
     # -- forward ---------------------------------------------------------
     def _padding(self, h, w):
@@ -192,10 +187,14 @@ class RamModel:
     def forward(self, y, op: OperatorHandle, noise: NoiseParams) -> T.Tensor:
         """Reconstruct from measurement ``y`` (array or graph tensor).
 
-        The encoder keeps a skip of each scale but the coarsest, and the
-        decoder pops each one into its add, so a skip is freed as soon as
-        it is added unless a backward reads it: on the tape the
-        downsampling convolution keeps it as its input."""
+        No name holds a feature map after its last reader: each block,
+        upsampling and skip add rebinds ``f``, and a Krylov module drops
+        its stack once the combine has read it.  The encoder keeps a skip
+        of each scale but the coarsest, and the decoder pops each one into
+        its add.  So without a tape a map is freed as soon as it is read
+        for the last time; on the tape each operation keeps what its
+        backward reads (the downsampling convolution keeps the skip as its
+        input), and the tape is the same."""
         self.eval_count += 1
         cfg = self.config
         c, h, w = op.domain_shape
@@ -234,14 +233,17 @@ class RamModel:
         f = T.relu(self._conv3(T.concat_channels([xin, smap, gmap]), f"head{c}.conv_in"))
         skips = []
         for s in range(cfg.num_scales):
-            f = self._blocks(f, f"enc{s}")
+            for b in range(cfg.blocks):
+                f = T.relu(self._conv3(f, f"enc{s}.block{b}.conv"))
             f = self._ksm(s, c, f, aty_s[s], coarse[s])
             if s < cfg.num_scales - 1:
                 skips.append(f)
                 f = T.downsample2(f, self._params[f"down{s}.conv"])
         for s in range(cfg.num_scales - 2, -1, -1):
-            f = T.upsample2(f, self._params[f"up{s}.conv"]) + skips.pop()
-            f = self._blocks(f, f"dec{s}")
+            f = T.upsample2(f, self._params[f"up{s}.conv"])
+            f = f + skips.pop()
+            for b in range(cfg.blocks):
+                f = T.relu(self._conv3(f, f"dec{s}.block{b}.conv"))
         res = self._conv3(f, f"head{c}.conv_out")
         return x0 + T.crop2d(res, pads[0], pads[2], h, w)
 

@@ -967,7 +967,8 @@ def make_compressed_sensing(sign_mask: np.ndarray, keep_indices: np.ndarray,
             keep.dtype.kind == "f" and np.all(np.isfinite(keep) & (keep == np.round(keep)))):
         raise ValueError("keep indices must be integers")
     keep = keep.astype(np.int64)
-    if len(np.unique(keep)) != len(keep):
+    ordered = np.sort(keep)  # np.unique would import numpy.ma
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("keep indices must be distinct")
     if keep.size and (keep.min() < 0 or keep.max() >= h * w):
         raise ValueError(f"keep indices must lie in [0, {h * w})")

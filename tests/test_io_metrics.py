@@ -322,6 +322,15 @@ class TestOperatorSpecs:
             with pytest.raises(ValueError, match="integers|non-finite"):
                 operator_from_spec(spec, arrays, (1, 3))
 
+    def test_duplicate_keep_indices_refused(self):
+        # a manifest's keep indices go through the builder's check: a
+        # repeated coefficient is refused wherever it sits in the list
+        spec = {"kind": "compressed_sensing", "domain_shape": [1, 8, 8]}
+        for keep in ([0.0, 1.0, 0.0], [63.0, 2.0, 63.0], [4.0, 4.0, 5.0]):
+            arrays = {"op.sign_mask": np.ones((8, 8)), "op.keep_indices": np.array(keep)}
+            with pytest.raises(ValueError, match="keep indices must be distinct"):
+                operator_from_spec(spec, arrays, (1, 3))
+
     @pytest.mark.parametrize("name", ["kernel", "mask", "smaps", "sign_mask"])
     def test_non_finite_array_named(self, name):
         op = {"kernel": ops.make_blur(ops.make_gaussian_kernel(1.0, size=5), (1, 8, 8)),

@@ -567,9 +567,10 @@ class TestCompressedSensing:
         assert np.abs(op.adjoint(y) - ref_adjoint).max() < 1e-12
 
     def test_duplicate_indices_rejected(self):
-        sign = np.ones((4, 4))
-        with pytest.raises(ValueError):
-            ops.make_compressed_sensing(sign, [0, 0, 1], (1, 4, 4))
+        # a repeat is refused wherever it sits, also in integral floats
+        for keep in ([0, 0, 1], [5, 2, 9, 2], [15, 3, 15], [7.0, 1.0, 7.0]):
+            with pytest.raises(ValueError, match="keep indices must be distinct"):
+                ops.make_compressed_sensing(np.ones((4, 4)), keep, (1, 4, 4))
 
     @pytest.mark.parametrize("bad", [-1, 16])
     def test_out_of_range_indices_rejected(self, bad):
