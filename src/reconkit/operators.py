@@ -9,7 +9,8 @@ imaginary).
 Operator identity.  A handle built by one of the factories in
 :data:`KINDS` carries a content ``key``: its kind, domain and range
 shapes, its scalar spec fields and a digest of its defining arrays, so two
-handles built from equal definitions share a key.  Handles derived from
+handles built from equal definitions share a key, and a handle's own
+definition rebuilds it, bit for bit, with its key.  Handles derived from
 others (``compose``, ``normalize``, crops, coarse operators) have
 ``key = None``: they are not what their base defines.
 
@@ -159,10 +160,10 @@ class OperatorHandle:
 
 
 class BlurKernel:
-    """Odd-sized nonnegative 2-D convolution kernel summing to one."""
+    """Odd-sized nonnegative 2-D kernel summing to one, kept as given if it does up to rounding."""
 
     def __init__(self, array: np.ndarray):
-        arr = np.asarray(array, dtype=np.float64)
+        arr = np.array(array, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("blur kernel must be square")
         if arr.shape[0] % 2 == 0:
@@ -172,7 +173,7 @@ class BlurKernel:
         s = arr.sum()
         if s <= 0:
             raise ValueError("blur kernel must have positive mass")
-        self.array = arr / s
+        self.array = arr if abs(s - 1) <= arr.shape[0] * np.finfo(float).eps else arr / s
 
     @property
     def size(self) -> int:

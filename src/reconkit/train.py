@@ -21,24 +21,23 @@ __all__ = ["TASK_KINDS", "TaskSpec", "TrainConfig", "DatasetConfig",
 
 def _draw_inpainting(shape, rng, p_range):
     lo, hi = p_range
-    p = float(rng.uniform(lo, hi))
-    return ops.make_inpainting(ops.make_bernoulli_mask(shape, p, seed=int(rng.integers(2 ** 31))))
+    mask = ops.make_bernoulli_mask(shape, float(rng.uniform(lo, hi)), seed=int(rng.integers(2 ** 31)))
+    return "inpainting", {}, {"mask": mask}
 
 
-# task kind -> (its operator parameters with their defaults,
-#               draw(shape, rng, **params), which draws one operator from rng)
+# task kind -> (its parameter defaults, draw(shape, rng, **params) -> a KINDS definition)
 TASK_KINDS = {
-    "identity": ({}, lambda shape, rng: ops.identity_operator(shape)),
+    "identity": ({}, lambda shape, rng: ("identity", {}, {})),
     "inpainting": ({"p_range": (0.3, 0.9)}, _draw_inpainting),
     "blur": ({"sigma_blur": 1.0, "kernel_size": 7},
-             lambda shape, rng, sigma_blur, kernel_size: ops.make_blur(
-                 ops.make_gaussian_kernel(sigma_blur, kernel_size), shape)),
+             lambda shape, rng, sigma_blur, kernel_size: ("blur", {}, {
+                 "kernel": ops.make_gaussian_kernel(sigma_blur, kernel_size).array})),
     "motion_blur": ({"length_scale": 0.6, "amplitude": 0.5, "kernel_size": 7},
-                    lambda shape, rng, length_scale, amplitude, kernel_size: ops.make_blur(
-                        ops.make_motion_kernel(length_scale, amplitude, kernel_size,
-                                               seed=int(rng.integers(2 ** 31))), shape)),
+                    lambda shape, rng, length_scale, amplitude, kernel_size: ("blur", {}, {
+                        "kernel": ops.make_motion_kernel(length_scale, amplitude, kernel_size,
+                                                         seed=int(rng.integers(2 ** 31))).array})),
     "downsampling": ({"factor": 2, "filter": "bicubic"},
-                     lambda shape, rng, factor, filter: ops.make_downsampling(factor, filter, shape)),
+                     lambda shape, rng, **spec: ("downsampling", spec, {})),
 }
 
 
@@ -62,11 +61,15 @@ class TaskSpec:
             raise ValueError(f"unknown task kind {self.kind!r}; known kinds {sorted(TASK_KINDS)}")
         if type(self.channels) is not int or self.channels not in (1, 2, 3):
             raise ValueError("channel count must be 1, 2, or 3")
-        for name in ("sigma_range", "gamma_range"):  # None, a number or a [lo, hi] pair
+        for name in ("sigma_range", "gamma_range"):  # None, a level or a [lo, hi] pair
             v = getattr(self, name)
             if v is not None:
-                setattr(self, name, typed(v, (0.0,) if isinstance(v, (list, tuple)) else 0.0, name))
-        self.params = read_fields(self.params, TASK_KINDS[self.kind][0], f"{self.kind} task params")
+                v = typed(v, (0.0,) if isinstance(v, (list, tuple)) else 0.0, name)
+                if not (0 <= v if isinstance(v, float) else len(v) == 2 and 0 <= v[0] <= v[1]):
+                    raise ValueError(f"{name} must be a number >= 0 or a pair 0 <= lo <= hi")
+                setattr(self, name, v)
+        defaults = TASK_KINDS[self.kind][0]
+        self.params = {**defaults, **read_fields(self.params, defaults, f"{self.kind} task params")}
 
     @classmethod
     def from_dict(cls, d) -> "TaskSpec":
@@ -78,17 +81,13 @@ class TaskSpec:
                              f"optionally the other keys of {sorted(known)}, got {d!r}")
         return cls(**d)
 
-    def draw_operator(self, shape, rng) -> ops.OperatorHandle:
-        defaults, draw = TASK_KINDS[self.kind]
-        params = {**defaults, **self.params}
-        if params.get("kernel_size", 0) >= min(shape[1:]):  # refused before the kernel is built
-            raise ValueError("kernel must be smaller than the image")
-        return draw(shape, rng, **params)
-
     def simulate(self, x: np.ndarray, rng, seed: int) -> ProblemInstance:
-        """A problem instance for clean image ``x``: an operator, noise
-        levels and noise drawn from ``rng``, in that order."""
-        op = self.draw_operator(x.shape, rng)
+        """A problem instance for clean image ``x``: an operator definition (built
+        as a manifest's is), noise levels and noise, drawn from ``rng`` in that order."""
+        if self.params.get("kernel_size", 0) >= min(x.shape[1:]):  # refused before the kernel is built
+            raise ValueError("kernel must be smaller than the image")
+        kind, spec, arrays = TASK_KINDS[self.kind][1](x.shape, rng, **self.params)
+        op = ops.KINDS[kind].build(x.shape, spec, arrays)
         noise = sample_params(self.sigma_range, self.gamma_range, seed=int(rng.integers(2 ** 31)))
         y, _ = sample_noise(op.apply(x), noise, seed=int(rng.integers(2 ** 31)))
         return ProblemInstance(op=op, y=y, noise=noise, x=x, seed=seed)

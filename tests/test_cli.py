@@ -142,8 +142,12 @@ class TestSimulate:
         assert np.array_equal(inst.x, x)
 
     @pytest.mark.parametrize("doc", [[1], "blur", None,
-                                     {"kind": "blur", "params": {"kernel_size": 1001}}],
-                             ids=["list", "string", "null", "kernel_too_large"])
+                                     {"kind": "blur", "params": {"kernel_size": 1001}},
+                                     {"kind": "identity", "sigma_range": [-0.1, 0.1]},
+                                     {"kind": "identity", "sigma_range": [0.05, 0.01]},
+                                     {"kind": "identity", "gamma_range": [0.1, 0.2, 0.3]}],
+                             ids=["list", "string", "null", "kernel_too_large",
+                                  "negative_sigma", "reversed_sigma", "three_gammas"])
     def test_malformed_task_file_exit_2(self, tmp_path, clean_image, capsys, doc):
         p, _ = clean_image
         task = tmp_path / "task.json"

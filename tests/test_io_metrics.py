@@ -354,7 +354,10 @@ class TestOperatorSpecs:
         sign, keep = ops.make_cs_pattern(self.SHAPE, 4, seed=12)
         for op in (ops.identity_operator(self.SHAPE), ops.make_ct_radon(10, self.SHAPE),
                    ops.make_downsampling(2, "bilinear", self.SHAPE),
-                   ops.make_compressed_sensing(sign, keep, self.SHAPE)):
+                   ops.make_compressed_sensing(sign, keep, self.SHAPE),
+                   # normalized kernels whose sum is 1 only up to rounding
+                   ops.make_blur(ops.make_gaussian_kernel(1.5, 5), self.SHAPE),
+                   ops.make_blur(ops.make_motion_kernel(0.6, 0.5, 7, seed=3), self.SHAPE)):
             assert self.roundtrip(op).key == op.key
 
     def test_derived_operators_refused(self):

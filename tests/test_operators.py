@@ -989,6 +989,13 @@ def test_every_kind_has_an_exact_adjoint(op, seed):
     assert _relative_gap(au.ravel(), dense) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(op=registry_operators())
+def test_every_definition_rebuilds_to_its_own_key(op):
+    """A handle's own definition builds the same operator again."""
+    assert ops.KINDS[op.kind].build(op.domain_shape, op.spec, op.arrays).key == op.key
+
+
 class TestCaches:
     def test_stats_count_hits_misses_and_lanczos(self):
         kernel = ops.make_motion_kernel(0.7, 0.4, 5, seed=424242)

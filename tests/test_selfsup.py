@@ -539,7 +539,8 @@ class TestFinetune:
             model = ExplodingModel(TINY)
             entry = {p.name: (p.data, p.data.copy()) for p in model.parameters()}
             cfg = ss.FinetuneConfig(mc_loss=mc_loss, null_loss=null_loss, steps=3, seed=8)
-            with pytest.raises(RuntimeError, match="^finetuning diverged at step 0: loss nan$"):
+            with pytest.warns(RuntimeWarning), \
+                    pytest.raises(RuntimeError, match="^finetuning diverged at step 0: loss nan$"):
                 ss.finetune(model, self.make_instances(n=2), cfg)
             for p in model.parameters():  # the refused step updated nothing
                 held, before = entry[p.name]

@@ -11,7 +11,7 @@ from reconkit import train as tr
 from reconkit.config import config_dict, read_config
 from reconkit.model import RamConfig, RamModel
 from reconkit.noise import NoiseParams
-from reconkit.problem import ProblemInstance
+from reconkit.problem import ProblemInstance, load_instance, save_instance
 
 
 TINY = RamConfig(num_scales=1, base_width=4, blocks=1, krylov_depth=1,
@@ -117,6 +117,18 @@ class TestSampleBatch:
         assert again.noise == inst.noise and again.seed == 17
         assert np.array_equal(again.op.arrays["mask"], inst.op.arrays["mask"])
 
+    @pytest.mark.parametrize("kind", sorted(tr.TASK_KINDS))
+    def test_simulated_instance_is_the_loaded_manifest(self, kind, tmp_path):
+        # the operator reconstruct loads is the one that made y, bit for bit
+        task = tr.TaskSpec("t", kind, sigma_range=0.05)
+        x = np.random.default_rng(18).random((1, 32, 32))
+        for seed in range(20):
+            inst = task.simulate(x, np.random.default_rng(seed), seed)
+            save_instance(tmp_path / "inst.json", inst)
+            loaded = load_instance(tmp_path / "inst.json")
+            assert loaded.op.key == inst.op.key, seed
+            assert np.array_equal(loaded.op.apply(x), inst.op.apply(x)), seed
+
 
 class TestTaskLoss:
     def test_perfect_reconstruction_zero(self):
@@ -216,7 +228,7 @@ class TestTrainLoop:
                 out = super().forward(y, op, noise)
                 return out * T.constant(1e308) * T.constant(1e10)
 
-        with pytest.raises((RuntimeError, ValueError)):
+        with pytest.warns(RuntimeWarning), pytest.raises((RuntimeError, ValueError)):
             tr.train(ExplodingModel(TINY), tasks, cfg, datasets)
 
     def test_loss_additivity(self):
@@ -305,6 +317,13 @@ class TestTrainLoop:
         cfg = tr.TrainConfig(steps=7, lr=3e-4)
         assert read_config(tr.TrainConfig, config_dict(cfg), "train config") == \
             tr.TrainConfig(steps=7, lr=3e-4)
+
+    @pytest.mark.parametrize("name", ["sigma_range", "gamma_range"])
+    @pytest.mark.parametrize("value", [-0.1, [-0.1, 0.1], [0.05, 0.01], [0.1, 0.2, 0.3], [0.1]])
+    def test_bad_noise_range_refused_when_read(self, name, value):
+        # not at the first training step that happens to draw a bad level
+        with pytest.raises(ValueError, match=f"^{name} must be a number >= 0 or a pair"):
+            tr.TaskSpec("den", "identity", **{name: value})
 
     def test_checkpoint_every_round_trips(self):
         assert read_config(tr.TrainConfig, {"checkpoint_every": 7},
