@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .operators import OperatorHandle, compose
+from .operators import compose, make_inpainting
 from .problem import ProblemInstance
 
 __all__ = ["Transform", "TransformGroup", "FinetuneConfig", "mc_divergence",
@@ -91,20 +91,13 @@ class TransformGroup:
 # ---------------------------------------------------------------------------
 
 
-def _probe_step(y: np.ndarray, eps: float | None, probes: int) -> float:
-    if probes < 1:
-        raise ValueError("need at least one probe")
-    if eps is None:
-        eps = max(1e-3 * float(np.max(np.abs(y))), 1e-6)
-    if eps <= 0:
-        raise ValueError("probe step must be positive")
-    return eps
-
-
-def _divergence_terms(fn, y, base, eps, probes, seed, weight):
+def _divergence_terms(fn, y, base, probes, seed, weight):
     """``mc_divergence`` as a loss body (see ``tensor.whole``): each probe's
     term, with the gradient a loss of ``weight`` times the estimate sends
     it, and the estimate."""
+    if probes < 1:
+        raise ValueError("need at least one probe")
+    eps = max(1e-3 * float(np.max(np.abs(y))), 1e-6)
     rng = np.random.default_rng(seed)
     grad = np.full(1, weight * (1.0 / probes))
     total = None
@@ -116,14 +109,13 @@ def _divergence_terms(fn, y, base, eps, probes, seed, weight):
     return total * T.constant(1.0 / probes)
 
 
-def mc_divergence(fn, y: np.ndarray, base: T.Tensor, eps: float | None = None,
-                  probes: int = 1, seed: int = 0) -> T.Tensor:
+def mc_divergence(fn, y: np.ndarray, base: T.Tensor, probes: int = 1,
+                  seed: int = 0) -> T.Tensor:
     """Monte-Carlo divergence of ``fn`` (a numpy array to a graph tensor of
-    its shape) at ``y`` with Rademacher probes b: (1/N) sum b^T (fn(y + eps b)
-    - base) / eps with ``base`` = fn(y), one ``fn`` call per probe, and
-    differentiable through every ``fn`` evaluation and ``base``."""
-    eps = _probe_step(y, eps, probes)
-    return T.whole(_divergence_terms(fn, y, base, eps, probes, seed, 1.0))
+    its shape) at ``y``: (1/N) sum b^T (fn(y + eps b) - base) / eps over
+    Rademacher probes b, with ``base`` = fn(y) and eps = 1e-3 max|y| (at
+    least 1e-6); one ``fn`` call per probe, differentiable through each."""
+    return T.whole(_divergence_terms(fn, y, base, probes, seed, 1.0))
 
 
 def _require_gaussian(noise) -> None:
@@ -143,8 +135,7 @@ def _sure_terms(model, inst: ProblemInstance, axhat: T.Tensor, probes: int, seed
     yield loss, None
     if sigma > 0:
         weight = 2.0 * sigma ** 2
-        div = yield from _divergence_terms(ar, inst.y, axhat, _probe_step(inst.y, None, probes),
-                                           probes, seed, weight)
+        div = yield from _divergence_terms(ar, inst.y, axhat, probes, seed, weight)
         loss = loss + T.constant(weight) * div
     return loss
 
@@ -171,25 +162,26 @@ def split_loss(model, inst: ProblemInstance, keep_prob: float = 0.9,
     while m.sum() == 0:  # keep at least one measurement
         m = (rng.random(inst.op.range_shape) < keep_prob).astype(np.float64)
     op = inst.op
-    keep = OperatorHandle(op.range_shape, op.range_shape, lambda v: m * v, lambda v: m * v,
-                          kind="split")
-    masked = compose(keep, op)
-    xhat = model.forward(m * inst.y, masked, inst.noise)
+    xhat = model.forward(m * inst.y, compose(make_inpainting(m), op), inst.noise)
     resid = T.apply_linear(xhat, op.apply, op.adjoint) - T.constant(inst.y)
     held_out = T.mul(resid, T.constant(1.0 - m))
     return T.sum_all(T.square(held_out))
 
 
+def _consistency(model, z: T.Tensor, op, noise) -> T.Tensor:
+    """|| z - R(A z, A) ||^2, differentiable through ``z`` and the second
+    pass: the term EI and MOI share."""
+    y2 = T.apply_linear(z, op.apply, op.adjoint)
+    x2 = model.forward(y2, op, noise)
+    return T.sum_all(T.square(z - x2))
+
+
 def ei_loss(model, inst: ProblemInstance, xhat: T.Tensor, group: TransformGroup,
             seed: int = 0) -> T.Tensor:
     """Equivariant imaging: || T x_hat - R(A T x_hat, A) ||^2 for one sampled
-    group element, differentiable through ``xhat`` = R(y) and the second pass."""
-    op = inst.op
-    t = group.sample(op.domain_shape, seed)
-    tx = t.apply(xhat)
-    y2 = T.apply_linear(tx, op.apply, op.adjoint)
-    x2 = model.forward(y2, op, inst.noise)
-    return T.sum_all(T.square(tx - x2))
+    group element T, with ``xhat`` = R(y)."""
+    t = group.sample(inst.op.domain_shape, seed)
+    return _consistency(model, t.apply(xhat), inst.op, inst.noise)
 
 
 def moi_loss(model, inst: ProblemInstance, xhat: T.Tensor, operator_family: list,
@@ -200,9 +192,7 @@ def moi_loss(model, inst: ProblemInstance, xhat: T.Tensor, operator_family: list
         raise ValueError("operator family is empty")
     rng = np.random.default_rng(seed)
     other = operator_family[int(rng.integers(len(operator_family)))]
-    y2 = T.apply_linear(xhat, other.apply, other.adjoint)
-    x2 = model.forward(y2, other, inst.noise)
-    return T.sum_all(T.square(xhat - x2))
+    return _consistency(model, xhat, other, inst.noise)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +215,8 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.steps < 1 or self.lr <= 0:
             raise ValueError("steps and lr must be positive")
+        if self.probes < 1 or not 0 < self.keep_prob <= 1 or not 0 <= self.max_shift_frac <= 1:
+            raise ValueError("need probes >= 1, keep_prob in (0, 1] and max_shift_frac in [0, 1]")
         if self.omega < 0:
             raise ValueError("omega must be nonnegative")
         if self.mc_loss not in ("sure", "split"):

@@ -918,17 +918,14 @@ def apply_linear(x: Tensor, forward_fn, adjoint_fn) -> Tensor:
 
 class AdamOptimizer:
     """Adam with bias correction; per-parameter moments persist on the
-    optimizer."""
+    optimizer, in lists parallel to ``params``."""
 
     def __init__(self, params, lr=1e-4):
         self.params = list(params)
-        names = [p.name for p in self.params]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate parameter names")
         self.lr = lr
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self._v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
 
     def descend(self, losses, what: str) -> float:
         """Zero the gradients, run each loss's backward as ``losses`` builds
@@ -968,12 +965,10 @@ class AdamOptimizer:
     def step(self):
         self.t += 1
         b1, b2 = 0.9, 0.999
-        for p in self.params:
+        for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 raise ValueError(f"missing gradient for parameter {p.name!r}")
             g = p.grad
-            m = self._m[p.name]
-            v = self._v[p.name]
             m *= b1
             m += (1 - b1) * g
             v *= b2

@@ -19,6 +19,11 @@ __all__ = ["TASK_KINDS", "TaskSpec", "TrainConfig", "DatasetConfig",
            "make_synthetic_dataset", "sample_batch", "task_loss", "train"]
 
 
+def _is_range(v, top=np.inf) -> bool:
+    """Whether the typed tuple ``v`` is a pair 0 <= lo <= hi <= top."""
+    return len(v) == 2 and 0 <= v[0] <= v[1] <= top
+
+
 def _draw_inpainting(shape, rng, p_range):
     lo, hi = p_range
     mask = ops.make_bernoulli_mask(shape, float(rng.uniform(lo, hi)), seed=int(rng.integers(2 ** 31)))
@@ -65,11 +70,13 @@ class TaskSpec:
             v = getattr(self, name)
             if v is not None:
                 v = typed(v, (0.0,) if isinstance(v, (list, tuple)) else 0.0, name)
-                if not (0 <= v if isinstance(v, float) else len(v) == 2 and 0 <= v[0] <= v[1]):
+                if not (0 <= v if isinstance(v, float) else _is_range(v)):
                     raise ValueError(f"{name} must be a number >= 0 or a pair 0 <= lo <= hi")
                 setattr(self, name, v)
         defaults = TASK_KINDS[self.kind][0]
         self.params = {**defaults, **read_fields(self.params, defaults, f"{self.kind} task params")}
+        if self.kind == "inpainting" and not _is_range(self.params["p_range"], 1):
+            raise ValueError("p_range must be a pair 0 <= lo <= hi <= 1")
 
     @classmethod
     def from_dict(cls, d) -> "TaskSpec":

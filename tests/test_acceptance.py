@@ -301,7 +301,7 @@ class TestCriterion07:
             flat = w @ yv.reshape(-1)
             return T.constant(flat.reshape(1, 8, 8))
 
-        div = mc_divergence(fn, img, fn(img), eps=1e-5, probes=300, seed=18).item()
+        div = mc_divergence(fn, img, fn(img), probes=300, seed=18).item()
         trace = float(np.trace(w))
         div_rel = abs(div - trace) / abs(trace)
 

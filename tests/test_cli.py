@@ -145,9 +145,17 @@ class TestSimulate:
                                      {"kind": "blur", "params": {"kernel_size": 1001}},
                                      {"kind": "identity", "sigma_range": [-0.1, 0.1]},
                                      {"kind": "identity", "sigma_range": [0.05, 0.01]},
-                                     {"kind": "identity", "gamma_range": [0.1, 0.2, 0.3]}],
+                                     {"kind": "identity", "gamma_range": [0.1, 0.2, 0.3]},
+                                     {"kind": "inpainting",
+                                      "params": {"p_range": [0.1, 0.2, 0.3]}},
+                                     {"kind": "inpainting", "params": {"p_range": [0.5]}},
+                                     {"kind": "inpainting", "params": {"p_range": [0.9, 0.3]}},
+                                     {"kind": "inpainting", "params": {"p_range": [1.5, 2.0]}},
+                                     {"kind": "inpainting", "params": {"p_range": [-0.5, 0.2]}}],
                              ids=["list", "string", "null", "kernel_too_large",
-                                  "negative_sigma", "reversed_sigma", "three_gammas"])
+                                  "negative_sigma", "reversed_sigma", "three_gammas",
+                                  "three_ps", "one_p", "reversed_p", "p_above_one",
+                                  "negative_p"])
     def test_malformed_task_file_exit_2(self, tmp_path, clean_image, capsys, doc):
         p, _ = clean_image
         task = tmp_path / "task.json"
@@ -530,8 +538,12 @@ class TestConfigFiles:
         {"steps": -3},
         {"steps": 1, "lr": -1.0},
         {"steps": 1, "lr": 0.0},
+        {"mc_loss": "sure", "keep_prob": 5.0, "steps": 1},
+        {"mc_loss": "split", "null_loss": "none", "probes": -3, "steps": 1},
+        {"max_shift_frac": 7.0, "steps": 1},
     ], ids=["list", "misspelled_key", "steps_string", "omega_null", "flag_int",
-            "steps_zero", "steps_negative", "lr_negative", "lr_zero"])
+            "steps_zero", "steps_negative", "lr_negative", "lr_zero",
+            "keep_prob_above_one", "probes_negative", "max_shift_frac_above_one"])
     def test_malformed_finetune_config_exit_2(self, tmp_path, clean_image, tiny_ckpt,
                                               capsys, doc):
         p, _ = clean_image

@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -101,6 +103,17 @@ def test_raw_maps_return_declared_float64(name):
 
 def test_raw_map_cases_cover_every_kind():
     assert set(ops.KINDS) <= {op.kind for op in OPERATORS.values()}
+
+
+def test_only_operators_module_builds_handles():
+    # every raw map is written in operators.py; other modules compose handles
+    builders = set()
+    for path in pathlib.Path(ops.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "OperatorHandle" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                builders.add(path.name)
+    assert builders == {"operators.py"}
 
 
 class TestApplyAdjointBasics:

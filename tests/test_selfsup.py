@@ -33,11 +33,12 @@ def set_heads(model: RamModel, seed: int) -> RamModel:
     return model
 
 
-def default_config_step_digest(n: int, probes: int = 1, heads: bool = False) -> str:
-    """sha256 of the loss and the weight gradients of one SURE+EI finetune
-    step of the default config on an n x n inpainting instance, with
-    ``probes`` divergence probes and, with ``heads``, non-zero output
-    heads."""
+def default_config_step_digest(n: int, probes: int = 1, heads: bool = False,
+                               mc_loss: str = "sure", null_loss: str = "ei") -> str:
+    """sha256 of the loss and the weight gradients of one finetune step
+    (SURE+EI unless ``mc_loss`` and ``null_loss`` say otherwise) of the
+    default config on an n x n inpainting instance, with ``probes``
+    divergence probes and, with ``heads``, non-zero output heads."""
     rng = np.random.default_rng(41)
     op = ops.make_inpainting(ops.make_bernoulli_mask((1, n, n), 0.6, seed=42))
     x = rng.random((1, n, n))
@@ -46,7 +47,8 @@ def default_config_step_digest(n: int, probes: int = 1, heads: bool = False) -> 
     model = RamModel(RamConfig())
     if heads:
         set_heads(model, 43)
-    report = ss.finetune(model, [inst], ss.FinetuneConfig(steps=1, probes=probes, seed=5))
+    report = ss.finetune(model, [inst], ss.FinetuneConfig(
+        mc_loss=mc_loss, null_loss=null_loss, steps=1, probes=probes, seed=5))
     # after its one step the model holds that step's gradients
     digest = hashlib.sha256(np.asarray(report["loss_history"]).tobytes())
     for p in model.parameters():
@@ -400,6 +402,22 @@ class TestMoi:
         model = LinearModel(0.7)
         assert ss.moi_loss(model, inst, xhat_of(model, inst), [op2], seed=32).item() >= 0
 
+    def test_is_ei_under_the_identity_transform(self):
+        # EI and MOI are one consistency term: with T = I and A_r = A they agree bit for bit
+        op = ops.make_inpainting(ops.make_bernoulli_mask((1, 12, 12), 0.5, seed=33))
+        y = op.apply(np.random.default_rng(34).random((1, 12, 12)))
+        inst = ProblemInstance(op=op, y=y, noise=NoiseParams(sigma=0.05))
+        model = RamModel(TINY)
+        grads = {}
+        for name, loss_of in (
+                ("ei", lambda x: ss.ei_loss(model, inst, x, ss.TransformGroup("shifts", 0.0))),
+                ("moi", lambda x: ss.moi_loss(model, inst, x, [op]))):
+            model.zero_grad()
+            loss = loss_of(xhat_of(model, inst))
+            loss.backward()
+            grads[name] = [loss.item()] + [p.grad.copy() for p in model.parameters()]
+        assert all(np.array_equal(a, b) for a, b in zip(grads["ei"], grads["moi"]))
+
 
 class TestSharedReconstruction:
     """finetune hands one x_hat = R(y) to every loss of an instance."""
@@ -557,21 +575,33 @@ class TestFinetune:
         assert np.all(np.isfinite(report["loss_history"]))
         assert 0 <= report["best_step"] < cfg.steps
 
-    @pytest.mark.parametrize("key", ["64", "96", "64-heads-probes2"])
+    @pytest.mark.parametrize("key", ["64", "96", "64-heads-probes2",
+                                     "64-heads-split-ei", "64-heads-split-moi"])
     def test_default_config_golden(self, key, golden_python):
-        """A SURE+EI step of the default config gives the loss and the
+        """A finetune step of the default config gives the loss and the
         weight gradients an earlier version computed.  A weight gradient
         sums over the convolution's row strips, so its last bits move with
         the strip partition; they must move only on purpose.  At 96x96 the
         32-channel convolutions already run in two strips.  With zero
         output heads only ``conv_out`` and ``eta`` get a gradient; the
-        third case gives every weight one, through two probes."""
-        args = {"64-heads-probes2": "64, probes=2, heads=True"}.get(key, key)
+        other cases give every weight one, through two SURE probes or
+        through split's masked forward and an EI or MOI pass."""
+        args = {"64-heads-probes2": "64, probes=2, heads=True",
+                "64-heads-split-ei": "64, heads=True, mc_loss='split', null_loss='ei'",
+                "64-heads-split-moi": "64, heads=True, mc_loss='split', null_loss='moi'",
+                }.get(key, key)
         digest = golden_python("-c", "import test_selfsup as t; "
                                f"print(t.default_config_step_digest({args}))").strip()
         golden = dict(line.split()[::-1] for line in
                       (GOLDEN / "finetune_default.sha256").read_text().splitlines())
         assert digest == golden[key]
+
+    @pytest.mark.parametrize("field,value", [("probes", 0), ("keep_prob", 0.0), ("keep_prob", 5.0),
+                                             ("max_shift_frac", -0.1), ("max_shift_frac", 7.0)])
+    def test_config_refuses_out_of_range(self, field, value):
+        # when the config is read, not at the first step that uses the value
+        with pytest.raises(ValueError, match=r"^need probes >= 1, keep_prob in \(0, 1\]"):
+            ss.FinetuneConfig(**{field: value})
 
     def test_config_round_trip(self):
         cfg = ss.FinetuneConfig(mc_loss="split", null_loss="moi", omega=0.3, steps=11)

@@ -325,6 +325,12 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"^{name} must be a number >= 0 or a pair"):
             tr.TaskSpec("den", "identity", **{name: value})
 
+    @pytest.mark.parametrize("value", [[0.1, 0.2, 0.3], [0.5], [0.9, 0.3], [1.5, 2.0],
+                                       [-0.5, 0.2]])
+    def test_bad_p_range_refused_when_read(self, value):
+        with pytest.raises(ValueError, match=r"^p_range must be a pair 0 <= lo <= hi <= 1$"):
+            tr.TaskSpec("inp", "inpainting", params={"p_range": value})
+
     def test_checkpoint_every_round_trips(self):
         assert read_config(tr.TrainConfig, {"checkpoint_every": 7},
                            "train config").checkpoint_every == 7
