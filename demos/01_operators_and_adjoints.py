@@ -34,10 +34,12 @@ coarse = ops.make_coarse(blur, 1)
 print("coarse domain", coarse.domain_shape, "range", coarse.range_shape)
 
 ## Handles built from the same definition share a content key, so a
-## redrawn blur reuses the cached norm and coarse operators
+## redrawn blur reads the cached norms of its coarse operators
 redrawn = ops.make_blur(ops.make_gaussian_kernel(1.5, 9), shape)
+probe = np.random.default_rng(1).standard_normal(coarse.domain_shape)
 print("same key:", redrawn.key == blur.key,
-      "same coarse operator:", ops.make_coarse(redrawn, 1) is coarse)
+      "same coarse map:", np.array_equal(ops.make_coarse(redrawn, 1).apply(probe),
+                                         coarse.apply(probe)))
 print("cache stats:", ops.cache_stats())
 
 ## The measurement of a simple scene

@@ -15,11 +15,16 @@ def psnr(ref: np.ndarray, test: np.ndarray, data_range: float = 1.0) -> float:
     test = np.asarray(test, dtype=np.float64)
     if ref.shape != test.shape:
         raise ValueError("shape mismatch")
-    mse = np.mean((ref - test) ** 2)
+    diff = ref - test
+    with np.errstate(over="ignore"):
+        mse = np.mean(diff ** 2)
     if mse == 0:
         return 99.0
-    val = 10.0 * np.log10(data_range ** 2 / mse)
-    return float(min(val, 99.0))
+    if np.isfinite(mse):
+        return float(min(10.0 * np.log10(data_range ** 2 / mse), 99.0))
+    # the squares overflowed: scale the difference by its largest magnitude
+    peak = np.max(np.abs(diff))
+    return float(20.0 * np.log10(data_range / peak) - 10.0 * np.log10(np.mean((diff / peak) ** 2)))
 
 
 def _gaussian_taps(size: int = 11, sigma: float = 1.5) -> np.ndarray:

@@ -203,8 +203,8 @@ class RamModel:
         if yt.shape != op.range_shape:
             raise ValueError(f"measurement shape {yt.shape} != {op.range_shape}")
 
-        # work with the unit-norm operator (make_coarse's scale-0 handle, cached
-        # per definition); rescale y and the noise levels to keep the physics consistent
+        # work with the unit-norm operator (make_coarse's scale-0 handle; its norm
+        # is kept per definition); rescale y and the noise levels to keep the physics consistent
         nrm = op.norm()
         opn = make_coarse(op, 0)
         yt = yt * T.constant(1.0 / nrm)

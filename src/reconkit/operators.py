@@ -39,17 +39,17 @@ Symmetric Eigenvalue Problem*) falls below ``1e-13 * theta_1``.  The
 tridiagonal eigenproblem is solved on a geometric schedule: at step 8,
 then at ``max(k + 4, 1.25 k)``, at the step cap and on breakdown.
 
-Caches.  Norms of keyed handles live in a bounded process-wide LRU cache
-keyed by ``key``, and ``make_coarse`` keeps coarse operators in another,
-keyed by ``(key, scale, fine_shape)``; both are guarded by one lock, so
-redrawing the same blur kernel, identity or downsampler costs no normal
-applies.  Derived handles cache nothing across objects.  CT handles of
-one angle count and image size share one CSR matrix, three arrays that
-scipy's compiled kernels read as CSR for the adjoint and as CSC for the
-forward, through a weak-value map, so it lives exactly as long as some
-handle, or a coarse operator cached from one, uses it.
-:func:`cache_stats` reports hits, misses and sizes of both caches and
-the Lanczos runs and the normal applies they have made.
+Caches.  The process keeps norms, not operators: one bounded LRU cache of
+floats, guarded by one lock, holds each keyed handle's norm under its
+``key`` and each of its coarse composites' under ``(key, scale,
+fine_shape)``, so redrawing the same blur kernel, identity or downsampler
+costs no normal applies; ``make_coarse`` rebuilds its composite on every
+call, so no cache holds a definition's arrays.  CT handles of one angle
+count and image size share one CSR matrix, three arrays that scipy's
+compiled kernels read as CSR for the adjoint and as CSC for the forward,
+through a weak-value map, so it lives exactly as long as some live handle
+reads it.  :func:`cache_stats` reports the cache's hits, misses and size
+and the Lanczos runs and the normal applies they have made.
 """
 
 from __future__ import annotations
@@ -248,32 +248,28 @@ class _LRUCache:
             return value
 
     def put(self, key, value):
-        """Store ``value`` unless another thread stored one first; return
-        the stored value, so every caller shares one object."""
+        """Store ``value`` unless another thread stored one first."""
         with _LOCK:
-            value = self._data.setdefault(key, value)
+            self._data.setdefault(key, value)
             self._data.move_to_end(key)
             while len(self._data) > self.size:
                 self._data.popitem(last=False)
-            return value
 
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses, "size": len(self._data)}
 
 
-# a norm entry is a float; a coarse entry holds its base operator's arrays
+# every entry is a float: a definition's norm, or one of its coarse norms
 _NORMS = _LRUCache(1024)
-_COARSE = _LRUCache(128)
 _lanczos_runs = 0
 _lanczos_applies = 0
 
 
 def cache_stats() -> dict:
-    """Hits, misses and entries of the norm and coarse-operator caches,
-    and the Lanczos runs and the normal applies they made, since the
-    process started."""
+    """Hits, misses and entries of the norm cache, and the Lanczos runs
+    and the normal applies they made, since the process started."""
     with _LOCK:
-        return {"norm": _NORMS.stats(), "coarse": _COARSE.stats(),
+        return {"norm": _NORMS.stats(),
                 "lanczos_runs": _lanczos_runs, "lanczos_applies": _lanczos_applies}
 
 
@@ -783,8 +779,8 @@ class _CSR:
         self.indptr, self.indices, self.data = indptr, indices, data
 
 
-# every live CT handle of a (num_angles, H, W), and the coarse operators
-# cached from it, share one system matrix; it is freed with the last of them
+# every live CT handle of a (num_angles, H, W), and every handle built on
+# one, share one system matrix; it is freed with the last of them
 _PROJECTORS = weakref.WeakValueDictionary()
 
 
@@ -832,8 +828,8 @@ def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
     building a CT operator loads that one extension file, not the
     ``scipy.sparse`` package), dispatched as scipy's ``@`` does.
     Handles of one ``(num_angles, H, W)`` share the matrix for as long as
-    any of them, or a coarse operator cached from one, is alive: a
-    repeated definition builds nothing.
+    some live handle reads it, a coarse or normalized one built on them
+    included: a repeated definition builds nothing while one is alive.
     """
     c, h, w = image_shape
     if h != w:
@@ -879,8 +875,8 @@ def make_ct_radon(num_angles: int, image_shape) -> OperatorHandle:
 # ---------------------------------------------------------------------------
 
 
-def _bicubic_kernel(t: np.ndarray, a: float = -0.5) -> np.ndarray:
-    t = np.abs(t)
+def _bicubic_kernel(t: np.ndarray) -> np.ndarray:
+    t, a = np.abs(t), -0.5  # a: Keys' cubic convolution parameter
     return np.where(t <= 1, (a + 2) * t ** 3 - (a + 3) * t ** 2 + 1,
                     np.where(t < 2, a * t ** 3 - 5 * a * t ** 2 + 8 * a * t - 4 * a, 0.0))
 
@@ -1009,11 +1005,11 @@ def make_cs_pattern(image_shape, subsample: int = 4, seed: int = 0):
 
 
 @functools.lru_cache(maxsize=64)
-def _upsample_matrix(n_coarse: int, factor: int, beta: float = 8.0, taps: int = 8) -> np.ndarray:
+def _upsample_matrix(n_coarse: int, factor: int) -> np.ndarray:
     """1-D sinc interpolation matrix (fine = factor * coarse) with a Kaiser
-    window of ``taps`` coarse samples total support; rows normalized to
+    window (beta 8) of 8 coarse samples total support; rows normalized to
     preserve constants exactly.  Memoised, so the result is read-only."""
-    half = taps / 2.0
+    beta, half = 8.0, 4.0
     # t: fine position minus coarse sample, in coarse sample units; the
     # Kaiser window does not vanish at its edge, so the columns with
     # |t| > half are zeroed explicitly
@@ -1038,8 +1034,8 @@ def make_upsampler(scale: int, coarse_shape) -> OperatorHandle:
 def make_coarse(op: OperatorHandle, scale: int, fine_shape=None) -> OperatorHandle:
     """Coarse-grid variant of ``op`` at dyadic scale ``scale``: op composed
     with a Kaiser-sinc upsampler (cropping if the working fine grid is
-    padded beyond the operator's domain), normalized to unit norm.  For a
-    keyed ``op`` the result is shared by every handle of its definition."""
+    padded beyond the operator's domain), normalized to unit norm, built
+    anew each call; only its norm is kept, under ``(op.key, scale, fine_shape)``."""
     c = op.domain_shape[0]
     if fine_shape is None:
         fine_shape = op.domain_shape
@@ -1050,18 +1046,17 @@ def make_coarse(op: OperatorHandle, scale: int, fine_shape=None) -> OperatorHand
     f = 2 ** scale
     if fh % f or fw % f:
         raise ValueError("fine extents must be divisible by 2^scale")
-    key = None if op.key is None else (op.key, scale, fine_shape)
-    if key is not None:
-        cached = _COARSE.get(key)
-        if cached is not None:
-            return cached
-
     inner = op if fine_shape == op.domain_shape else compose(op, _crop_op(fine_shape, op.domain_shape))
     if scale > 0:
         inner = compose(inner, make_upsampler(scale, (c, fh // f, fw // f)))
+    key = None if op.key is None or inner is op else (op.key, scale, fine_shape)
+    if key is not None:
+        inner.norm_estimate = _NORMS.get(key)
     out = normalize(inner)
+    if key is not None:
+        _NORMS.put(key, inner.norm_estimate)
     out.kind = f"coarse[{op.kind}]"
-    return out if key is None else _COARSE.put(key, out)
+    return out
 
 
 def _crop_op(fine_shape, target_shape) -> OperatorHandle:

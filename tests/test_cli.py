@@ -72,6 +72,14 @@ class TestEval:
         assert cli.main(["eval", "--pred", str(pa), "--ref", str(pb), "--metrics", "psnr"]) == 0
         assert capsys.readouterr().out.strip().splitlines()[1] == "psnr,99.0"
 
+    def test_huge_finite_images_exit_0(self, tmp_path, capsys):
+        # the squared error overflows, yet the PSNR is finite
+        tnsr.save_tensors(tmp_path / "a.tnsr", {"xhat": np.full((1, 8, 8), 1e200)})
+        tnsr.save_tensors(tmp_path / "b.tnsr", {"x": np.zeros((1, 8, 8))})
+        assert cli.main(["eval", "--pred", str(tmp_path / "a.tnsr"),
+                         "--ref", str(tmp_path / "b.tnsr"), "--metrics", "psnr"]) == 0
+        assert float(capsys.readouterr().out.strip().splitlines()[1].split(",")[1]) < -3999
+
     def test_ambiguous_container_exit_2(self, tmp_path, capsys):
         a = np.zeros((1, 8, 8))
         tnsr.save_tensors(tmp_path / "a.tnsr", {"recon": a, "ref": a})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,15 @@ class TestPsnr:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             psnr(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_overflowing_squares_stay_finite(self):
+        # 1e200 squared overflows; the scaled difference gives what 1e100
+        # gives, 2000 dB lower for each 1e100 of error
+        a = np.zeros((1, 4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psnr(a, np.full_like(a, 1e200)) == pytest.approx(-4000.0, abs=1e-9)
+        assert psnr(a, np.full_like(a, 1e100)) == -2000.0
 
 
 class TestSsim:

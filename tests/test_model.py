@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -403,24 +404,52 @@ class TestNoEinsum:
 
 class TestWarmForward:
     @pytest.mark.parametrize("n", [32, 30])  # 30x30 runs on a padded 32x32 grid
-    def test_builds_no_operator_handle(self, n, monkeypatch):
-        # every handle a forward needs, the prox's unit-norm operator among
-        # them, is cached per operator definition after the first forward
-        op = ops.make_blur(ops.make_gaussian_kernel(1.1, 5), (1, n, n))
+    def test_runs_no_operator_norm(self, n, monkeypatch):
+        # every norm a forward needs, the prox's unit-norm operator's among
+        # them, is kept per operator definition after the first forward:
+        # a redrawn handle of the definition reads them too
+        kernel = ops.make_gaussian_kernel(1.1, 5)
+        op = ops.make_blur(kernel, (1, n, n))
         model = RamModel(RamConfig())
         y = op.apply(np.random.default_rng(32).random(op.domain_shape))
         nz = NoiseParams(sigma=0.05)
         model.reconstruct(y, op, nz)
-        built = []
-        init = ops.OperatorHandle.__init__
+        calls = []
+        norm = ops.operator_norm
 
         def counted(handle, *args, **kwargs):
-            built.append(kwargs.get("kind"))
-            init(handle, *args, **kwargs)
+            calls.append(handle.kind)
+            return norm(handle, *args, **kwargs)
 
-        monkeypatch.setattr(ops.OperatorHandle, "__init__", counted)
+        monkeypatch.setattr(ops, "operator_norm", counted)
         model.reconstruct(y, op, nz)
-        assert built == []
+        model.reconstruct(y, ops.make_blur(kernel, (1, n, n)), nz)
+        assert calls == []
+
+
+class TestHeldMemory:
+    def test_dropped_handles_free_their_arrays(self):
+        # no cache holds an operator: once a reconstruct's caller drops its
+        # handles, reference counting alone frees the MRI mask and the CT
+        # matrix, so the garbage collector is kept off
+        model = RamModel(SMALL)
+        nz = NoiseParams(sigma=0.05)
+        cplx = (2, 16, 16)
+        mri = ops.make_multicoil_mri(ops.make_mri_mask(cplx, 4, seed=41),
+                                     ops.make_sensitivity_maps(4, cplx, seed=41), cplx)
+        ct = ops.make_ct_radon(13, (1, 16, 16))
+        rng = np.random.default_rng(41)
+        gc.disable()
+        try:
+            for op in (mri, ct):
+                model.reconstruct(op.apply(rng.random(op.domain_shape)), op, nz)
+            mask = weakref.ref(mri.arrays["mask"])
+            assert mask() is not None and (13, 16, 16) in ops._PROJECTORS
+            del op, mri, ct
+            assert mask() is None
+            assert (13, 16, 16) not in ops._PROJECTORS
+        finally:
+            gc.enable()
 
 
 class TestReconstructNoTape:
